@@ -55,6 +55,8 @@ def _read_log(args, env: LearningEnvironment):
 
 def _timeout(args) -> int:
     if args.timeout is not None:
+        if args.timeout <= 0:
+            raise _UsageError("--timeout must be positive")
         return args.timeout
     from_env = os.environ.get(TIMEOUT_ENV_VAR)
     if from_env is not None:
@@ -166,6 +168,8 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    if args.min_count < 1:
+        raise _UsageError("--min-count must be at least 1")
     env, _ = _load_course(args.course)
     sessions = sessionize(_read_log(args, env), _timeout(args))
     visit_sets = cl.session_visit_sets(sessions, strategy_paths=args.on_strategy_paths)

@@ -3,17 +3,19 @@
 Sessions enter as sets of visited activities.  Counting how many sessions
 contain each pair yields a weighted undirected graph; after a frequency cut,
 activity clusters fall out either as connected components (fast) or as
-maximal cliques (coherent, enumerated with pivoting Bron-Kerbosch search
-behind a size guard).  All outputs are deterministically ordered so cluster
-files diff cleanly between runs.
+maximal cliques (coherent, enumerated behind a size guard by an iterative
+Bron-Kerbosch search with Tomita pivoting that carries each clique's
+support down the search and meets no recursion limit).  All outputs are
+deterministically ordered so cluster files diff cleanly between runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import GraphTooLarge, ParseError
 from .paths import erase_cycles
@@ -84,68 +86,118 @@ def threshold(graph: CoOccurrenceGraph, min_count: int) -> CoOccurrenceGraph:
     return CoOccurrenceGraph(frozenset(nodes), weights)
 
 
-def _adjacency(graph: CoOccurrenceGraph) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {n: set() for n in graph.nodes}
+def _indexed(graph: CoOccurrenceGraph) -> tuple[list[str], dict[str, int], list[int]]:
+    """Nodes in sorted order, each node's position, and neighbour bitmasks by position.
+
+    Positions follow the sorted node order, so ascending positions are
+    ascending node ids and sorted position tuples sort like sorted id tuples.
+    """
+    order = sorted(graph.nodes)
+    index = {node: i for i, node in enumerate(order)}
+    adj = [0] * len(order)
     for a, b in graph.weights:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+        i, j = index[a], index[b]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return order, index, adj
 
 
-def _min_weight(graph: CoOccurrenceGraph, members: frozenset[str]) -> int:
-    return min(w for pair, w in graph.weights.items() if pair[0] in members and pair[1] in members)
+def _positions(mask: int) -> Iterator[int]:
+    """Set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def connected_components(graph: CoOccurrenceGraph) -> list[Cluster]:
     """Components over the surviving edges; singletons excluded."""
-    adj = _adjacency(graph)
-    seen: set[str] = set()
-    clusters: list[Cluster] = []
-    for start in sorted(graph.nodes):
-        if start in seen or not adj[start]:
+    order, index, adj = _indexed(graph)
+    component_of = [-1] * len(order)
+    masks: list[int] = []
+    for start, neighbours in enumerate(adj):
+        if component_of[start] >= 0 or not neighbours:
             continue
-        component: set[str] = set()
-        frontier = [start]
+        component = frontier = 1 << start
         while frontier:
-            node = frontier.pop()
-            if node in component:
-                continue
-            component.add(node)
-            frontier.extend(adj[node] - component)
-        seen.update(component)
-        members = frozenset(component)
-        clusters.append(Cluster(members, ClusterKind.COMPONENT, _min_weight(graph, members)))
-    return clusters
+            low = frontier & -frontier
+            frontier ^= low
+            node = low.bit_length() - 1
+            component_of[node] = len(masks)
+            new = adj[node] & ~component
+            component |= new
+            frontier |= new
+        masks.append(component)
+    support = [math.inf] * len(masks)
+    for (a, _), w in graph.weights.items():
+        k = component_of[index[a]]
+        support[k] = min(support[k], w)
+    return [
+        Cluster(frozenset(order[i] for i in _positions(mask)), ClusterKind.COMPONENT, support[k])
+        for k, mask in enumerate(masks)
+    ]
+
+
+def _branches(candidates: int, excluded: int, adj: list[int]) -> int:
+    """The candidates left to branch on after Tomita's pivot rule.
+
+    The pivot is the lowest node of ``candidates | excluded`` with the most
+    neighbours in ``candidates``; only candidates outside its neighbourhood
+    can start a clique the pivot's branches do not already reach.
+    """
+    pivot, most = -1, -1
+    for u in _positions(candidates | excluded):
+        count = (adj[u] & candidates).bit_count()
+        if count > most:
+            pivot, most = u, count
+    return candidates & ~adj[pivot]
 
 
 def maximal_cliques(graph: CoOccurrenceGraph, max_nodes_guard: int = 2000) -> list[Cluster]:
-    """All maximal cliques of size >= 2, via pivoting branch and bound.
+    """All maximal cliques of size >= 2, via iterative pivoting branch and bound.
+
+    The search keeps its own stack, so no clique size meets the recursion
+    limit, and carries each clique's support down as members join.
 
     Raises :class:`GraphTooLarge` when the node count exceeds the guard or
     more than ``MAX_REPORTED_CLIQUES`` cliques come out.
     """
     if len(graph.nodes) > max_nodes_guard:
         raise GraphTooLarge(len(graph.nodes), max_nodes_guard, "nodes")
-    adj = _adjacency(graph)
-    found: list[tuple[str, ...]] = []
-
-    def expand(clique: list[str], candidates: set[str], excluded: set[str]) -> None:
-        if not candidates and not excluded:
-            if len(clique) >= 2:
-                found.append(tuple(sorted(clique)))
-                if len(found) > MAX_REPORTED_CLIQUES:
-                    raise GraphTooLarge(len(found), MAX_REPORTED_CLIQUES, "cliques")
-            return
-        pivot = max(sorted(candidates | excluded), key=lambda u: len(adj[u] & candidates))
-        for v in sorted(candidates - adj[pivot]):
-            expand(clique + [v], candidates & adj[v], excluded & adj[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
-
-    expand([], set(graph.nodes), set())
+    order, index, adj = _indexed(graph)
+    weight: list[dict[int, int]] = [{} for _ in order]
+    for (a, b), w in graph.weights.items():
+        i, j = index[a], index[b]
+        weight[i][j] = weight[j][i] = w
+    found: list[tuple[tuple[int, ...], int]] = []
+    # Each frame: clique, its support, candidates, excluded, branches left.
+    everything = (1 << len(order)) - 1
+    stack = [[(), math.inf, everything, 0, _branches(everything, 0, adj)]] if order else []
+    while stack:
+        frame = stack[-1]
+        clique, support, candidates, excluded, branches = frame
+        if not branches:
+            stack.pop()
+            continue
+        low = branches & -branches
+        v = low.bit_length() - 1
+        frame[2], frame[3], frame[4] = candidates ^ low, excluded | low, branches ^ low
+        to_v = weight[v]
+        for u in clique:
+            if to_v[u] < support:
+                support = to_v[u]
+        clique += (v,)
+        candidates &= adj[v]
+        excluded &= adj[v]
+        if candidates:
+            stack.append([clique, support, candidates, excluded, _branches(candidates, excluded, adj)])
+        elif not excluded and len(clique) >= 2:
+            found.append((tuple(sorted(clique)), support))
+            if len(found) > MAX_REPORTED_CLIQUES:
+                raise GraphTooLarge(len(found), MAX_REPORTED_CLIQUES, "cliques")
     return [
-        Cluster(frozenset(members), ClusterKind.CLIQUE, _min_weight(graph, frozenset(members)))
-        for members in sorted(found)
+        Cluster(frozenset(order[i] for i in members), ClusterKind.CLIQUE, support)
+        for members, support in sorted(found)
     ]
 
 

@@ -102,6 +102,11 @@ def subset_cliques(nodes: list[str], edges: set[tuple[str, str]]) -> list[frozen
     return sorted(maximal, key=lambda c: tuple(sorted(c)))
 
 
+def min_pair_weight(weights: dict[tuple[str, str], int], members: frozenset[str]) -> int:
+    """Smallest weight among the member pairs that are edges, by looking up every member pair."""
+    return min(weights[pair] for pair in combinations(sorted(members), 2) if pair in weights)
+
+
 def outline_edges(depths: list[int]) -> list[tuple[int, int, str]]:
     """Outline rule edges by quadratic scanning of line pairs.
 

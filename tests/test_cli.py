@@ -175,6 +175,25 @@ def test_timeout_env_var_and_flag_priority(course, log, capsys, monkeypatch):
     assert main(["sessions", "--log", log, "--course", course]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "--min-count", "0"],
+        ["sessions", "--timeout", "0"],
+        ["cycles", "--timeout", "0"],
+        ["erase", "--timeout", "0"],
+        ["coverage", "--timeout", "0"],
+        ["mine", "--timeout", "0"],
+        ["export", "--overlay", "visit_order", "--experience", "u1", "--timeout", "0"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_bad_flag_values_are_one_line_usage_errors(course, log, argv, capsys):
+    assert main([*argv, "--course", course, "--log", log]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 def test_skip_unknown_warns_and_continues(course, tmp_path, capsys):
     log_path = tmp_path / "noisy.csv"
     log_path.write_text("u1,0,LA1\nu1,5,GHOST\nu1,9,LA2\n", encoding="utf-8")

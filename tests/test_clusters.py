@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import random
+import sys
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,6 +119,19 @@ def test_clique_output_cap(monkeypatch):
         maximal_cliques(graph)
 
 
+def test_clique_search_is_not_bounded_by_the_recursion_limit():
+    nodes = [f"a{i:03d}" for i in range(200)]
+    weights = {(a, b): 2 + (i + j) % 5 for (i, a), (j, b) in combinations(enumerate(nodes), 2)}
+    graph = CoOccurrenceGraph(frozenset(nodes), weights)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        found = maximal_cliques(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == [Cluster(frozenset(nodes), ClusterKind.CLIQUE, 2)]
+
+
 def test_read_clusters_rejects_malformed_lines():
     from odlgraph.errors import ParseError
 
@@ -163,17 +180,21 @@ def random_graphs(draw) -> CoOccurrenceGraph:
 @given(random_graphs())
 @settings(max_examples=150)
 def test_components_match_transitive_closure_oracle(graph):
-    got = sorted(c.members for c in connected_components(graph))
+    found = connected_components(graph)
+    got = sorted(c.members for c in found)
     want = sorted(oracles.closure_components(sorted(graph.nodes), set(graph.weights)))
     assert got == want
+    assert [c.support for c in found] == [oracles.min_pair_weight(graph.weights, c.members) for c in found]
 
 
 @given(random_graphs())
 @settings(max_examples=150)
 def test_cliques_match_subset_oracle(graph):
-    got = [c.members for c in maximal_cliques(graph)]
+    found = maximal_cliques(graph)
+    got = [c.members for c in found]
     want = oracles.subset_cliques(sorted(graph.nodes), set(graph.weights))
     assert got == want
+    assert [c.support for c in found] == [oracles.min_pair_weight(graph.weights, c.members) for c in found]
 
 
 @given(random_graphs())
@@ -183,6 +204,59 @@ def test_every_clique_lies_inside_one_component(graph):
     for clique in maximal_cliques(graph):
         homes = [c for c in components if clique.members <= c.members]
         assert len(homes) == 1
+
+
+def random_weighted_graph(seed: int, n: int, edges: int) -> CoOccurrenceGraph:
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(n)]  # unpadded, so id order differs from number order
+    pairs: set[tuple[str, str]] = set()
+    while len(pairs) < edges:
+        a, b = sorted(rng.sample(nodes, 2))
+        pairs.add((a, b))
+    weights = {pair: rng.randint(1, 50) for pair in sorted(pairs)}
+    return CoOccurrenceGraph(frozenset(x for pair in weights for x in pair), weights)
+
+
+def topic_blocks_graph(seed: int, topics: int = 5, core: int = 26, versioned: int = 9) -> CoOccurrenceGraph:
+    """Dense topics of core units plus two-version units whose versions never meet.
+
+    Every maximal clique is one topic's core with one version of each unit:
+    ``topics * 2 ** versioned`` cliques of ``core + versioned`` members.
+    """
+    rng = random.Random(seed)
+    weights: dict[tuple[str, str], int] = {}
+    for t in range(topics):
+        versions = {(f"t{t}u{i}a", f"t{t}u{i}b") for i in range(versioned)}
+        nodes = [f"t{t}c{i}" for i in range(core)] + [v for pair in versions for v in pair]
+        for pair in combinations(sorted(nodes), 2):
+            if pair not in versions:
+                weights[pair] = rng.randint(10, 60)
+    return CoOccurrenceGraph(frozenset(x for pair in weights for x in pair), weights)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        random_weighted_graph(11, 400, 350),
+        random_weighted_graph(12, 300, 4500),
+        topic_blocks_graph(13),
+    ],
+    ids=["sparse-400", "medium-300", "topic-blocks-220"],
+)
+def test_clusters_match_networkx_at_scale(graph):
+    nx = pytest.importorskip("networkx")
+    reference = nx.Graph()
+    reference.add_nodes_from(graph.nodes)
+    reference.add_edges_from(graph.weights)
+    cases = [
+        (maximal_cliques(graph), nx.find_cliques(reference)),
+        (connected_components(graph), nx.connected_components(reference)),
+    ]
+    for found, expected in cases:
+        assert sorted((c.members for c in found), key=sorted) == sorted(
+            (frozenset(c) for c in expected if len(c) >= 2), key=sorted
+        )
+        assert [c.support for c in found] == [oracles.min_pair_weight(graph.weights, c.members) for c in found]
 
 
 @st.composite
