@@ -13,8 +13,8 @@ from pathlib import Path
 
 from . import clusters as cl
 from . import course_format, dot_export, notes as notes_mod
-from .errors import OdlError
-from .model import LearningEnvironment, validate
+from .errors import OdlError, ParseError
+from .model import LearningEnvironment, next_id_number, validate
 from .paths import classify_cycle, coverage, detect_cycles, erase_cycles
 from .sessions import DEFAULT_SESSION_TIMEOUT, LearningExperience, Session, build_experience, parse_log, sessionize
 
@@ -25,8 +25,18 @@ class _UsageError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file; bytes that do not decode are a data error naming their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _load_course(path: str) -> tuple[LearningEnvironment, str]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     suffix = Path(path).suffix.lower()
     if suffix == ".odlg":
         return course_format.parse_graph_file(text), "Course"
@@ -45,7 +55,7 @@ def _load_course(path: str) -> tuple[LearningEnvironment, str]:
 
 
 def _read_log(args, env: LearningEnvironment):
-    lines = Path(args.log).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(args.log).splitlines()
     skipped: list[tuple[int, str]] = []
     blocks = parse_log(lines, env, skip_unknown=args.skip_unknown, skipped=skipped)
     for line_no, activity_id in skipped:
@@ -54,6 +64,7 @@ def _read_log(args, env: LearningEnvironment):
 
 
 def _timeout(args) -> int:
+    """The session timeout from ``--timeout``, else ``ODL_TIMEOUT``, else the default."""
     if args.timeout is not None:
         if args.timeout <= 0:
             raise _UsageError("--timeout must be positive")
@@ -112,7 +123,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_sessions(args) -> int:
     env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), _timeout(args))
+    sessions = sessionize(_read_log(args, env), args.timeout)
     out = []
     for s in sessions:
         ids = ",".join(b.activity_id for b in s.blocks)
@@ -126,7 +137,7 @@ def _cmd_sessions(args) -> int:
 
 def _cmd_cycles(args) -> int:
     env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), _timeout(args))
+    sessions = sessionize(_read_log(args, env), args.timeout)
     mode = "strict" if args.strict else "lenient"
     out = []
     for learner, experience in _experiences(sessions, env, mode).items():
@@ -145,7 +156,7 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_erase(args) -> int:
     env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), _timeout(args))
+    sessions = sessionize(_read_log(args, env), args.timeout)
     out = []
     for learner, experience in _experiences(sessions, env, "lenient").items():
         out.append(f"{learner}\t{','.join(erase_cycles(experience))}")
@@ -155,7 +166,7 @@ def _cmd_erase(args) -> int:
 
 def _cmd_coverage(args) -> int:
     env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), _timeout(args))
+    sessions = sessionize(_read_log(args, env), args.timeout)
     experiences = _experiences(sessions, env, "lenient")
     out = []
     for learner, experience in experiences.items():
@@ -171,7 +182,7 @@ def _cmd_mine(args) -> int:
     if args.min_count < 1:
         raise _UsageError("--min-count must be at least 1")
     env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), _timeout(args))
+    sessions = sessionize(_read_log(args, env), args.timeout)
     visit_sets = cl.session_visit_sets(sessions, strategy_paths=args.on_strategy_paths)
     graph = cl.threshold(cl.cooccurrence(visit_sets), args.min_count)
     if args.cliques:
@@ -191,7 +202,7 @@ def _cmd_export(args) -> int:
     if overlay in (dot_export.Overlay.VISIT_ORDER, dot_export.Overlay.COVERAGE):
         if not args.log or not args.experience:
             raise _UsageError(f"--overlay {overlay.value} needs --log and --experience")
-        sessions = sessionize(_read_log(args, env), _timeout(args))
+        sessions = sessionize(_read_log(args, env), args.timeout)
         mine = [s for s in sessions if s.learner_id == args.experience]
         if not mine:
             print(f"error: no sessions for learner {args.experience!r}", file=sys.stderr)
@@ -202,7 +213,7 @@ def _cmd_export(args) -> int:
     if overlay is dot_export.Overlay.CLUSTERS:
         if not args.clusters:
             raise _UsageError("--overlay clusters needs --clusters FILE")
-        found = cl.read_clusters(Path(args.clusters).read_text(encoding="utf-8"))
+        found = cl.read_clusters(_read_text(args.clusters))
 
     _emit(args, dot_export.export_dot(env, style, experience, found))
     return 0
@@ -211,16 +222,12 @@ def _cmd_export(args) -> int:
 def _load_store(args, env: LearningEnvironment) -> notes_mod.NoteStore:
     path = Path(args.store)
     if path.exists():
-        return notes_mod.reload(path, env)
+        return notes_mod.loads(_read_text(args.store), env)
     return notes_mod.new_store(env)
 
 
 def _fresh_id(existing, prefix: str) -> str:
-    highest = 0
-    for known in existing:
-        if known.startswith(prefix) and known[len(prefix):].isdigit():
-            highest = max(highest, int(known[len(prefix):]))
-    return f"{prefix}{highest + 1}"
+    return f"{prefix}{next_id_number(existing, prefix)}"
 
 
 def _cmd_notes_add(args) -> int:
@@ -393,6 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "timeout" in vars(args):
+            # Resolved before any file is read, and whether or not a log is read.
+            args.timeout = _timeout(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

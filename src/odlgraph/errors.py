@@ -26,8 +26,8 @@ class DanglingRef(OdlError):
         self.line_no = line_no
 
 
-class ParseError(OdlError):
-    """A document could not be parsed."""
+class ParseError(OdlError, ValueError):
+    """A document could not be parsed; also a ``ValueError``, as the bad input is a bad value."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")

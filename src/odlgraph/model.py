@@ -15,6 +15,7 @@ share across threads.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -109,6 +110,21 @@ class LearningEnvironment:
     def reference_ids(self) -> frozenset[str]:
         return frozenset(a.id for a in self.activities.values() if a.is_reference)
 
+    @cached_property
+    def next_edge_number(self) -> int:
+        """The number in the id :func:`add_edge` gives the next edge (``e<n>``)."""
+        return next_id_number((e.edge_id for e in self.edges), "e")
+
+
+def next_id_number(ids: Iterable[str], prefix: str) -> int:
+    """One past the highest numeric suffix among the ids that start with ``prefix``; 1 if none."""
+    highest = 0
+    for known in ids:
+        suffix = known[len(prefix):]
+        if known.startswith(prefix) and suffix.isdecimal():
+            highest = max(highest, int(suffix))
+    return highest + 1
+
 
 def empty_environment() -> LearningEnvironment:
     return LearningEnvironment()
@@ -150,21 +166,20 @@ def add_edge(
     label: str = "",
     tag: EdgeTag | str = EdgeTag.UNTAGGED,
 ) -> LearningEnvironment:
-    """Append a precedent to the bag.  Duplicates are allowed and kept."""
+    """Append a precedent to the bag.  Duplicates are allowed and kept.
+
+    The new edge is ``e<n>``, one past the highest numeric ``e`` suffix in use.
+    """
     if from_id not in env.activities:
         raise DanglingRef(from_id)
     if to_id not in env.activities:
         raise DanglingRef(to_id)
-    edge = PrecedentEdge(_fresh_edge_id(env), from_id, to_id, label, EdgeTag(tag))
-    return replace(env, edges=env.edges + (edge,))
-
-
-def _fresh_edge_id(env: LearningEnvironment) -> str:
-    highest = 0
-    for e in env.edges:
-        if e.edge_id.startswith("e") and e.edge_id[1:].isdigit():
-            highest = max(highest, int(e.edge_id[1:]))
-    return f"e{highest + 1}"
+    number = env.next_edge_number
+    edge = PrecedentEdge(f"e{number}", from_id, to_id, label, EdgeTag(tag))
+    grown = replace(env, edges=env.edges + (edge,))
+    # Seed the cache so that a chain of add_edge calls never rescans the edges.
+    grown.__dict__["next_edge_number"] = number + 1
+    return grown
 
 
 def is_adjacent(env: LearningEnvironment, u_id: str, v_id: str) -> bool:

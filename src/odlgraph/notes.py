@@ -8,17 +8,21 @@ no body field.
 A store binds one course environment and is append-only; operations return
 a new store.  Persistence is one JSON object per line with a ``kind``
 discriminator, written deterministically so a flush/reload/flush cycle is
-byte-identical.
+byte-identical.  Loading re-checks every note as :func:`attach_note` does and
+reports a malformed record as a :class:`ParseError` naming its line; a flush
+replaces the file atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
-from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent
+from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError
 from .model import LearningEnvironment
 
 BROADCAST = "*"
@@ -68,14 +72,20 @@ def new_store(env: LearningEnvironment) -> NoteStore:
     return NoteStore(env)
 
 
-def attach_note(store: NoteStore, note: LearnerNote) -> NoteStore:
-    """Append one note; the target activity must exist in the store's course."""
-    if note.note_id in store.notes:
+def _check_note(notes: dict[str, LearnerNote], env: LearningEnvironment, note: LearnerNote,
+                line_no: int | None = None) -> None:
+    """The rules every stored note keeps, whether attached or loaded."""
+    if note.note_id in notes:
         raise DuplicateId(note.note_id, "note")
-    if note.node_id not in store.env.activities:
-        raise DanglingRef(note.node_id)
+    if note.node_id not in env.activities:
+        raise DanglingRef(note.node_id, line_no)
     if note.timestamp < 0:
         raise ValueError("note timestamp must be non-negative")
+
+
+def attach_note(store: NoteStore, note: LearnerNote) -> NoteStore:
+    """Append one note; the target activity must exist in the store's course."""
+    _check_note(store.notes, store.env, note)
     notes = dict(store.notes)
     notes[note.note_id] = note
     return replace(store, notes=notes)
@@ -138,6 +148,9 @@ def inbox(store: NoteStore, user_id: str) -> list[Message]:
 # --- persistence ------------------------------------------------------------
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def dumps(store: NoteStore) -> str:
     records = []
     for note in store.notes.values():
@@ -164,48 +177,78 @@ def dumps(store: NoteStore) -> str:
                 "sent_at": message.sent_at,
             }
         )
-    return "".join(json.dumps(r, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n" for r in records)
+    return "".join(_ENCODER.encode(r) + "\n" for r in records)
 
 
 def loads(text: str, env: LearningEnvironment) -> NoteStore:
-    store = new_store(env)
-    for line_no, line in enumerate(text.splitlines(), 1):
+    """Read a store in one pass, re-checking each note against ``env``.
+
+    A line that is not a JSON object, names an unknown ``kind`` or lacks a
+    field raises :class:`ParseError` with its line number, as does a note
+    with a negative timestamp.  A duplicate note or message id raises
+    :class:`DuplicateId` and a note on an unknown activity :class:`DanglingRef`.
+    """
+    notes: dict[str, LearnerNote] = {}
+    messages: dict[str, Message] = {}
+    # Records end at "\n" only: str.splitlines would also split a body at U+2028 or U+0085.
+    for line_no, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        kind = record.get("kind")
-        if kind == "note":
-            note = LearnerNote(
-                record["note_id"],
-                record["node_id"],
-                record["learner_id"],
-                record["timestamp"],
-                NoteAccess(record["access"]),
-                record.get("body", ""),
-                tuple(record.get("attachments", ())),
-            )
-            store = attach_note(store, note)
-        elif kind == "message":
-            recipients = record["recipients"]
-            message = Message(
-                record["message_id"],
-                record["sender_id"],
-                BROADCAST if recipients == BROADCAST else tuple(recipients),
-                tuple(record["note_refs"]),
-                record["sent_at"],
-            )
-            messages = dict(store.messages)
-            if message.message_id in messages:
-                raise DuplicateId(message.message_id, "message")
-            messages[message.message_id] = message
-            store = replace(store, messages=messages)
-        else:
-            raise ValueError(f"line {line_no}: unknown record kind {kind!r}")
-    return store
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("a record must be a JSON object")
+            kind = record.get("kind")
+            if kind == "note":
+                note = LearnerNote(
+                    record["note_id"],
+                    record["node_id"],
+                    record["learner_id"],
+                    record["timestamp"],
+                    NoteAccess(record["access"]),
+                    record.get("body", ""),
+                    tuple(record.get("attachments", ())),
+                )
+                _check_note(notes, env, note, line_no)
+                notes[note.note_id] = note
+            elif kind == "message":
+                recipients = record["recipients"]
+                message = Message(
+                    record["message_id"],
+                    record["sender_id"],
+                    BROADCAST if recipients == BROADCAST else tuple(recipients),
+                    tuple(record["note_refs"]),
+                    record["sent_at"],
+                )
+                if message.message_id in messages:
+                    raise DuplicateId(message.message_id, "message")
+                messages[message.message_id] = message
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON: {exc.msg} at column {exc.colno}") from None
+        except KeyError as exc:
+            raise ParseError(line_no, f"missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(line_no, str(exc)) from None
+    return NoteStore(env, notes, messages)
 
 
 def flush(store: NoteStore, path: str | Path) -> None:
-    Path(path).write_text(dumps(store), encoding="utf-8")
+    """Write the store to ``path`` atomically: a reader sees the old file or the new one, never a part."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8") as out:
+            out.write(dumps(store))
+            out.flush()
+            os.fsync(out.fileno())
+        if path.exists():
+            shutil.copymode(path, temp)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def reload(path: str | Path, env: LearningEnvironment) -> NoteStore:

@@ -185,6 +185,9 @@ def test_timeout_env_var_and_flag_priority(course, log, capsys, monkeypatch):
         ["coverage", "--timeout", "0"],
         ["mine", "--timeout", "0"],
         ["export", "--overlay", "visit_order", "--experience", "u1", "--timeout", "0"],
+        pytest.param(["export", "--timeout", "0"], id="export-without-overlay--timeout=0"),
+        pytest.param(["export", "--timeout", "-5"], id="export-without-overlay--timeout=-5"),
+        pytest.param(["sessions", "--timeout", "-1"], id="sessions--timeout=-1"),
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
@@ -192,6 +195,62 @@ def test_bad_flag_values_are_one_line_usage_errors(course, log, argv, capsys):
     assert main([*argv, "--course", course, "--log", log]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sessions", "cycles", "erase", "coverage", "mine", "export"])
+@pytest.mark.parametrize("timeout_flag,env_value", [(["--timeout", "0"], None), ([], "soon")], ids=["flag", "env"])
+def test_timeout_is_checked_before_any_file_is_read(tmp_path, command, timeout_flag, env_value, capsys, monkeypatch):
+    if env_value is not None:
+        monkeypatch.setenv("ODL_TIMEOUT", env_value)
+    missing = str(tmp_path / "missing")
+    assert main([command, "--course", missing + ".odlg", "--log", missing + ".csv", *timeout_flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+NOTE = '{"access":"all","attachments":[],"body":"","kind":"note","learner_id":"u1","node_id":"LA1","note_id":"n1","timestamp":0}\n'
+BAD_STORES = {
+    "store-truncated": (NOTE + NOTE[:30] + "\n").encode(),
+    "store-unknown-kind": (NOTE + '{"kind":"banana"}\n').encode(),
+    "store-missing-field": (NOTE + NOTE.replace('"learner_id":"u1",', "").replace("n1", "n2")).encode(),
+    "store-not-utf8": NOTE.encode() + b"\xff\n",
+}
+NOTE_COMMANDS = {
+    "list": ["--node", "LA1", "--requester", "u1"],
+    "inbox": ["--user", "u1"],
+    "add": ["--node", "LA1", "--learner", "u1"],
+    "send": ["--sender", "u1", "--to", "u2", "--refs", "n1"],
+}
+
+
+@pytest.mark.parametrize("subcommand", list(NOTE_COMMANDS))
+@pytest.mark.parametrize("store_name", list(BAD_STORES))
+def test_bad_stores_are_one_line_errors(course, tmp_path, subcommand, store_name, capsys):
+    store = tmp_path / "notes.jsonl"
+    store.write_bytes(BAD_STORES[store_name])
+    before = store.read_bytes()
+    argv = ["notes", subcommand, "--store", str(store), "--course", course, *NOTE_COMMANDS[subcommand]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+    assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{bad}"],
+        ["sessions", "--log", "{bad}", "--course", "{course}"],
+        ["export", "--course", "{course}", "--overlay", "clusters", "--clusters", "{bad}"],
+    ],
+    ids=["course", "log", "clusters"],
+)
+def test_non_utf8_files_are_one_line_errors(course, tmp_path, argv, capsys):
+    bad = tmp_path / "bad.odlg"
+    bad.write_bytes(b"# fine\n# still fine\nNODE LA1|caf\xe9|read|x||\n")
+    assert main([a.format(bad=bad, course=course) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and "UTF-8" in err and err.count("\n") == 1
 
 
 def test_skip_unknown_warns_and_continues(course, tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,8 +21,10 @@ from odlgraph.model import (
     empty_environment,
     is_adjacent,
     isomorphic,
+    next_id_number,
     validate,
 )
+from odlgraph.course_format import parse_graph_file
 
 from conftest import quick_env
 
@@ -191,3 +195,50 @@ def test_isomorphic_ignores_edge_ids_only():
     assert isomorphic(env1, renamed)
     extra = add_edge(env1, "a", "b")
     assert not isomorphic(env1, extra)
+
+
+def test_add_edge_continues_after_parsed_edges():
+    env = parse_graph_file("NODE a|A|read|a||\nNODE b|B|read|b||\nEDGE a|b|sequence|\nEDGE b|a|failure|again\n")
+    env = add_edge(env, "a", "b")
+    env = add_edge(env, "b", "a")
+    assert [e.edge_id for e in env.edges] == ["e1", "e2", "e3", "e4"]
+
+
+def test_add_edge_goes_past_the_highest_numeric_e_suffix():
+    env = quick_env(["a", "b"])
+    gapped = LearningEnvironment(
+        env.activities,
+        tuple(PrecedentEdge(eid, "a", "b") for eid in ("e7", "x3", "e10", "e\u00b2", "ex")),
+        env.objects,
+        env.tasks,
+    )
+    grown = add_edge(add_edge(gapped, "a", "b"), "b", "a")
+    assert [e.edge_id for e in grown.edges[-2:]] == ["e11", "e12"]
+    assert add_edge(env, "a", "b").edges[-1].edge_id == "e1"
+
+
+def test_next_id_number_rule():
+    assert next_id_number([], "n") == 1
+    assert next_id_number(["n2", "n10", "m99", "n", "nx", "n007"], "n") == 11
+    assert next_id_number(["n\u00b3"], "n") == 1  # a digit that is not a decimal number
+
+
+def test_add_edge_branches_share_an_id_and_leave_the_parent_alone():
+    parent = add_edge(quick_env(["a", "b"]), "a", "b")
+    left = add_edge(parent, "a", "b", "left")
+    right = add_edge(parent, "b", "a", "right")
+    assert left.edges[-1].edge_id == right.edges[-1].edge_id == "e2"
+    assert [e.edge_id for e in parent.edges] == ["e1"]
+    assert add_edge(parent, "a", "b").edges[-1].edge_id == "e2"
+    assert add_edge(left, "a", "b").edges[-1].edge_id == "e3"
+
+
+def test_add_edge_chain_is_not_quadratic():
+    ids = [f"LA{i}" for i in range(3001)]
+    env = quick_env(ids)
+    start = time.perf_counter()
+    for a, b in zip(ids, ids[1:]):
+        env = add_edge(env, a, b, "next", EdgeTag.SEQUENCE)
+    elapsed = time.perf_counter() - start
+    assert len(env.edges) == 3000 and env.edges[-1].edge_id == "e3000"
+    assert elapsed < 2.0, f"3,000 add_edge calls took {elapsed:.2f} s"

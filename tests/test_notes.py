@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 
 import pytest
 
-from odlgraph.errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent
+from odlgraph.errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError
 from odlgraph.notes import (
     BROADCAST,
     LearnerNote,
@@ -181,3 +183,93 @@ def test_empty_store_serializes_to_empty_text():
 def test_recipients_normalized_to_sorted_unique():
     message = Message("m1", "u1", ("z", "a", "a"), ("n1",), 0)
     assert message.recipients == ("a", "z")
+
+
+def test_loads_of_dumps_equals_a_store_built_call_by_call():
+    env = quick_env([f"LA{i}" for i in range(50)])
+    store = new_store(env)
+    for i in range(2000):
+        access = list(NoteAccess)[i % 3]
+        store = attach_note(store, LearnerNote(f"n{i}", f"LA{i % 50}", f"u{i % 7}", i, access, f"b\u2028{i}", (f"f{i}",)))
+    for i in range(200):
+        to = BROADCAST if i % 5 == 0 else (f"u{i % 7}", "u0")
+        ref = i * 7 % 2000
+        store = send_message(store, Message(f"m{i}", f"u{ref % 7}", to, (f"n{ref}",), i), "tutor")
+    text = dumps(store)
+    again = loads(text, env)
+    assert again == store
+    assert list(again.notes) == list(store.notes) and list(again.messages) == list(store.messages)
+    assert dumps(again) == text
+
+
+def _store_line(**fields) -> str:
+    record = {"kind": "note", "note_id": "n1", "node_id": "LA5", "learner_id": "u1", "timestamp": 1,
+              "access": "all", "body": "", "attachments": []}
+    record.update(fields)
+    return json.dumps(record) + "\n"
+
+
+@pytest.mark.parametrize(
+    "error,text",
+    [
+        (DuplicateId, _store_line() + _store_line()),
+        (DanglingRef, _store_line(node_id="LA999")),
+        (ValueError, _store_line(timestamp=-1)),
+        (DuplicateId, _store_line() + 2 * (json.dumps(
+            {"kind": "message", "message_id": "m1", "sender_id": "u1", "recipients": "*", "note_refs": ["n1"],
+             "sent_at": 0}) + "\n")),
+    ],
+    ids=["duplicate-note", "unknown-node", "negative-timestamp", "duplicate-message"],
+)
+def test_loads_applies_the_attach_rules(error, text):
+    with pytest.raises(error):
+        loads(text, ENV)
+
+
+def test_attach_rejects_negative_timestamp():
+    with pytest.raises(ValueError):
+        store_with(note("n1", NoteAccess.ALL, ts=-1))
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [
+        (_store_line()[:40], "invalid JSON"),
+        ('{"kind":"banana"}', "unknown record kind 'banana'"),
+        ('["note"]', "JSON object"),
+        (_store_line().replace('"learner_id": "u1", ', ""), "missing field 'learner_id'"),
+        (_store_line(access="secret"), "NoteAccess"),
+        (_store_line(timestamp=-1), "non-negative"),
+    ],
+    ids=["truncated", "unknown-kind", "not-an-object", "missing-field", "bad-access", "negative-timestamp"],
+)
+def test_loads_reports_the_bad_line(line, reason):
+    text = _store_line(note_id="n0") + "\n" + line
+    with pytest.raises(ParseError) as err:
+        loads(text, ENV)
+    assert err.value.line_no == 3
+    assert reason in str(err.value) and str(err.value).startswith("line 3: ")
+
+
+def test_flush_failing_midway_keeps_the_previous_store(tmp_path, monkeypatch):
+    path = tmp_path / "store.jsonl"
+    flush(store_with(note("n1", NoteAccess.ALL)), path)
+    before = path.read_bytes()
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        flush(store_with(note("n1", NoteAccess.ALL), note("n2", NoteAccess.ALL)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
+
+
+def test_flush_keeps_the_store_file_mode(tmp_path):
+    path = tmp_path / "store.jsonl"
+    flush(store_with(note("n1", NoteAccess.ALL)), path)
+    path.chmod(0o640)
+    flush(store_with(note("n1", NoteAccess.ALL), note("n2", NoteAccess.ALL)), path)
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert list(reload(path, ENV).notes) == ["n1", "n2"]
