@@ -36,31 +36,19 @@ def _read_text(path: str) -> str:
 
 
 def _load_course(path: str) -> tuple[LearningEnvironment, str]:
-    text = _read_text(path)
-    suffix = Path(path).suffix.lower()
-    if suffix == ".odlg":
-        return course_format.parse_graph_file(text), "Course"
-    if suffix == ".odlc":
-        doc = course_format.read_document(text)
-        return course_format.parse_tabular(text), doc.title
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith(("NODE ", "EDGE ")):
-            return course_format.parse_graph_file(text), "Course"
-        break
-    doc = course_format.read_document(text)
-    return course_format.parse_tabular(text), doc.title
+    return course_format.parse_course(_read_text(path), path)
 
 
-def _read_log(args, env: LearningEnvironment):
-    lines = _read_text(args.log).splitlines()
+def _course_and_sessions(args, read_log: bool = True) -> tuple[LearningEnvironment, list[Session]]:
+    """The pipeline every log subcommand shares: load the course, read the log, sessionize."""
+    env, _ = _load_course(args.course)
+    if not read_log:
+        return env, []
     skipped: list[tuple[int, str]] = []
-    blocks = parse_log(lines, env, skip_unknown=args.skip_unknown, skipped=skipped)
+    blocks = parse_log(_read_text(args.log).splitlines(), env, skip_unknown=args.skip_unknown, skipped=skipped)
     for line_no, activity_id in skipped:
         print(f"warning: line {line_no}: unknown activity {activity_id!r} skipped", file=sys.stderr)
-    return blocks
+    return env, sessionize(blocks, args.timeout)
 
 
 def _timeout(args) -> int:
@@ -122,8 +110,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_sessions(args) -> int:
-    env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), args.timeout)
+    _, sessions = _course_and_sessions(args)
     out = []
     for s in sessions:
         ids = ",".join(b.activity_id for b in s.blocks)
@@ -136,8 +123,7 @@ def _cmd_sessions(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
-    env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), args.timeout)
+    env, sessions = _course_and_sessions(args)
     mode = "strict" if args.strict else "lenient"
     out = []
     for learner, experience in _experiences(sessions, env, mode).items():
@@ -155,8 +141,7 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_erase(args) -> int:
-    env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), args.timeout)
+    env, sessions = _course_and_sessions(args)
     out = []
     for learner, experience in _experiences(sessions, env, "lenient").items():
         out.append(f"{learner}\t{','.join(erase_cycles(experience))}")
@@ -165,8 +150,7 @@ def _cmd_erase(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), args.timeout)
+    env, sessions = _course_and_sessions(args)
     experiences = _experiences(sessions, env, "lenient")
     out = []
     for learner, experience in experiences.items():
@@ -181,8 +165,7 @@ def _cmd_coverage(args) -> int:
 def _cmd_mine(args) -> int:
     if args.min_count < 1:
         raise _UsageError("--min-count must be at least 1")
-    env, _ = _load_course(args.course)
-    sessions = sessionize(_read_log(args, env), args.timeout)
+    _, sessions = _course_and_sessions(args)
     visit_sets = cl.session_visit_sets(sessions, strategy_paths=args.on_strategy_paths)
     graph = cl.threshold(cl.cooccurrence(visit_sets), args.min_count)
     if args.cliques:
@@ -194,46 +177,42 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    env, _ = _load_course(args.course)
     overlay = dot_export.Overlay(args.overlay)
-    style = dot_export.ExportStyle(overlay, args.include_reference_edges)
+    walked = overlay in (dot_export.Overlay.VISIT_ORDER, dot_export.Overlay.COVERAGE)
+    if walked and not (args.log and args.experience):
+        raise _UsageError(f"--overlay {overlay.value} needs --log and --experience")
+    if overlay is dot_export.Overlay.CLUSTERS and not args.clusters:
+        raise _UsageError("--overlay clusters needs --clusters FILE")
+    env, sessions = _course_and_sessions(args, read_log=walked)
 
-    experience = None
-    if overlay in (dot_export.Overlay.VISIT_ORDER, dot_export.Overlay.COVERAGE):
-        if not args.log or not args.experience:
-            raise _UsageError(f"--overlay {overlay.value} needs --log and --experience")
-        sessions = sessionize(_read_log(args, env), args.timeout)
+    experience = found = None
+    if walked:
         mine = [s for s in sessions if s.learner_id == args.experience]
         if not mine:
             print(f"error: no sessions for learner {args.experience!r}", file=sys.stderr)
             return 1
         experience = build_experience(mine, env, "lenient")
-
-    found = None
     if overlay is dot_export.Overlay.CLUSTERS:
-        if not args.clusters:
-            raise _UsageError("--overlay clusters needs --clusters FILE")
         found = cl.read_clusters(_read_text(args.clusters))
 
+    style = dot_export.ExportStyle(overlay, args.include_reference_edges)
     _emit(args, dot_export.export_dot(env, style, experience, found))
     return 0
 
 
-def _load_store(args, env: LearningEnvironment) -> notes_mod.NoteStore:
-    path = Path(args.store)
-    if path.exists():
+def _load_store(args) -> notes_mod.NoteStore:
+    """The course, then the store bound to it (empty when the file does not exist yet)."""
+    env, _ = _load_course(args.course)
+    if Path(args.store).exists():
         return notes_mod.loads(_read_text(args.store), env)
     return notes_mod.new_store(env)
 
 
-def _fresh_id(existing, prefix: str) -> str:
-    return f"{prefix}{next_id_number(existing, prefix)}"
-
-
 def _cmd_notes_add(args) -> int:
-    env, _ = _load_course(args.course)
-    store = _load_store(args, env)
-    note_id = args.note_id or _fresh_id(store.notes, "n")
+    if args.timestamp < 0:
+        raise _UsageError("--timestamp must be non-negative")
+    store = _load_store(args)
+    note_id = args.note_id or f"n{next_id_number(store.notes, 'n')}"
     note = notes_mod.LearnerNote(
         note_id,
         args.node,
@@ -249,8 +228,7 @@ def _cmd_notes_add(args) -> int:
 
 
 def _cmd_notes_list(args) -> int:
-    env, _ = _load_course(args.course)
-    store = _load_store(args, env)
+    store = _load_store(args)
     for note in notes_mod.list_notes(store, args.node, args.requester, args.role):
         attachments = ",".join(note.attachments)
         print(f"{note.note_id}\t{note.timestamp}\t{note.learner_id}\t{note.access.value}\t{note.body}\t{attachments}")
@@ -258,9 +236,8 @@ def _cmd_notes_list(args) -> int:
 
 
 def _cmd_notes_send(args) -> int:
-    env, _ = _load_course(args.course)
-    store = _load_store(args, env)
-    message_id = args.message_id or _fresh_id(store.messages, "m")
+    store = _load_store(args)
+    message_id = args.message_id or f"m{next_id_number(store.messages, 'm')}"
     recipients = notes_mod.BROADCAST if args.to == notes_mod.BROADCAST else tuple(
         r for r in args.to.split(",") if r
     )
@@ -277,8 +254,7 @@ def _cmd_notes_send(args) -> int:
 
 
 def _cmd_notes_inbox(args) -> int:
-    env, _ = _load_course(args.course)
-    store = _load_store(args, env)
+    store = _load_store(args)
     for message in notes_mod.inbox(store, args.user):
         to = message.recipients if message.recipients == notes_mod.BROADCAST else ",".join(message.recipients)
         refs = ",".join(message.note_refs)
@@ -289,8 +265,8 @@ def _cmd_notes_inbox(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_log_options(sub) -> None:
-    sub.add_argument("--log", required=True, help="CSV access log")
+def _add_log_options(sub, log_required: bool = True) -> None:
+    sub.add_argument("--log", required=log_required, help="CSV access log")
     sub.add_argument("--course", required=True, help="course file (.odlc or .odlg)")
     sub.add_argument("--timeout", type=int, default=None, help="session timeout in seconds")
     sub.add_argument("--skip-unknown", action="store_true", help="drop log lines naming unknown activities")
@@ -332,30 +308,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("mine", help="cluster activities by session co-occurrence")
     _add_log_options(p)
     p.add_argument("--min-count", type=int, default=cl.DEFAULT_MIN_COOCCURRENCE)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--cliques", action="store_true", help="report maximal cliques")
-    group.add_argument("--components", action="store_true", help="report connected components (default)")
+    p.add_argument("--cliques", action="store_true", help="report maximal cliques instead of connected components")
     p.add_argument("--on-strategy-paths", action="store_true", help="cluster loop-erased sessions")
     p.set_defaults(func=_cmd_mine)
 
     p = commands.add_parser("export", help="render a course to DOT")
-    p.add_argument("--course", required=True)
-    p.add_argument("--log", default=None)
+    _add_log_options(p, log_required=False)
     p.add_argument("--experience", default=None, metavar="LEARNER_ID")
     p.add_argument("--overlay", default="none", choices=[o.value for o in dot_export.Overlay])
     p.add_argument("--clusters", default=None, help="cluster file for the clusters overlay")
     p.add_argument("--include-reference-edges", action="store_true")
-    p.add_argument("--timeout", type=int, default=None)
-    p.add_argument("--skip-unknown", action="store_true")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_export)
 
     p = commands.add_parser("notes", help="note store operations")
     note_commands = p.add_subparsers(dest="notes_command", required=True)
 
-    q = note_commands.add_parser("add")
-    q.add_argument("--store", required=True)
-    q.add_argument("--course", required=True)
+    store_options = argparse.ArgumentParser(add_help=False)
+    store_options.add_argument("--store", required=True)
+    store_options.add_argument("--course", required=True)
+
+    q = note_commands.add_parser("add", parents=[store_options])
     q.add_argument("--node", required=True)
     q.add_argument("--learner", required=True)
     q.add_argument("--timestamp", type=int, default=0)
@@ -365,17 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--note-id", default=None)
     q.set_defaults(func=_cmd_notes_add)
 
-    q = note_commands.add_parser("list")
-    q.add_argument("--store", required=True)
-    q.add_argument("--course", required=True)
+    q = note_commands.add_parser("list", parents=[store_options])
     q.add_argument("--node", required=True)
     q.add_argument("--requester", required=True)
     q.add_argument("--role", default="learner", choices=["learner", "tutor"])
     q.set_defaults(func=_cmd_notes_list)
 
-    q = note_commands.add_parser("send")
-    q.add_argument("--store", required=True)
-    q.add_argument("--course", required=True)
+    q = note_commands.add_parser("send", parents=[store_options])
     q.add_argument("--sender", required=True)
     q.add_argument("--role", default="learner", choices=["learner", "tutor"])
     q.add_argument("--to", required=True, help="comma-separated learner ids, or * for broadcast")
@@ -384,9 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--sent-at", type=int, default=0)
     q.set_defaults(func=_cmd_notes_send)
 
-    q = note_commands.add_parser("inbox")
-    q.add_argument("--store", required=True)
-    q.add_argument("--course", required=True)
+    q = note_commands.add_parser("inbox", parents=[store_options])
     q.add_argument("--user", required=True)
     q.set_defaults(func=_cmd_notes_inbox)
 

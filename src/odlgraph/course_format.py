@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import PurePath
 
 from .errors import DanglingRef, ParseError, UnsupportedFormat
 from .model import (
@@ -146,7 +147,10 @@ def _outline_edges(depths: list[int]) -> list[tuple[int, int, str]]:
 
 def parse_tabular(text: str) -> LearningEnvironment:
     """Build a learning environment from tabular text."""
-    doc = read_document(text)
+    return _build_tabular(read_document(text))
+
+
+def _build_tabular(doc: CourseDocument) -> LearningEnvironment:
     verbs = _resolve_verbs(doc.lines)
 
     objects: dict[str, LearningObject] = {}
@@ -178,6 +182,23 @@ def parse_tabular(text: str) -> LearningEnvironment:
         for k, (src, dst, kind) in enumerate(_outline_edges([ln.depth for ln in doc.lines]))
     )
     return LearningEnvironment(activities, edges, objects, tasks)
+
+
+def parse_course(text: str, path: str) -> tuple[LearningEnvironment, str]:
+    """Parse a course file into ``(environment, title)``, reading a tabular document once.
+
+    The suffix of ``path`` picks the format; without ``.odlg`` or ``.odlc``, text
+    whose first record line is a ``NODE`` or ``EDGE`` record is a graph file.
+    """
+    suffix = PurePath(path).suffix.lower()
+    if suffix not in (".odlg", ".odlc"):
+        records = (line.strip() for line in text.splitlines())
+        first = next((r for r in records if r and not r.startswith("#")), "")
+        suffix = ".odlg" if first.startswith(("NODE ", "EDGE ")) else ".odlc"
+    if suffix == ".odlg":
+        return parse_graph_file(text), "Course"
+    doc = read_document(text)
+    return _build_tabular(doc), doc.title
 
 
 # --- graph format -----------------------------------------------------------

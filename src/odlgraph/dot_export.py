@@ -17,7 +17,7 @@ from typing import Iterable
 from .clusters import Cluster
 from .errors import StyleMismatch
 from .model import LearningEnvironment
-from .paths import _visit_ids, visit_order
+from .paths import visit_order
 from .sessions import LearningExperience
 
 CLUSTER_PALETTE = ("lightblue", "lightgreen", "lightyellow", "lightpink", "lightgray", "lightcyan")
@@ -59,10 +59,8 @@ def export_dot(
     if overlay is Overlay.CLUSTERS and clusters is None:
         raise StyleMismatch("overlay 'clusters' needs clusters")
 
-    ordinals = visit_order(experience) if overlay is Overlay.VISIT_ORDER else {}
-    visited: set[str] = set()
-    if overlay in (Overlay.VISIT_ORDER, Overlay.COVERAGE):
-        visited = set(_visit_ids(experience))
+    # Both walk overlays fill the visited nodes; only visit_order labels them with the ordinal.
+    ordinals = visit_order(experience) if overlay in (Overlay.VISIT_ORDER, Overlay.COVERAGE) else {}
 
     color_of: dict[str, str] = {}
     if overlay is Overlay.CLUSTERS:
@@ -79,7 +77,7 @@ def export_dot(
         if overlay is Overlay.VISIT_ORDER and aid in ordinals:
             label = f"{aid} ({ordinals[aid]})"
         attrs.append(f"label={_quote(label)}")
-        if aid in visited:
+        if aid in ordinals:
             attrs.append("style=filled")
         if aid in color_of:
             attrs.append("style=filled")

@@ -8,9 +8,10 @@ no body field.
 A store binds one course environment and is append-only; operations return
 a new store.  Persistence is one JSON object per line with a ``kind``
 discriminator, written deterministically so a flush/reload/flush cycle is
-byte-identical.  Loading re-checks every note as :func:`attach_note` does and
-reports a malformed record as a :class:`ParseError` naming its line; a flush
-replaces the file atomically.
+byte-identical.  Records map one to one onto the dataclass fields.  Loading
+re-checks every note as :func:`attach_note` does, and that every message points
+at stored notes; a malformed record is a :class:`ParseError` naming its line.
+A flush replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError
@@ -149,88 +151,100 @@ def inbox(store: NoteStore, user_id: str) -> list[Message]:
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
+
+def _exactly(json_type: type, name: str):
+    def read(value):
+        if type(value) is not json_type:  # exact: a JSON true or false is a bool, not an int
+            raise ValueError(f"expected {name}")
+        return value
+    return read
+
+
+def _str_tuple(value) -> tuple[str, ...]:
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise ValueError("expected a list of strings")
+    return tuple(value)
+
+
+# Per field annotation: the function that checks a stored JSON value and returns the field value.
+_READERS = {
+    "str": _exactly(str, "a string"),
+    "int": _exactly(int, "an integer"),
+    "NoteAccess": NoteAccess,
+    "tuple[str, ...]": _str_tuple,
+    "tuple[str, ...] | str": lambda value: value if value == BROADCAST else _str_tuple(value),
+}
+# A stored record holds every field of its dataclass, plus ``kind``.
+_RECORDS = {
+    kind: (cls, [(f.name, _READERS[f.type]) for f in fields(cls)])
+    for kind, cls in (("note", LearnerNote), ("message", Message))
+}
 
 
 def dumps(store: NoteStore) -> str:
-    records = []
-    for note in store.notes.values():
-        records.append(
-            {
-                "kind": "note",
-                "note_id": note.note_id,
-                "node_id": note.node_id,
-                "learner_id": note.learner_id,
-                "timestamp": note.timestamp,
-                "access": note.access.value,
-                "body": note.body,
-                "attachments": list(note.attachments),
-            }
-        )
-    for message in store.messages.values():
-        records.append(
-            {
-                "kind": "message",
-                "message_id": message.message_id,
-                "sender_id": message.sender_id,
-                "recipients": BROADCAST if message.recipients == BROADCAST else list(message.recipients),
-                "note_refs": list(message.note_refs),
-                "sent_at": message.sent_at,
-            }
-        )
-    return "".join(_ENCODER.encode(r) + "\n" for r in records)
+    # The encoder writes a str-valued enum as its value and a tuple as a list.
+    notes = (_ENCODER.encode({"kind": "note", **vars(n)}) + "\n" for n in store.notes.values())
+    messages = (_ENCODER.encode({"kind": "message", **vars(m)}) + "\n" for m in store.messages.values())
+    return "".join(chain(notes, messages))
+
+
+def _from_record(record: dict) -> LearnerNote | Message:
+    """The note or message a decoded record holds; a bad record raises ``ValueError`` or ``KeyError``."""
+    kind = record.get("kind")
+    if not isinstance(kind, str) or kind not in _RECORDS:
+        raise ValueError(f"unknown record kind {kind!r}")
+    cls, spec = _RECORDS[kind]
+    values = []
+    for name, read in spec:
+        try:
+            values.append(read(record[name]))
+        except ValueError as exc:
+            raise ValueError(f"field {name!r}: {exc}") from None
+    return cls(*values)
 
 
 def loads(text: str, env: LearningEnvironment) -> NoteStore:
     """Read a store in one pass, re-checking each note against ``env``.
 
-    A line that is not a JSON object, names an unknown ``kind`` or lacks a
-    field raises :class:`ParseError` with its line number, as does a note
-    with a negative timestamp.  A duplicate note or message id raises
-    :class:`DuplicateId` and a note on an unknown activity :class:`DanglingRef`.
+    A line that is not a JSON object, names an unknown ``kind``, lacks a field,
+    holds a field of the wrong JSON type or a bad value raises
+    :class:`ParseError` with its line number, as does a note with a negative
+    timestamp.  A duplicate note or message id raises :class:`DuplicateId`, and
+    a note on an unknown activity or a message pointing at a note the store
+    does not hold raises :class:`DanglingRef` naming the line.
     """
     notes: dict[str, LearnerNote] = {}
     messages: dict[str, Message] = {}
+    message_lines: dict[str, int] = {}
     # Records end at "\n" only: str.splitlines would also split a body at U+2028 or U+0085.
     for line_no, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = _DECODER.decode(line)
             if not isinstance(record, dict):
                 raise ValueError("a record must be a JSON object")
-            kind = record.get("kind")
-            if kind == "note":
-                note = LearnerNote(
-                    record["note_id"],
-                    record["node_id"],
-                    record["learner_id"],
-                    record["timestamp"],
-                    NoteAccess(record["access"]),
-                    record.get("body", ""),
-                    tuple(record.get("attachments", ())),
-                )
-                _check_note(notes, env, note, line_no)
-                notes[note.note_id] = note
-            elif kind == "message":
-                recipients = record["recipients"]
-                message = Message(
-                    record["message_id"],
-                    record["sender_id"],
-                    BROADCAST if recipients == BROADCAST else tuple(recipients),
-                    tuple(record["note_refs"]),
-                    record["sent_at"],
-                )
-                if message.message_id in messages:
-                    raise DuplicateId(message.message_id, "message")
-                messages[message.message_id] = message
+            item = _from_record(record)
+            if isinstance(item, LearnerNote):
+                _check_note(notes, env, item, line_no)
+                notes[item.note_id] = item
             else:
-                raise ValueError(f"unknown record kind {kind!r}")
+                if item.message_id in messages:
+                    raise DuplicateId(item.message_id, "message")
+                messages[item.message_id] = item
+                message_lines[item.message_id] = line_no
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc.msg} at column {exc.colno}") from None
         except KeyError as exc:
             raise ParseError(line_no, f"missing field {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise ParseError(line_no, str(exc)) from None
+    for message in messages.values():
+        for ref in message.note_refs:
+            if ref not in notes:
+                raise DanglingRef(ref, message_lines[message.message_id])
     return NoteStore(env, notes, messages)
 
 

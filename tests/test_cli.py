@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from odlgraph import course_format
 from odlgraph.cli import main
 
 from conftest import MERGESORT_COURSE
@@ -214,6 +215,8 @@ BAD_STORES = {
     "store-unknown-kind": (NOTE + '{"kind":"banana"}\n').encode(),
     "store-missing-field": (NOTE + NOTE.replace('"learner_id":"u1",', "").replace("n1", "n2")).encode(),
     "store-not-utf8": NOTE.encode() + b"\xff\n",
+    "store-int-note-id": (NOTE + NOTE.replace('"note_id":"n1"', '"note_id":5')).encode(),
+    "store-bool-timestamp": (NOTE + NOTE.replace("n1", "n2").replace('"timestamp":0', '"timestamp":false')).encode(),
 }
 NOTE_COMMANDS = {
     "list": ["--node", "LA1", "--requester", "u1"],
@@ -234,6 +237,66 @@ def test_bad_stores_are_one_line_errors(course, tmp_path, subcommand, store_name
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ") and err.count("\n") == 1
     assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("subcommand", list(NOTE_COMMANDS))
+def test_store_message_pointing_at_a_missing_note_is_a_data_error(course, tmp_path, subcommand, capsys):
+    store = tmp_path / "notes.jsonl"
+    message = ('{"kind":"message","message_id":"m1","note_refs":["n9"],"recipients":["u1"],"sender_id":"u2",'
+               '"sent_at":0}\n')
+    store.write_text(NOTE + message, encoding="utf-8")
+    before = store.read_bytes()
+    argv = ["notes", subcommand, "--store", str(store), "--course", course, *NOTE_COMMANDS[subcommand]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unresolved reference: 'n9' (line 2)\n"
+    assert store.read_bytes() == before
+
+
+def test_negative_note_timestamp_is_a_usage_error_before_any_file_is_read(tmp_path, capsys):
+    store = tmp_path / "notes.jsonl"
+    argv = ["notes", "add", "--store", str(store), "--course", str(tmp_path / "missing.odlg"),
+            "--node", "LA1", "--learner", "u1", "--timestamp", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "usage error: --timestamp must be non-negative\n"
+    assert not store.exists()
+
+
+def test_mine_components_flag_is_gone(course, log, capsys):
+    assert main(["mine", "--log", log, "--course", course, "--components"]) == 2
+    assert "unrecognized arguments: --components" in capsys.readouterr().err
+
+
+def test_export_takes_the_shared_log_options(course, tmp_path, capsys):
+    noisy = tmp_path / "noisy.csv"
+    noisy.write_text("u1,0,LA1\nu1,5,GHOST\nu1,9,LA2\n", encoding="utf-8")
+    out = tmp_path / "walk.dot"
+    argv = ["export", "--course", course, "--log", str(noisy), "--experience", "u1", "--overlay", "coverage"]
+    assert main([*argv, "--timeout", "3", "--skip-unknown", "-o", str(out)]) == 0
+    assert "GHOST" in capsys.readouterr().err
+    nodes, _ = parse_dot(out.read_text(encoding="utf-8"))
+    assert nodes["LA1"].get("style") == nodes["LA2"].get("style") == "filled" and "style" not in nodes["LA3"]
+
+
+def test_a_course_is_parsed_once_and_found_without_its_suffix(tmp_path, capsys, monkeypatch):
+    tabular = tmp_path / "mergesort.odlc"
+    tabular.write_text(MERGESORT_COURSE, encoding="utf-8")
+    graph = tmp_path / "tiny.odlg"
+    graph.write_text(GRAPH_COURSE, encoding="utf-8")
+    calls = []
+    read_document = course_format.read_document
+    monkeypatch.setattr(course_format, "read_document", lambda text: calls.append(text) or read_document(text))
+    assert main(["parse", str(tabular), "--to", "odlg"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+    for original in (tabular, graph):
+        plain = tmp_path / original.stem
+        plain.write_bytes(original.read_bytes())
+        outputs = []
+        for path in (original, plain):
+            assert main(["parse", str(path), "--to", "odlg"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("# ")
 
 
 @pytest.mark.parametrize(

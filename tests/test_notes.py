@@ -209,6 +209,13 @@ def _store_line(**fields) -> str:
     return json.dumps(record) + "\n"
 
 
+def _message_line(**fields) -> str:
+    record = {"kind": "message", "message_id": "m1", "sender_id": "u1", "recipients": "*", "note_refs": ["n0"],
+              "sent_at": 0}
+    record.update(fields)
+    return json.dumps(record) + "\n"
+
+
 @pytest.mark.parametrize(
     "error,text",
     [
@@ -240,8 +247,21 @@ def test_attach_rejects_negative_timestamp():
         (_store_line().replace('"learner_id": "u1", ', ""), "missing field 'learner_id'"),
         (_store_line(access="secret"), "NoteAccess"),
         (_store_line(timestamp=-1), "non-negative"),
+        (_store_line(note_id=5), "field 'note_id': expected a string"),
+        (_store_line(timestamp=True), "field 'timestamp': expected an integer"),
+        (_store_line(timestamp=1.5), "field 'timestamp': expected an integer"),
+        (_store_line(access=None), "NoteAccess"),
+        (_store_line(attachments=["a", 2]), "field 'attachments': expected a list of strings"),
+        (_store_line(attachments="a"), "field 'attachments': expected a list of strings"),
+        (_store_line().replace('"body": "", ', ""), "missing field 'body'"),
+        (_message_line(recipients="u2"), "field 'recipients': expected a list of strings"),
+        (_message_line(note_refs="n0"), "field 'note_refs': expected a list of strings"),
+        (_message_line(sender_id=["u1"]), "field 'sender_id': expected a string"),
+        (_message_line(sent_at="0"), "field 'sent_at': expected an integer"),
     ],
-    ids=["truncated", "unknown-kind", "not-an-object", "missing-field", "bad-access", "negative-timestamp"],
+    ids=["truncated", "unknown-kind", "not-an-object", "missing-field", "bad-access", "negative-timestamp",
+         "note-id-int", "timestamp-bool", "timestamp-float", "access-null", "attachment-int", "attachments-str",
+         "missing-body", "recipients-str", "note-refs-str", "sender-list", "sent-at-str"],
 )
 def test_loads_reports_the_bad_line(line, reason):
     text = _store_line(note_id="n0") + "\n" + line
@@ -273,3 +293,15 @@ def test_flush_keeps_the_store_file_mode(tmp_path):
     flush(store_with(note("n1", NoteAccess.ALL), note("n2", NoteAccess.ALL)), path)
     assert path.stat().st_mode & 0o777 == 0o640
     assert list(reload(path, ENV).notes) == ["n1", "n2"]
+
+
+def test_loads_rejects_a_message_pointing_at_a_missing_note():
+    text = _store_line(note_id="n0") + _message_line() + _message_line(message_id="m2", note_refs=["n0", "n9"])
+    with pytest.raises(DanglingRef) as err:
+        loads(text, ENV)
+    assert err.value.missing_id == "n9" and err.value.line_no == 3
+
+
+def test_loads_resolves_message_refs_after_the_whole_store():
+    store = loads(_message_line(note_refs=["n0"]) + _store_line(note_id="n0"), ENV)
+    assert list(store.messages["m1"].note_refs) == ["n0"] and list(store.notes) == ["n0"]
