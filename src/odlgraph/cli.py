@@ -7,6 +7,7 @@ Diagnostics go to stderr; data goes to stdout or to ``-o`` files.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from pathlib import Path
@@ -45,7 +46,10 @@ def _course_and_sessions(args, read_log: bool = True) -> tuple[LearningEnvironme
     if not read_log:
         return env, []
     skipped: list[tuple[int, str]] = []
-    blocks = parse_log(_read_text(args.log).splitlines(), env, skip_unknown=args.skip_unknown, skipped=skipped)
+    # Universal newlines, as open() reads a log: lines end at "\r\n", "\r" or "\n" only
+    # (str.splitlines would also split a field at U+2028, U+0085 or \x0c).
+    lines = io.StringIO(_read_text(args.log), newline=None)
+    blocks = parse_log(lines, env, skip_unknown=args.skip_unknown, skipped=skipped)
     for line_no, activity_id in skipped:
         print(f"warning: line {line_no}: unknown activity {activity_id!r} skipped", file=sys.stderr)
     return env, sessionize(blocks, args.timeout)
@@ -236,6 +240,8 @@ def _cmd_notes_list(args) -> int:
 
 
 def _cmd_notes_send(args) -> int:
+    if args.sent_at < 0:
+        raise _UsageError("--sent-at must be non-negative")
     store = _load_store(args)
     message_id = args.message_id or f"m{next_id_number(store.messages, 'm')}"
     recipients = notes_mod.BROADCAST if args.to == notes_mod.BROADCAST else tuple(

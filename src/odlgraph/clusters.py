@@ -12,6 +12,7 @@ deterministically ordered so cluster files diff cleanly between runs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -68,13 +69,12 @@ def session_visit_sets(sessions: Iterable[Session], strategy_paths: bool = False
 
 def cooccurrence(session_sets: Iterable[SessionVisitSet]) -> CoOccurrenceGraph:
     """weight(a, b) = number of sessions whose visit set contains both."""
-    weights: dict[tuple[str, str], int] = {}
+    weights: Counter[tuple[str, str]] = Counter()
     nodes: set[str] = set()
     for svs in session_sets:
         nodes.update(svs.visited)
-        for pair in combinations(sorted(svs.visited), 2):
-            weights[pair] = weights.get(pair, 0) + 1
-    return CoOccurrenceGraph(frozenset(nodes), weights)
+        weights.update(combinations(sorted(svs.visited), 2))
+    return CoOccurrenceGraph(frozenset(nodes), dict(weights))
 
 
 def threshold(graph: CoOccurrenceGraph, min_count: int) -> CoOccurrenceGraph:

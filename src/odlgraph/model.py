@@ -188,9 +188,8 @@ def is_adjacent(env: LearningEnvironment, u_id: str, v_id: str) -> bool:
         raise DanglingRef(u_id)
     if v_id not in env.activities:
         raise DanglingRef(v_id)
-    if env.activities[u_id].is_reference or env.activities[v_id].is_reference:
-        return True
-    return (u_id, v_id) in env.edge_endpoints
+    references = env.reference_ids
+    return u_id in references or v_id in references or (u_id, v_id) in env.edge_endpoints
 
 
 def validate(env: LearningEnvironment) -> list[Violation]:

@@ -9,8 +9,9 @@ A store binds one course environment and is append-only; operations return
 a new store.  Persistence is one JSON object per line with a ``kind``
 discriminator, written deterministically so a flush/reload/flush cycle is
 byte-identical.  Records map one to one onto the dataclass fields.  Loading
-re-checks every note as :func:`attach_note` does, and that every message points
-at stored notes; a malformed record is a :class:`ParseError` naming its line.
+re-checks every note as :func:`attach_note` does, every message's id and
+``sent_at`` as :func:`send_message` does, and that every message points at
+stored notes; a malformed record is a :class:`ParseError` naming its line.
 A flush replaces the file atomically.
 """
 
@@ -85,6 +86,14 @@ def _check_note(notes: dict[str, LearnerNote], env: LearningEnvironment, note: L
         raise ValueError("note timestamp must be non-negative")
 
 
+def _check_message(messages: dict[str, Message], message: Message) -> None:
+    """The rules every stored message keeps on its own, whether sent or loaded."""
+    if message.message_id in messages:
+        raise DuplicateId(message.message_id, "message")
+    if message.sent_at < 0:
+        raise ValueError("message sent_at must be non-negative")
+
+
 def attach_note(store: NoteStore, note: LearnerNote) -> NoteStore:
     """Append one note; the target activity must exist in the store's course."""
     _check_note(store.notes, store.env, note)
@@ -122,8 +131,7 @@ def list_notes(
 
 def send_message(store: NoteStore, message: Message, sender_role: str = "learner") -> NoteStore:
     """Store a message after checking the sender can see every referenced note."""
-    if message.message_id in store.messages:
-        raise DuplicateId(message.message_id, "message")
+    _check_message(store.messages, message)
     if not message.note_refs:
         raise EmptyContent("a message must reference at least one note")
     for ref in message.note_refs:
@@ -211,9 +219,10 @@ def loads(text: str, env: LearningEnvironment) -> NoteStore:
     A line that is not a JSON object, names an unknown ``kind``, lacks a field,
     holds a field of the wrong JSON type or a bad value raises
     :class:`ParseError` with its line number, as does a note with a negative
-    timestamp.  A duplicate note or message id raises :class:`DuplicateId`, and
-    a note on an unknown activity or a message pointing at a note the store
-    does not hold raises :class:`DanglingRef` naming the line.
+    timestamp or a message with a negative ``sent_at``.  A duplicate note or
+    message id raises :class:`DuplicateId`, and a note on an unknown activity
+    or a message pointing at a note the store does not hold raises
+    :class:`DanglingRef` naming the line.
     """
     notes: dict[str, LearnerNote] = {}
     messages: dict[str, Message] = {}
@@ -231,8 +240,7 @@ def loads(text: str, env: LearningEnvironment) -> NoteStore:
                 _check_note(notes, env, item, line_no)
                 notes[item.note_id] = item
             else:
-                if item.message_id in messages:
-                    raise DuplicateId(item.message_id, "message")
+                _check_message(messages, item)
                 messages[item.message_id] = item
                 message_lines[item.message_id] = line_no
         except json.JSONDecodeError as exc:

@@ -17,16 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DanglingRef
 from .model import LearningEnvironment
 from .sessions import LearningExperience
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A detour: the visit at ``end_index`` returns to the ``start_index`` anchor."""
+class Cycle(NamedTuple):
+    """A detour: the visit at ``end_index`` returns to the ``start_index`` anchor.
+
+    An immutable named tuple, one per detour; ``_replace`` builds a changed copy.
+    """
 
     anchor_activity: str
     start_index: int
@@ -72,10 +74,11 @@ def detect_cycles(experience: LearningExperience | Sequence[str]) -> list[Cycle]
 
 def classify_cycle(cycle: Cycle, env: LearningEnvironment) -> DetourKind:
     """Reference detour when every interior node is a reference node (or none)."""
+    activities = env.activities
     for node in (cycle.anchor_activity, *cycle.interior):
-        if node not in env.activities:
+        if node not in activities:
             raise DanglingRef(node)
-    if all(env.activities[node].is_reference for node in cycle.interior):
+    if env.reference_ids.issuperset(cycle.interior):
         return DetourKind.REFERENCE
     return DetourKind.CONTENT
 

@@ -7,21 +7,27 @@ into one learning experience: a timestamped walk over the course graph.
 Learners resume after breaks wherever they like, so the default experience
 mode is lenient and merely flags steps between unconnected activities as
 teleports; strict mode raises instead.
+
+The per-line and per-step records, :class:`ControlBlock` and :class:`Visit`,
+are immutable named tuples (build a changed copy with ``_replace``); the
+few :class:`Session` and :class:`LearningExperience` values are frozen
+dataclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 from .errors import DanglingRef, LearnerMismatch, NonAdjacentStep, ParseError
-from .model import LearningEnvironment, is_adjacent
+from .model import LearningEnvironment
 
 DEFAULT_SESSION_TIMEOUT = 1800  # seconds; the usual half-hour inactivity cut
 
 
-@dataclass(frozen=True)
-class ControlBlock:
+class ControlBlock(NamedTuple):
     """One logged interaction: who touched which activity when."""
 
     learner_id: str
@@ -39,8 +45,7 @@ class Session:
     session_index: int  # 1-based per learner
 
 
-@dataclass(frozen=True)
-class Visit:
+class Visit(NamedTuple):
     activity_id: str
     timestamp: int
     teleport: bool = False
@@ -68,12 +73,15 @@ def parse_log(
     appended to ``skipped`` (when given) and the lines are dropped.
     """
     blocks: list[ControlBlock] = []
+    append = blocks.append
+    find_activity = env.activities.get
+    strip = str.strip
     saw_data = False
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = list(map(strip, line.split(",")))
         if not saw_data and fields[0].lower() == "learner_id":
             continue  # optional header
         saw_data = True
@@ -88,7 +96,7 @@ def parse_log(
             raise ParseError(line_no, f"bad timestamp {ts_text!r}") from None
         if timestamp < 0:
             raise ParseError(line_no, "negative timestamp")
-        activity = env.activities.get(activity_id)
+        activity = find_activity(activity_id)
         if activity is None:
             if skip_unknown:
                 if skipped is not None:
@@ -96,9 +104,7 @@ def parse_log(
                 continue
             raise DanglingRef(activity_id, line_no=line_no)
         note_id = fields[3] if len(fields) == 4 and fields[3] else None
-        blocks.append(
-            ControlBlock(learner, timestamp, activity_id, activity.object_id, activity.task_id, note_id)
-        )
+        append(ControlBlock(learner, timestamp, activity_id, activity.object_id, activity.task_id, note_id))
     return blocks
 
 
@@ -116,7 +122,7 @@ def sessionize(blocks: Iterable[ControlBlock], timeout_seconds: int = DEFAULT_SE
 
     sessions: list[Session] = []
     for learner in sorted(per_learner):
-        ordered = sorted(per_learner[learner], key=lambda b: b.timestamp)
+        ordered = sorted(per_learner[learner], key=attrgetter("timestamp"))
         run: list[ControlBlock] = []
         index = 1
         for block in ordered:
@@ -139,7 +145,10 @@ def build_experience(
 
     In lenient mode a step between unconnected activities is kept and marked
     ``teleport=True``; in strict mode it raises :class:`NonAdjacentStep` with
-    the index of the arriving visit.
+    the index of the arriving visit.  A step whose activity the course lacks
+    raises :class:`DanglingRef`, naming the activity it leaves before the one
+    it reaches, as :func:`~odlgraph.model.is_adjacent` does; so an unknown
+    first activity raises only once a step leaves it.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
@@ -150,17 +159,28 @@ def build_experience(
     if len(learners) > 1:
         raise LearnerMismatch(f"sessions belong to several learners: {sorted(learners)}")
 
+    # The rule of model.is_adjacent, inlined as one membership test per step
+    # against the same cached sets: the activities, the reference nodes, the edges.
+    activities, references, endpoints = env.activities, env.reference_ids, env.edge_endpoints
+    strict = mode == "strict"
+    blocks = [block for session in ordered for block in session.blocks]
     visits: list[Visit] = []
-    previous: str | None = None
-    for session in ordered:
-        for block in session.blocks:
-            teleport = False
-            if previous is not None and not is_adjacent(env, previous, block.activity_id):
-                if mode == "strict":
-                    raise NonAdjacentStep(len(visits), previous, block.activity_id)
-                teleport = True
-            visits.append(Visit(block.activity_id, block.timestamp, teleport))
-            previous = block.activity_id
+    if blocks:
+        previous = blocks[0].activity_id
+        # is_adjacent names an unknown origin before an unknown arrival; every
+        # later origin was already checked as the arrival of the step before.
+        if len(blocks) > 1 and previous not in activities:
+            raise DanglingRef(previous)
+        visits.append(Visit(previous, blocks[0].timestamp))
+        for block in islice(blocks, 1, None):
+            aid = block.activity_id
+            if aid not in activities:
+                raise DanglingRef(aid)
+            teleport = not (previous in references or aid in references or (previous, aid) in endpoints)
+            if teleport and strict:
+                raise NonAdjacentStep(len(visits), previous, aid)
+            visits.append(Visit(aid, block.timestamp, teleport))
+            previous = aid
     return LearningExperience(
         ordered[0].learner_id,
         tuple(visits),

@@ -153,3 +153,53 @@ def gap_sessions(timestamps: list[int], timeout: int) -> list[list[int]]:
         else:
             runs.append([ts])
     return runs
+
+
+def pairwise_experience(ids: list[str], adjacent, strict: bool) -> tuple:
+    """A walk judged one step at a time by ``adjacent(u, v)``, which may raise for an unknown id.
+
+    Returns ``("ok", teleport flags)``; in strict mode the first unconnected
+    step instead returns ``("non_adjacent", index, u, v)``.
+    """
+    flags = []
+    for i in range(len(ids)):
+        flag = i > 0 and not adjacent(ids[i - 1], ids[i])
+        if flag and strict:
+            return ("non_adjacent", i, ids[i - 1], ids[i])
+        flags.append(flag)
+    return ("ok", flags)
+
+
+def naive_parse_log(lines: list[str], activities: dict[str, tuple[str, str]], skip_unknown: bool) -> tuple:
+    """Log lines read field by field against ``activities`` (id -> (object id, task id)).
+
+    Returns ``("ok", rows, skipped)`` with one ``(learner, timestamp, activity,
+    object, task, note or None)`` row per kept line and the ``(line number,
+    id)`` of each line dropped as unknown, or, for the first bad line,
+    ``("parse", line number)`` or ``("dangling", line number, id)``.
+    """
+    rows, skipped = [], []
+    header_allowed = True
+    for number, raw in enumerate(lines, start=1):
+        if raw.strip() == "":
+            continue
+        parts = [part.strip() for part in raw.split(",")]
+        if header_allowed and parts[0].lower() == "learner_id":
+            continue
+        header_allowed = False
+        if len(parts) not in (3, 4) or parts[0] == "":
+            return ("parse", number)
+        try:
+            stamp = int(parts[1])
+        except ValueError:
+            return ("parse", number)
+        if stamp < 0:
+            return ("parse", number)
+        if parts[2] not in activities:
+            if not skip_unknown:
+                return ("dangling", number, parts[2])
+            skipped.append((number, parts[2]))
+            continue
+        note = parts[3] if len(parts) == 4 and parts[3] != "" else None
+        rows.append((parts[0], stamp, parts[2], *activities[parts[2]], note))
+    return ("ok", rows, skipped)

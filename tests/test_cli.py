@@ -217,6 +217,8 @@ BAD_STORES = {
     "store-not-utf8": NOTE.encode() + b"\xff\n",
     "store-int-note-id": (NOTE + NOTE.replace('"note_id":"n1"', '"note_id":5')).encode(),
     "store-bool-timestamp": (NOTE + NOTE.replace("n1", "n2").replace('"timestamp":0', '"timestamp":false')).encode(),
+    "store-negative-sent-at": (NOTE + '{"kind":"message","message_id":"m1","note_refs":["n1"],"recipients":["u2"],'
+                                      '"sender_id":"u1","sent_at":-5}\n').encode(),
 }
 NOTE_COMMANDS = {
     "list": ["--node", "LA1", "--requester", "u1"],
@@ -260,6 +262,33 @@ def test_negative_note_timestamp_is_a_usage_error_before_any_file_is_read(tmp_pa
     assert main(argv) == 2
     assert capsys.readouterr().err == "usage error: --timestamp must be non-negative\n"
     assert not store.exists()
+
+
+def test_negative_sent_at_is_a_usage_error_before_any_file_is_read(tmp_path, capsys):
+    store = tmp_path / "notes.jsonl"
+    argv = ["notes", "send", "--store", str(store), "--course", str(tmp_path / "missing.odlg"),
+            "--sender", "u1", "--to", "u2", "--refs", "n1", "--sent-at", "-5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "usage error: --sent-at must be non-negative\n"
+    assert not store.exists()
+
+
+def test_log_lines_end_at_line_breaks_only(course, tmp_path, capsys):
+    # Lines end at "\r\n", "\r" or "\n", as when the log is opened as text; U+2028,
+    # U+0085 and \x0c also end a line for str.splitlines, but not in a log.
+    log_path = tmp_path / "odd.csv"
+    log_path.write_text("learner_id,timestamp,activity_id\nu1,5,LA1\nu\u2028v,6,LA1\nw\x85\x0cx,7,LA2\r\n",
+                        encoding="utf-8", newline="")
+    assert main(["sessions", "--log", str(log_path), "--course", course]) == 0
+    assert capsys.readouterr().out == "u1\t1\t5\t5\t1\tLA1\nu\u2028v\t1\t6\t6\t1\tLA1\nw\x85\x0cx\t1\t7\t7\t1\tLA2\n"
+
+    log_path.write_text("learner_id,timestamp,activity_id\ru1,5,LA1\ru1,65,LA2\r", encoding="utf-8", newline="")
+    assert main(["sessions", "--log", str(log_path), "--course", course]) == 0
+    assert capsys.readouterr().out == "u1\t1\t5\t65\t2\tLA1,LA2\n"
+
+    log_path.write_text("u\u2028v,6,LA1\ru1,soon,LA1\n", encoding="utf-8", newline="")
+    assert main(["sessions", "--log", str(log_path), "--course", course]) == 1
+    assert capsys.readouterr().err == "error: line 2: bad timestamp 'soon'\n"
 
 
 def test_mine_components_flag_is_gone(course, log, capsys):

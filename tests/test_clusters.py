@@ -289,3 +289,28 @@ def test_session_order_does_not_matter(session_sets, rng):
     cut, cut_shuffled = threshold(original, 2), threshold(cooccurrence(shuffled), 2)
     assert format_clusters(connected_components(cut)) == format_clusters(connected_components(cut_shuffled))
     assert format_clusters(maximal_cliques(cut)) == format_clusters(maximal_cliques(cut_shuffled))
+
+
+def mining_shaped_sets(seed: int, sessions: int = 300, topics: int = 4, per_topic: int = 40) -> list[SessionVisitSet]:
+    """Sessions of 35 activities drawn from one topic each, a third with one stray visit elsewhere."""
+    rng = random.Random(seed)
+    every = [f"t{t}a{i}" for t in range(topics) for i in range(per_topic)]
+    out = []
+    for index in range(1, sessions + 1):
+        topic = rng.randrange(topics)
+        visited = set(rng.sample(every[topic * per_topic:(topic + 1) * per_topic], 35))
+        if rng.random() < 0.3:
+            visited.add(rng.choice(every))
+        out.append(SessionVisitSet((f"u{index % 50}", index), frozenset(visited)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cooccurrence_matches_pair_counting_oracle_on_mining_shaped_sessions(seed):
+    session_sets = mining_shaped_sets(seed)
+    graph = cooccurrence(session_sets)
+    assert type(graph.weights) is dict
+    assert graph.weights == oracles.pair_counts([s.visited for s in session_sets])
+    assert graph.nodes == frozenset().union(*(s.visited for s in session_sets))
+    first_seen = dict.fromkeys(pair for s in session_sets for pair in combinations(sorted(s.visited), 2))
+    assert list(graph.weights) == list(first_seen)

@@ -238,6 +238,13 @@ def test_attach_rejects_negative_timestamp():
         store_with(note("n1", NoteAccess.ALL, ts=-1))
 
 
+def test_send_rejects_negative_sent_at():
+    store = store_with(note("n1", NoteAccess.ALL))
+    with pytest.raises(ValueError, match="sent_at must be non-negative"):
+        send_message(store, Message("m1", "u1", ("u2",), ("n1",), -5))
+    assert send_message(store, Message("m1", "u1", ("u2",), ("n1",), 0)).messages["m1"].sent_at == 0
+
+
 @pytest.mark.parametrize(
     "line,reason",
     [
@@ -258,10 +265,11 @@ def test_attach_rejects_negative_timestamp():
         (_message_line(note_refs="n0"), "field 'note_refs': expected a list of strings"),
         (_message_line(sender_id=["u1"]), "field 'sender_id': expected a string"),
         (_message_line(sent_at="0"), "field 'sent_at': expected an integer"),
+        (_message_line(sent_at=-5), "sent_at must be non-negative"),
     ],
     ids=["truncated", "unknown-kind", "not-an-object", "missing-field", "bad-access", "negative-timestamp",
          "note-id-int", "timestamp-bool", "timestamp-float", "access-null", "attachment-int", "attachments-str",
-         "missing-body", "recipients-str", "note-refs-str", "sender-list", "sent-at-str"],
+         "missing-body", "recipients-str", "note-refs-str", "sender-list", "sent-at-str", "negative-sent-at"],
 )
 def test_loads_reports_the_bad_line(line, reason):
     text = _store_line(note_id="n0") + "\n" + line

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import random
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odlgraph.errors import DanglingRef, LearnerMismatch, NonAdjacentStep, ParseError
+from odlgraph.errors import DanglingRef, LearnerMismatch, NonAdjacentStep, OdlError, ParseError
+from odlgraph.model import is_adjacent
+from odlgraph.paths import Cycle
 from odlgraph.sessions import (
     ControlBlock,
+    Session,
+    Visit,
     build_experience,
     parse_log,
     sessionize,
@@ -180,3 +187,208 @@ def test_equal_timestamps_preserve_log_order():
     rows = [("u1", 100, "LA5"), ("u1", 100, "LA15"), ("u1", 100, "LA7")]
     (session,) = sessionize(blocks_of(*rows), 60)
     assert [b.activity_id for b in session.blocks] == ["LA5", "LA15", "LA7"]
+
+
+# --- the records --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls,values,fields,defaults",
+    [
+        (ControlBlock, ("u1", 5, "LA5", "O1", "read", "n1"),
+         ("learner_id", "timestamp", "activity_id", "object_id", "task_id", "note_id"), {"note_id": None}),
+        (Visit, ("LA5", 5, True), ("activity_id", "timestamp", "teleport"), {"teleport": False}),
+        (Cycle, ("LA5", 0, 2, ("LA7",)), ("anchor_activity", "start_index", "end_index", "interior"), {}),
+    ],
+    ids=["ControlBlock", "Visit", "Cycle"],
+)
+def test_records_keep_their_fields_and_are_immutable_values(cls, values, fields, defaults):
+    record = cls(*values)
+    assert cls._fields == fields and cls._field_defaults == defaults
+    assert tuple(getattr(record, name) for name in fields) == values
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(fields, values)) + ")"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+    twin = cls(*values)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    changed = record._replace(**{fields[0]: "other"})
+    assert changed != record and getattr(changed, fields[0]) == "other" and record == twin
+    required = len(fields) - len(defaults)
+    assert cls(*values[:required]) == cls(*values[:required], *defaults.values())
+
+
+# --- parse_log against a naive reader ----------------------------------------
+
+
+COURSE_IDS = {aid: (a.object_id, a.task_id) for aid, a in ENV.activities.items()}
+
+
+def library_parse(lines: list[str], skip_unknown: bool) -> tuple:
+    skipped: list[tuple[int, str]] = []
+    try:
+        blocks = parse_log(lines, ENV, skip_unknown=skip_unknown, skipped=skipped)
+    except ParseError as err:
+        return ("parse", err.line_no)
+    except DanglingRef as err:
+        return ("dangling", err.line_no, err.missing_id)
+    return ("ok", [tuple(b) for b in blocks], skipped)
+
+
+def generated_log(rng: random.Random, lines: int, bad: bool) -> list[str]:
+    def pad(text: str) -> str:
+        return rng.choice(["", " ", "\t", "  "]) + text + rng.choice(["", " ", "\t"])
+
+    known = sorted(COURSE_IDS)
+    out = []
+    if rng.random() < 0.7:
+        out.append(pad(rng.choice(["learner_id,timestamp,activity_id", "Learner_ID , ts , what", "learner_id"])))
+    for _ in range(lines):
+        roll = rng.random()
+        if roll < 0.08:
+            out.append(rng.choice(["", "   ", "\t", "\r"]))
+            continue
+        fields = [pad(f"u{rng.randint(1, 9)}"), pad(str(rng.randint(0, 50_000))),
+                  pad(rng.choice(known) if roll > 0.15 else f"GHOST{rng.randint(1, 3)}")]
+        if rng.random() < 0.3:
+            fields.append(pad(rng.choice(["", f"n{rng.randint(1, 99)}"])))
+        out.append(",".join(fields) + rng.choice(["", "\r"]))
+    if bad:
+        broken = rng.choice([
+            "u1,5", "u1,5,LA5,n1,extra", " ,5,LA5", "u1,soon,LA5", "u1,-3,LA5", "u1,1.5,LA5",
+            "learner_id,timestamp,activity_id",  # a header after data is a data line
+        ])
+        out.insert(rng.randint(len(out) // 2, len(out)), broken)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_parse_log_matches_a_naive_reader(seed):
+    rng = random.Random(seed)
+    lines = generated_log(rng, 400, bad=seed % 3 == 2)
+    for skip_unknown in (False, True):
+        expected = oracles.naive_parse_log(lines, COURSE_IDS, skip_unknown)
+        assert library_parse(lines, skip_unknown) == expected
+    if seed % 3 != 2:
+        assert expected[0] == "ok" and expected[2] and any(row[5] for row in expected[1])
+
+
+LOG_FRAGMENTS = ["u1", "u2", " ", "", "LA5", "Dictionary", "GHOST", "0", "17", "-1", "x", "n1", "learner_id",
+                 "\t", "\r", "\u2028", "\x85", "1_0", "\u0665"]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.text(max_size=30),
+            st.lists(st.sampled_from(LOG_FRAGMENTS), max_size=6).map(",".join),
+        ),
+        max_size=12,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_parse_log_raises_only_odl_errors(lines, skip_unknown):
+    try:
+        parse_log(lines, ENV, skip_unknown=skip_unknown, skipped=[])
+    except OdlError:
+        pass
+    assert library_parse(lines, skip_unknown) == oracles.naive_parse_log(lines, COURSE_IDS, skip_unknown)
+
+
+# --- build_experience against the pairwise is_adjacent walk -------------------
+
+
+def random_course(rng: random.Random, size: int = 240):
+    ids = [f"A{i}" for i in range(size)]
+    reference = set(rng.sample(ids, size // 10))
+    edges = [(a, rng.choice(ids)) for a in ids for _ in range(rng.randint(1, 4))]
+    return quick_env(ids, edges, reference), reference, edges
+
+
+def random_walk(rng: random.Random, course, steps: int, jump_share: float) -> list[str]:
+    env, reference, edges = course
+    ids, references = list(env.activities), sorted(reference)
+    leaving: dict[str, list[str]] = {}
+    for a, b in edges:
+        leaving.setdefault(a, []).append(b)
+    node = rng.choice(ids)
+    walk = [node]
+    while len(walk) < steps:
+        roll = rng.random()
+        if roll < jump_share:
+            node = rng.choice(ids)
+        elif roll < jump_share + 0.1 or node not in leaving:
+            node = rng.choice(references)
+        else:
+            node = rng.choice(leaving[node])
+        walk.append(node)
+    return walk
+
+
+def as_sessions(rng: random.Random, walk: list[str]) -> list[Session]:
+    """The walk cut into sessions of one learner, handed over in shuffled order."""
+    cuts = sorted(rng.sample(range(1, len(walk)), min(len(walk) - 1, 30)))
+    bounds = list(zip([0, *cuts], [*cuts, len(walk)]))
+    sessions = [
+        Session("u1", tuple(ControlBlock("u1", t, walk[t], "O1", "read") for t in range(lo, hi)), index)
+        for index, (lo, hi) in enumerate(bounds, 1)
+    ]
+    rng.shuffle(sessions)
+    return sessions
+
+
+def experience_outcome(sessions: list[Session], env, mode: str) -> tuple:
+    try:
+        experience = build_experience(sessions, env, mode)
+    except DanglingRef as err:
+        return ("dangling", err.missing_id)
+    except NonAdjacentStep as err:
+        return ("non_adjacent", err.position, err.from_id, err.to_id)
+    return ("ok", [v.teleport for v in experience.visits])
+
+
+def oracle_outcome(walk: list[str], env, mode: str) -> tuple:
+    try:
+        return oracles.pairwise_experience(walk, partial(is_adjacent, env), mode == "strict")
+    except DanglingRef as err:
+        return ("dangling", err.missing_id)
+
+
+PLANTS = {
+    "none": lambda rng, walk: walk,
+    "first": lambda rng, walk: ["GHOST0", *walk[1:]],
+    "first-two": lambda rng, walk: ["GHOST0", "GHOST1", *walk[2:]],
+    "only-step": lambda rng, walk: ["GHOST0"],
+    "later": lambda rng, walk: [*walk[:700], "GHOST1", *walk[701:]],
+    "last": lambda rng, walk: [*walk[:-1], "GHOST1"],
+    "first-and-later": lambda rng, walk: ["GHOST0", *walk[1:500], "GHOST1", *walk[501:]],
+    "two-later": lambda rng, walk: [*walk[:300], "GHOST1", *walk[301:900], "GHOST2", *walk[901:]],
+    "two-in-a-row": lambda rng, walk: [*walk[:400], "GHOST1", "GHOST2", *walk[402:]],
+}
+
+
+@pytest.mark.parametrize("plant", list(PLANTS))
+@pytest.mark.parametrize("jump_share", [0.0, 0.05], ids=["edges-only", "jumps"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_experience_matches_the_pairwise_is_adjacent_walk_at_scale(seed, jump_share, plant):
+    rng = random.Random(seed)
+    course = random_course(rng)
+    env, reference, _ = course
+    walk = PLANTS[plant](rng, random_walk(rng, course, 1200, jump_share))
+    if jump_share == 0.0 and plant == "none":
+        # One unconnected step, late in an otherwise connected walk.
+        late = next(j for j in range(900, len(walk)) if walk[j - 1] not in reference)
+        walk[late] = next(a for a in env.activities if not is_adjacent(env, walk[late - 1], a))
+    sessions = as_sessions(rng, walk)
+    for mode in ("lenient", "strict"):
+        outcome = experience_outcome(sessions, env, mode)
+        assert outcome == oracle_outcome(walk, env, mode)
+        if outcome[0] == "ok":
+            experience = build_experience(sessions, env, mode)
+            assert [(v.activity_id, v.timestamp) for v in experience.visits] == list(zip(walk, range(len(walk))))
+    if plant == "none":
+        flags = experience_outcome(sessions, env, "lenient")[1]
+        assert 0 < sum(flags) < len(walk) - 1
+        if jump_share == 0.0:
+            assert experience_outcome(sessions, env, "strict")[:2] == ("non_adjacent", flags.index(True))
