@@ -7,17 +7,17 @@ Diagnostics go to stderr; data goes to stdout or to ``-o`` files.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from pathlib import Path
 
 from . import clusters as cl
 from . import course_format, dot_export, notes as notes_mod
-from .errors import OdlError, ParseError
+from .errors import OdlError
 from .model import LearningEnvironment, next_id_number, validate
 from .paths import classify_cycle, coverage, detect_cycles, erase_cycles
 from .sessions import DEFAULT_SESSION_TIMEOUT, LearningExperience, Session, build_experience, parse_log, sessionize
+from .text import lines, read_text
 
 TIMEOUT_ENV_VAR = "ODL_TIMEOUT"
 
@@ -26,18 +26,8 @@ class _UsageError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    """A UTF-8 input file; bytes that do not decode are a data error naming their line."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(line_no, f"{path} is not UTF-8 text ({exc.reason})") from None
-
-
 def _load_course(path: str) -> tuple[LearningEnvironment, str]:
-    return course_format.parse_course(_read_text(path), path)
+    return course_format.parse_course(read_text(path), path)
 
 
 def _course_and_sessions(args, read_log: bool = True) -> tuple[LearningEnvironment, list[Session]]:
@@ -46,10 +36,7 @@ def _course_and_sessions(args, read_log: bool = True) -> tuple[LearningEnvironme
     if not read_log:
         return env, []
     skipped: list[tuple[int, str]] = []
-    # Universal newlines, as open() reads a log: lines end at "\r\n", "\r" or "\n" only
-    # (str.splitlines would also split a field at U+2028, U+0085 or \x0c).
-    lines = io.StringIO(_read_text(args.log), newline=None)
-    blocks = parse_log(lines, env, skip_unknown=args.skip_unknown, skipped=skipped)
+    blocks = parse_log(lines(read_text(args.log)), env, skip_unknown=args.skip_unknown, skipped=skipped)
     for line_no, activity_id in skipped:
         print(f"warning: line {line_no}: unknown activity {activity_id!r} skipped", file=sys.stderr)
     return env, sessionize(blocks, args.timeout)
@@ -197,7 +184,7 @@ def _cmd_export(args) -> int:
             return 1
         experience = build_experience(mine, env, "lenient")
     if overlay is dot_export.Overlay.CLUSTERS:
-        found = cl.read_clusters(_read_text(args.clusters))
+        found = cl.read_clusters(read_text(args.clusters))
 
     style = dot_export.ExportStyle(overlay, args.include_reference_edges)
     _emit(args, dot_export.export_dot(env, style, experience, found))
@@ -208,7 +195,7 @@ def _load_store(args) -> notes_mod.NoteStore:
     """The course, then the store bound to it (empty when the file does not exist yet)."""
     env, _ = _load_course(args.course)
     if Path(args.store).exists():
-        return notes_mod.loads(_read_text(args.store), env)
+        return notes_mod.reload(args.store, env)
     return notes_mod.new_store(env)
 
 

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 from .errors import GraphTooLarge, ParseError
 from .paths import erase_cycles
 from .sessions import Session
+from .text import lines
 
 DEFAULT_MIN_COOCCURRENCE = 2  # a single co-visit is noise
 MAX_REPORTED_CLIQUES = 1_000_000
@@ -201,17 +202,21 @@ def maximal_cliques(graph: CoOccurrenceGraph, max_nodes_guard: int = 2000) -> li
     ]
 
 
+def sort_clusters(clusters: Iterable[Cluster]) -> list[Cluster]:
+    """Clusters in the one order files list them and DOT colours them: by kind, then sorted members."""
+    return sorted(clusters, key=lambda c: (c.kind.value, tuple(sorted(c.members))))
+
+
 def format_clusters(clusters: Iterable[Cluster]) -> str:
     """One cluster per line: ``kind<TAB>support<TAB>member,member,...``."""
-    rows = sorted(clusters, key=lambda c: (c.kind.value, tuple(sorted(c.members))))
-    lines = [f"{c.kind.value}\t{c.support}\t{','.join(sorted(c.members))}" for c in rows]
-    return "\n".join(lines) + ("\n" if lines else "")
+    rows = [f"{c.kind.value}\t{c.support}\t{','.join(sorted(c.members))}" for c in sort_clusters(clusters)]
+    return "\n".join(rows) + ("\n" if rows else "")
 
 
 def read_clusters(text: str) -> list[Cluster]:
     """Parse :func:`format_clusters` output back into clusters."""
     clusters: list[Cluster] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(lines(text), 1):
         if not raw.strip():
             continue
         parts = raw.split("\t")

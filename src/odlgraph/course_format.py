@@ -1,9 +1,11 @@
 """Course file formats.
 
-Two text formats are supported:
+Two text formats are supported.  Both are UTF-8, and in both a line ends at
+``\r\n``, ``\r`` or ``\n`` only (see :mod:`odlgraph.text`), so a U+2028
+or a form feed inside a field stays in it.
 
 ``.odlc`` (tabular)
-    UTF-8, LF line endings.  The first non-blank line is the course title.
+    The first non-blank line is the course title.
     Every following non-blank line describes one activity::
 
         {TAB * depth}[verb TAB] object text
@@ -28,14 +30,20 @@ Two text formats are supported:
 
     Fields are ``|``-separated; a literal ``|`` is escaped as ``\\|`` and a
     literal backslash as ``\\\\``.  The fifth NODE field is the word ``ref``
-    for reference nodes, the sixth an expected duration in minutes.
+    for reference nodes, the sixth an expected duration in minutes (finite).
+
+:func:`serialize` writes either format and refuses, with
+:class:`UnsupportedFormat`, any value its reader would not give back.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import PurePath
+from typing import Callable
 
 from .errors import DanglingRef, ParseError, UnsupportedFormat
 from .model import (
@@ -48,6 +56,7 @@ from .model import (
     PrecedentEdge,
     validate,
 )
+from .text import holds_line_end, lines
 
 DETOUR_LABEL = "optional detour"
 IMPLICIT_VERB = "read"
@@ -71,10 +80,10 @@ class CourseDocument:
 def read_document(text: str) -> CourseDocument:
     """Syntactic pass over tabular text: title plus depth/verb/object per line."""
     title: str | None = None
-    lines: list[TabularLine] = []
+    content: list[TabularLine] = []
     prev_depth: int | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(lines(text), 1):
         if not raw.strip():
             continue
         if title is None:
@@ -101,30 +110,35 @@ def read_document(text: str) -> CourseDocument:
         elif depth > prev_depth + 1:
             raise ParseError(line_no, f"indentation jump from {prev_depth} to {depth}")
         prev_depth = depth
-        lines.append(TabularLine(depth, verb, obj))
+        content.append(TabularLine(depth, verb, obj))
 
     if title is None:
         raise ParseError(0, "empty document")
-    if not lines:
+    if not content:
         raise ParseError(0, "document has a title but no content lines")
-    return CourseDocument(title, tuple(lines))
+    return CourseDocument(title, tuple(content))
 
 
-def _resolve_verbs(lines: tuple[TabularLine, ...]) -> list[str]:
+def _resolve_verbs(content: tuple[TabularLine, ...]) -> list[str]:
+    """Each line's verb: its own, else ``read`` at depth 0, else the closest
+    earlier explicit verb at the same or a shallower depth, in one pass."""
+    # The explicit verbs a later line can still inherit, by strictly rising depth:
+    # a verb at depth d hides every earlier one at depth d or deeper.
+    depths: list[int] = []
+    verbs: list[str] = []
     resolved: list[str] = []
-    for i, line in enumerate(lines):
+    for line in content:
         if line.task_verb:
+            cut = bisect_left(depths, line.depth)
+            del depths[cut:], verbs[cut:]
+            depths.append(line.depth)
+            verbs.append(line.task_verb)
             resolved.append(line.task_verb)
-            continue
-        verb = IMPLICIT_VERB
-        if line.depth > 0:
-            # indented lines inherit the closest earlier explicit verb from
-            # the same or an enclosing level
-            for j in range(i - 1, -1, -1):
-                if lines[j].depth <= line.depth and lines[j].task_verb:
-                    verb = lines[j].task_verb
-                    break
-        resolved.append(verb)
+        elif line.depth == 0:
+            resolved.append(IMPLICIT_VERB)
+        else:
+            above = bisect_right(depths, line.depth)
+            resolved.append(verbs[above - 1] if above else IMPLICIT_VERB)
     return resolved
 
 
@@ -192,7 +206,7 @@ def parse_course(text: str, path: str) -> tuple[LearningEnvironment, str]:
     """
     suffix = PurePath(path).suffix.lower()
     if suffix not in (".odlg", ".odlc"):
-        records = (line.strip() for line in text.splitlines())
+        records = (line.strip() for line in lines(text))
         first = next((r for r in records if r and not r.startswith("#")), "")
         suffix = ".odlg" if first.startswith(("NODE ", "EDGE ")) else ".odlc"
     if suffix == ".odlg":
@@ -232,7 +246,7 @@ def parse_graph_file(text: str) -> LearningEnvironment:
     """Build a learning environment from NODE/EDGE records."""
     node_lines: list[tuple[int, str]] = []
     edge_lines: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -278,6 +292,8 @@ def parse_graph_file(text: str) -> LearningEnvironment:
                 duration = float(fields[5])
             except ValueError:
                 raise ParseError(line_no, f"bad duration {fields[5]!r}") from None
+            if not math.isfinite(duration):
+                raise ParseError(line_no, f"bad duration {fields[5]!r}")
             if duration < 0:
                 raise ParseError(line_no, "negative duration")
 
@@ -321,8 +337,12 @@ def serialize(env: LearningEnvironment, format: str, title: str = "Course") -> s
     """Render an environment as ``odlc`` or ``odlg`` text.
 
     Re-parsing the output yields an environment isomorphic to ``env`` (edge
-    ids are renamed).  The tabular format can only express outline-shaped
-    environments; anything else raises :class:`UnsupportedFormat`.
+    ids are renamed); only an environment without activities gives a file
+    that does not parse.  A value the reader would not give back raises
+    :class:`UnsupportedFormat`: a line end in any field, whitespace at an end
+    the reader strips, a non-finite duration or a composite object.  The
+    tabular format can only express outline-shaped environments; anything
+    else raises :class:`UnsupportedFormat` too.
     """
     problems = validate(env)
     if problems:
@@ -334,22 +354,42 @@ def serialize(env: LearningEnvironment, format: str, title: str = "Course") -> s
     raise UnsupportedFormat(f"unknown format {format!r}")
 
 
+def _check_field(what: str, text: str, strip: Callable[[str], str] | None = str.strip) -> None:
+    """Refuse a field its reader would not give back: one with a line end, or one ``strip`` changes."""
+    if holds_line_end(text) or (strip is not None and strip(text) != text):
+        raise UnsupportedFormat(f"{what} {text!r} does not read back")
+
+
 def _format_duration(minutes: float) -> str:
-    return f"{minutes:g}"
+    """The short ``:g`` text when it reads back equal, else the exact ``repr``."""
+    if not math.isfinite(minutes):
+        raise UnsupportedFormat(f"duration {minutes!r} does not read back")
+    short = f"{minutes:g}"
+    return short if float(short) == minutes else repr(minutes)
 
 
 def _serialize_graph(env: LearningEnvironment, title: str) -> str:
-    lines = [f"# {title}"]
+    _check_field("title", title, strip=None)
+    out = [f"# {title}"]
     for act in env.activities.values():
         obj = env.objects[act.object_id]
         verb = env.tasks[act.task_id].verb
+        if not act.id:
+            raise UnsupportedFormat("empty activity id does not read back")
+        if obj.kind is not ObjectKind.ATOMIC:
+            raise UnsupportedFormat(f"object {obj.id!r} is not atomic")
+        for what, text in (("activity id", act.id), ("object title", obj.title), ("verb", verb),
+                           ("locator", obj.locator)):
+            _check_field(what, text)
         duration = "" if act.expected_duration_minutes is None else _format_duration(act.expected_duration_minutes)
         fields = [act.id, obj.title, verb, obj.locator, "ref" if act.is_reference else "", duration]
-        lines.append("NODE " + "|".join(_escape(f) for f in fields))
+        out.append("NODE " + "|".join(_escape(f) for f in fields))
     for edge in env.edges:
+        # The label ends the record line, so only its trailing whitespace is stripped.
+        _check_field("edge label", edge.label, strip=str.rstrip)
         fields = [edge.from_id, edge.to_id, edge.tag.value, edge.label]
-        lines.append("EDGE " + "|".join(_escape(f) for f in fields))
-    return "\n".join(lines) + "\n"
+        out.append("EDGE " + "|".join(_escape(f) for f in fields))
+    return "\n".join(out) + "\n"
 
 
 def _serialize_tabular(env: LearningEnvironment, title: str) -> str:
@@ -391,7 +431,10 @@ def _serialize_tabular(env: LearningEnvironment, title: str) -> str:
     if expected != actual:
         raise UnsupportedFormat("edge bag does not match any outline")
 
-    lines = [title]
+    if not title:
+        raise UnsupportedFormat("empty title does not read back")
+    _check_field("title", title)
+    out = [title]
     for act, depth in zip(acts, depths):
         if act.is_reference or act.expected_duration_minutes is not None:
             raise UnsupportedFormat(f"activity {act.id!r} carries graph-only attributes")
@@ -401,7 +444,9 @@ def _serialize_tabular(env: LearningEnvironment, title: str) -> str:
         verb = env.tasks[act.task_id].verb
         if " " in verb or "\t" in verb:
             raise UnsupportedFormat(f"verb {verb!r} is not a single token")
-        if "\t" in obj.title or "\n" in obj.title or not obj.title.strip():
+        _check_field("verb", verb, strip=None)
+        if "\t" in obj.title or not obj.title.strip():
             raise UnsupportedFormat(f"object text {obj.title!r} is not representable")
-        lines.append("\t" * depth + verb + "\t" + obj.title)
-    return "\n".join(lines) + "\n"
+        _check_field("object text", obj.title)
+        out.append("\t" * depth + verb + "\t" + obj.title)
+    return "\n".join(out) + "\n"

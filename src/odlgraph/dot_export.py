@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .clusters import Cluster
+from .clusters import Cluster, sort_clusters
 from .errors import StyleMismatch
 from .model import LearningEnvironment
 from .paths import visit_order
@@ -64,8 +64,7 @@ def export_dot(
 
     color_of: dict[str, str] = {}
     if overlay is Overlay.CLUSTERS:
-        ordered = sorted(clusters, key=lambda c: (c.kind.value, tuple(sorted(c.members))))
-        for idx, cluster in enumerate(ordered):
+        for idx, cluster in enumerate(sort_clusters(clusters)):
             color = CLUSTER_PALETTE[idx % len(CLUSTER_PALETTE)]
             for member in cluster.members:
                 color_of.setdefault(member, color)

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError
 from .model import LearningEnvironment
+from .text import lines, read_text
 
 BROADCAST = "*"
 
@@ -227,8 +228,7 @@ def loads(text: str, env: LearningEnvironment) -> NoteStore:
     notes: dict[str, LearnerNote] = {}
     messages: dict[str, Message] = {}
     message_lines: dict[str, int] = {}
-    # Records end at "\n" only: str.splitlines would also split a body at U+2028 or U+0085.
-    for line_no, line in enumerate(text.split("\n"), 1):
+    for line_no, line in enumerate(lines(text), 1):
         if not line.strip():
             continue
         try:
@@ -274,4 +274,5 @@ def flush(store: NoteStore, path: str | Path) -> None:
 
 
 def reload(path: str | Path, env: LearningEnvironment) -> NoteStore:
-    return loads(Path(path).read_text(encoding="utf-8"), env)
+    """:func:`loads` on a UTF-8 store file; bytes that do not decode are a :class:`ParseError`."""
+    return loads(read_text(path), env)

@@ -125,6 +125,21 @@ def outline_edges(depths: list[int]) -> list[tuple[int, int, str]]:
     return sorted(out)
 
 
+
+def inherited_verbs(rows: list[tuple[int, str]]) -> list[str]:
+    """Tabular verbs by scanning back from each (depth, verb) row.
+
+    A row keeps its own verb; a verbless row at depth 0 reads; a deeper one
+    takes the closest earlier explicit verb at the same or a shallower depth,
+    else reads.
+    """
+    out = []
+    for i, (depth, verb) in enumerate(rows):
+        if not verb and depth > 0:
+            verb = next((v for d, v in reversed(rows[:i]) if v and d <= depth), "")
+        out.append(verb or "read")
+    return out
+
 def has_directed_cycle(nodes: list[str], edges: set[tuple[str, str]]) -> bool:
     """Cycle check via transitive closure by repeated squaring."""
     order = sorted(nodes)

@@ -345,6 +345,33 @@ def test_non_utf8_files_are_one_line_errors(course, tmp_path, argv, capsys):
     assert err.startswith("error: line 3: ") and "UTF-8" in err and err.count("\n") == 1
 
 
+def test_validate_keeps_a_u2028_inside_a_graph_field(tmp_path, capsys):
+    path = tmp_path / "c.odlg"
+    path.write_text("NODE LA1|Intro\u2028more|read|ch1||\nNODE LA2|Next|read|ch2||\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "OK\n"
+
+
+def test_parse_keeps_a_u0085_inside_a_tabular_line(tmp_path, capsys):
+    path = tmp_path / "c.odlc"
+    path.write_text("Course\nread\tIntro\x85x\n", encoding="utf-8", newline="")
+    assert main(["parse", str(path), "--to", "odlg"]) == 0
+    records = [line for line in capsys.readouterr().out.split("\n") if line.startswith("NODE ")]
+    assert records == ["NODE LA1|Intro\x85x|read|Intro\x85x||"]
+
+
+def test_parse_writes_durations_that_read_back_equal(tmp_path, capsys):
+    path = tmp_path / "c.odlg"
+    path.write_text("NODE A|a|read|a||12.3456789\nNODE B|b|read|b||1234567\nNODE C|c|read|c||12.5\n"
+                    "NODE D|d|read|d||30\n", encoding="utf-8")
+    assert main(["parse", str(path), "--to", "odlg"]) == 0
+    out = capsys.readouterr().out
+    assert [line.rsplit("|", 1)[1] for line in out.split("\n") if line.startswith("NODE ")] == [
+        "12.3456789", "1234567.0", "12.5", "30"]
+    again = course_format.parse_graph_file(out)
+    assert [a.expected_duration_minutes for a in again.activities.values()] == [12.3456789, 1234567, 12.5, 30]
+
+
 def test_skip_unknown_warns_and_continues(course, tmp_path, capsys):
     log_path = tmp_path / "noisy.csv"
     log_path.write_text("u1,0,LA1\nu1,5,GHOST\nu1,9,LA2\n", encoding="utf-8")

@@ -140,6 +140,14 @@ def test_read_clusters_rejects_malformed_lines():
             read_clusters(bad + "\n")
 
 
+def test_read_clusters_keeps_a_member_holding_u2028():
+    text = "clique\t3\ta\u2028b,c\ncomponent\t2\td,e\n"
+    assert read_clusters(text) == [
+        Cluster(frozenset({"a\u2028b", "c"}), ClusterKind.CLIQUE, 3),
+        Cluster(frozenset({"d", "e"}), ClusterKind.COMPONENT, 2),
+    ]
+
+
 def test_visit_sets_from_sessions_dedupe_and_strategy_option():
     def block(aid: str, ts: int) -> ControlBlock:
         return ControlBlock("u1", ts, aid, "O1", "read")

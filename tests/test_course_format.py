@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +15,20 @@ from odlgraph.course_format import (
     serialize,
 )
 from odlgraph.errors import DanglingRef, ParseError, UnsupportedFormat
-from odlgraph.model import EdgeTag, add_edge, isomorphic, validate
+from odlgraph.model import (
+    EdgeTag,
+    LearningActivity,
+    LearningObject,
+    LearningTask,
+    ObjectKind,
+    add_activity,
+    add_edge,
+    add_object,
+    add_task,
+    empty_environment,
+    isomorphic,
+    validate,
+)
 
 import oracles
 from conftest import quick_env
@@ -251,3 +268,172 @@ def test_implicit_read_applies_to_empty_verbs_at_top_level(case):
         if line.depth == 0 and not line.task_verb:
             activity = env.activities[f"LA{i + 1}"]
             assert env.tasks[activity.task_id].verb == "read"
+
+
+def _outline_rows(rng: random.Random, n: int, verbs: list[str]) -> list[tuple[int, str]]:
+    depths = [0]
+    for _ in range(n - 1):
+        depths.append(rng.randint(0, depths[-1] + 1))
+    return [(d, rng.choice(verbs)) for d in depths]
+
+
+def _outline_text(rows: list[tuple[int, str]]) -> str:
+    return "Unit\n" + "".join("\t" * d + (v + "\t" if v else "") + f"x{i}\n" for i, (d, v) in enumerate(rows))
+
+
+def test_verbs_match_the_back_scan_oracle_on_random_outlines():
+    rng = random.Random(6)
+    for case in range(3000):
+        rows = _outline_rows(rng, rng.randint(1, 40), ["", "", "", "read", "write", "exerc"])
+        env = parse_tabular(_outline_text(rows))
+        verbs = [env.tasks[env.activities[f"LA{i + 1}"].task_id].verb for i in range(len(rows))]
+        assert verbs == oracles.inherited_verbs(rows), case
+
+
+def test_large_verbless_outline_parses_in_linear_time():
+    # Alternating depth 0/1 without verbs made verb inheritance scan back to the top for every indented line.
+    text = "Unit\n" + "".join("\t" * (i % 2) + f"x{i}\n" for i in range(50_000))
+    start = time.perf_counter()
+    env = parse_tabular(text)
+    assert time.perf_counter() - start < 2.0
+    assert set(env.tasks) == {"read"} and len(env.activities) == 50_000
+
+
+# --- serialize writes only what reads back --------------------------------------
+
+
+def _one_edge_env(title: str = "t", label: str = "x", verb: str = "read", locator: str = "loc",
+                  node_id: str = "LA1", duration: float | None = None):
+    env = add_object(empty_environment(), LearningObject("O1", title, ObjectKind.ATOMIC, locator))
+    env = add_task(env, LearningTask("T1", verb))
+    env = add_activity(env, LearningActivity(node_id, "O1", "T1", expected_duration_minutes=duration))
+    env = add_activity(env, LearningActivity("LA2", "O1", "T1"))
+    return add_edge(env, node_id, "LA2", label, EdgeTag.INTEREST)
+
+
+def test_graph_serialize_refuses_a_composite_object():
+    env = _one_edge_env()
+    env = add_object(env, LearningObject("O2", "part", ObjectKind.COMPOSITE, "loc", ("O1",)))
+    env = add_activity(env, LearningActivity("LA3", "O2", "T1"))
+    assert not validate(env)
+    with pytest.raises(UnsupportedFormat):
+        serialize(env, "odlg")
+
+
+@pytest.mark.parametrize("fields", [
+    {"label": "x\ny"}, {"label": "x\ry"}, {"label": "trail "}, {"label": "tab\t"}, {"title": " pad"},
+    {"title": "pad\x0c"}, {"title": "a\nb"}, {"verb": "read "}, {"verb": "re\rad"}, {"locator": "\tloc"},
+    {"locator": "l\noc"}, {"node_id": " LA1"}, {"node_id": "LA\n1"}, {"node_id": ""},
+    {"duration": math.nan}, {"duration": math.inf},
+], ids=lambda fields: repr(fields))
+def test_graph_serialize_refuses_what_does_not_read_back(fields):
+    with pytest.raises(UnsupportedFormat):
+        serialize(_one_edge_env(**fields), "odlg")
+
+
+def test_graph_serialize_refuses_a_course_title_with_a_line_end():
+    with pytest.raises(UnsupportedFormat):
+        serialize(_one_edge_env(), "odlg", title="Two\nlines")
+
+
+@pytest.mark.parametrize("fields", [
+    {"label": " leading space"}, {"label": "|x\\"}, {"title": "a\u2028b\x85c"}, {"title": ""},
+    {"verb": "re ad"}, {"locator": "in\x0cside"}, {"node_id": "LA|1"}, {"duration": 1234567.0},
+    {"duration": 12.3456789}, {"duration": 1e-7},
+], ids=lambda fields: repr(fields))
+def test_graph_serialize_round_trips_what_reads_back(fields):
+    env = _one_edge_env(**fields)
+    assert isomorphic(env, parse_graph_file(serialize(env, "odlg")))
+
+
+def test_graph_serialize_keeps_the_short_duration_text_where_it_reads_back():
+    env = parse_graph_file("NODE A|a|read|a||12.5\nNODE B|b|read|b||30\nNODE C|c|read|c||0.1\n")
+    assert [line.rsplit("|", 1)[1] for line in serialize(env, "odlg").splitlines()[1:]] == ["12.5", "30", "0.1"]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])
+def test_graph_reader_refuses_a_non_finite_duration(text):
+    with pytest.raises(ParseError, match="bad duration"):
+        parse_graph_file(f"NODE A|a|read|a||{text}\n")
+
+
+def _outline_env(texts: list[str], verb: str = "read"):
+    env = add_task(empty_environment(), LearningTask(verb, verb))
+    for i, text in enumerate(texts, 1):
+        env = add_object(env, LearningObject(f"O{i}", text, ObjectKind.ATOMIC, text))
+        env = add_activity(env, LearningActivity(f"LA{i}", f"O{i}", verb))
+    for i in range(1, len(texts)):
+        env = add_edge(env, f"LA{i}", f"LA{i + 1}", "", EdgeTag.SEQUENCE)
+    return env
+
+
+@pytest.mark.parametrize("texts,verb,title", [
+    (["A\rz"], "read", "Unit"), (["A\nz"], "read", "Unit"), ([" A"], "read", "Unit"), (["A\x0c"], "read", "Unit"),
+    (["A"], "re\nad", "Unit"), (["A"], "read", " Unit"), (["A"], "read", "Unit\rTwo"), (["A"], "read", ""),
+], ids=["object-cr", "object-lf", "object-leading", "object-trailing-ff", "verb-lf", "title-leading",
+        "title-cr", "title-empty"])
+def test_tabular_serialize_refuses_what_does_not_read_back(texts, verb, title):
+    with pytest.raises(UnsupportedFormat):
+        serialize(_outline_env(texts, verb), "odlc", title=title)
+
+
+def test_tabular_serialize_round_trips_line_breaks_that_are_not_line_ends():
+    env = _outline_env(["A\u2028z", "B\x85\x0cy"], verb="r\x0bd")
+    text = serialize(env, "odlc", title="U\u2028nit")
+    assert isomorphic(env, parse_tabular(text)) and read_document(text).title == "U\u2028nit"
+
+
+# Field text drawn from the line ends, the characters str.splitlines also breaks at, and the record syntax:
+# mostly inside a plain word, where only a line end stops a field reading back, and sometimes anywhere.
+_FIELD_PIECES = ["a", "b", " ", "\t", "|", "\\|", "\\\\", "\\", "\n", "\r", "\r\n", "\u2028", "\x85", "\x0c",
+                 "NODE ", "EDGE ", "#"]
+_anywhere = st.lists(st.sampled_from(_FIELD_PIECES), max_size=3).map("".join)
+_inside = st.builds("a{}b".format, st.sampled_from(["", *_FIELD_PIECES]))
+_field = st.sampled_from([_inside] * 4 + [_anywhere]).flatmap(lambda field: field)
+_nonempty_field = _field.filter(bool)
+_duration = st.one_of(st.none(), st.floats(min_value=0, allow_infinity=True), st.just(math.nan))
+
+
+@given(
+    st.lists(st.tuples(_nonempty_field, _field, _nonempty_field, _nonempty_field, st.booleans(), _duration),
+             min_size=1, max_size=3, unique_by=lambda row: row[0]),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _field, st.sampled_from(list(EdgeTag))), max_size=3),
+    _field,
+)
+@settings(max_examples=300)
+def test_graph_serialize_refuses_or_round_trips(nodes, edges, title):
+    env = empty_environment()
+    for i, (node_id, obj_title, verb, locator, ref, duration) in enumerate(nodes):
+        env = add_object(env, LearningObject(f"O{i}", obj_title, ObjectKind.ATOMIC, locator))
+        env = add_task(env, LearningTask(f"T{i}", verb))
+        env = add_activity(env, LearningActivity(node_id, f"O{i}", f"T{i}", ref, duration))
+    ids = list(env.activities)
+    for a, b, label, tag in edges:
+        env = add_edge(env, ids[a % len(ids)], ids[b % len(ids)], label, tag)
+    try:
+        text = serialize(env, "odlg", title=title)
+    except UnsupportedFormat:
+        return
+    assert isomorphic(env, parse_graph_file(text))
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), _nonempty_field, _nonempty_field), min_size=1, max_size=4), _field)
+@settings(max_examples=300)
+def test_tabular_serialize_refuses_or_round_trips(rows, title):
+    depths = [0]
+    for step, _, _ in rows[1:]:
+        depths.append(depths[-1] + step if step else 0)
+    env = empty_environment()
+    for i, (_, verb, text) in enumerate(rows, 1):
+        env = add_object(env, LearningObject(f"O{i}", text, ObjectKind.ATOMIC, text))
+        env = add_task(env, LearningTask(f"T{i}", verb))
+        env = add_activity(env, LearningActivity(f"LA{i}", f"O{i}", f"T{i}"))
+    for src, dst, kind in oracles.outline_edges(depths):
+        detour = kind == "detour"
+        env = add_edge(env, f"LA{src + 1}", f"LA{dst + 1}", DETOUR_LABEL if detour else "",
+                       EdgeTag.INTEREST if detour else EdgeTag.SEQUENCE)
+    try:
+        text = serialize(env, "odlc", title=title)
+    except UnsupportedFormat:
+        return
+    assert isomorphic(env, parse_tabular(text))

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from odlgraph.clusters import Cluster, ClusterKind
+from odlgraph.clusters import Cluster, ClusterKind, format_clusters, read_clusters
 from odlgraph.course_format import parse_tabular
-from odlgraph.dot_export import ExportStyle, Overlay, export_dot
+from odlgraph.dot_export import CLUSTER_PALETTE, ExportStyle, Overlay, export_dot
 from odlgraph.errors import StyleMismatch
 from odlgraph.model import EdgeTag, add_edge
 from odlgraph.paths import visit_order
@@ -56,6 +56,22 @@ def test_cluster_overlay_colors_members_deterministically():
     assert nodes["a"]["fillcolor"] == nodes["b"]["fillcolor"]
     assert nodes["c"]["fillcolor"] == nodes["d"]["fillcolor"]
     assert nodes["a"]["fillcolor"] != nodes["c"]["fillcolor"]
+
+
+def test_a_node_takes_the_color_of_its_first_cluster_in_file_order():
+    env = quick_env(["a", "b", "c", "d", "e"])
+    clusters = [
+        Cluster(frozenset({"d", "e"}), ClusterKind.CLIQUE, 1),
+        Cluster(frozenset({"b", "c"}), ClusterKind.COMPONENT, 4),
+        Cluster(frozenset({"c", "d"}), ClusterKind.CLIQUE, 2),
+        Cluster(frozenset({"a", "e"}), ClusterKind.CLIQUE, 3),
+    ]
+    nodes, _ = parse_dot(export_dot(env, ExportStyle(Overlay.CLUSTERS), clusters=clusters))
+    expected: dict[str, str] = {}
+    for idx, cluster in enumerate(read_clusters(format_clusters(clusters))):
+        for member in cluster.members:
+            expected.setdefault(member, CLUSTER_PALETTE[idx])
+    assert {aid: node["fillcolor"] for aid, node in nodes.items()} == expected
 
 
 def test_duplicate_bag_entries_emit_duplicate_dot_edges():

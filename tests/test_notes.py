@@ -176,6 +176,23 @@ def test_loads_rejects_unknown_kind():
         loads('{"kind":"banana"}\n', ENV)
 
 
+def test_reload_of_a_store_that_is_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "store.jsonl"
+    flush(store_with(note("n1", NoteAccess.ALL)), path)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    with pytest.raises(ParseError) as err:
+        reload(path, ENV)
+    assert err.value.line_no == 2 and "not UTF-8" in err.value.reason
+
+
+def test_loads_ends_records_at_crlf_cr_and_lf_only():
+    store = store_with(note("n1", NoteAccess.ALL), LearnerNote("n2", "LA5", "u1", 3, body="a\u2028b\x85c\x0c"))
+    text = dumps(store)
+    assert loads(text, ENV) == store
+    assert loads(text.replace("\n", "\r\n"), ENV) == store
+    assert loads(text.replace("\n", "\r"), ENV) == store
+
+
 def test_empty_store_serializes_to_empty_text():
     assert dumps(new_store(ENV)) == ""
 

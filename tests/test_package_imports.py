@@ -1,4 +1,8 @@
-"""Import rules for the package, checked on its source: stdlib only, no private names across modules."""
+"""Rules for the package, checked on its source.
+
+Imports: stdlib only, no private names across modules.  Text: only the
+line-rule owner splits lines or turns a file's bytes into text.
+"""
 
 from __future__ import annotations
 
@@ -72,3 +76,30 @@ def test_package_imports_only_the_standard_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     outside = {top for module, top, _ in _imports(tree) if module is None} - sys.stdlib_module_names
     assert outside == set()
+
+
+LINE_RULE_OWNER = "text.py"
+
+
+def _own_text_handling(tree: ast.Module) -> list[str]:
+    """Each place that splits lines or reads a file as text by itself."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("splitlines", "StringIO", "read_text", "read_bytes"):
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "StringIO":
+            found.append(node.id)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("split", "rsplit") and node.args
+              and isinstance(node.args[0], ast.Constant) and node.args[0].value in ("\n", "\r", "\r\n")):
+            found.append(f"{node.func.attr}({node.args[0].value!r})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_line_rule_owner_splits_lines_or_decodes_files(path):
+    found = _own_text_handling(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == LINE_RULE_OWNER:
+        assert found  # the rule lives here, so the check has something to find
+    else:
+        assert found == []
