@@ -10,14 +10,18 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import clusters as cl
-from . import course_format, dot_export, notes as notes_mod
+# Every command reads a course; the other modules load inside the commands that run them.
+from . import course_format
 from .errors import OdlError
 from .model import LearningEnvironment, next_id_number, validate
-from .paths import classify_cycle, coverage, detect_cycles, erase_cycles
-from .sessions import DEFAULT_SESSION_TIMEOUT, LearningExperience, Session, build_experience, parse_log, sessionize
+from .options import DEFAULT_MIN_COOCCURRENCE, DEFAULT_SESSION_TIMEOUT, NoteAccess, Overlay
 from .text import lines, read_text
+
+if TYPE_CHECKING:
+    from .notes import NoteStore
+    from .sessions import LearningExperience, Session
 
 TIMEOUT_ENV_VAR = "ODL_TIMEOUT"
 
@@ -35,6 +39,8 @@ def _course_and_sessions(args, read_log: bool = True) -> tuple[LearningEnvironme
     env, _ = _load_course(args.course)
     if not read_log:
         return env, []
+    from .sessions import parse_log, sessionize
+
     skipped: list[tuple[int, str]] = []
     blocks = parse_log(lines(read_text(args.log)), env, skip_unknown=args.skip_unknown, skipped=skipped)
     for line_no, activity_id in skipped:
@@ -61,6 +67,8 @@ def _timeout(args) -> int:
 
 
 def _experiences(sessions: list[Session], env: LearningEnvironment, mode: str) -> dict[str, LearningExperience]:
+    from .sessions import build_experience
+
     per_learner: dict[str, list[Session]] = {}
     for session in sessions:
         per_learner.setdefault(session.learner_id, []).append(session)
@@ -94,7 +102,9 @@ def _cmd_validate(args) -> int:
 def _cmd_parse(args) -> int:
     env, title = _load_course(args.input)
     if args.to == "dot":
-        _emit(args, dot_export.export_dot(env))
+        from .dot_export import export_dot
+
+        _emit(args, export_dot(env))
     else:
         _emit(args, course_format.serialize(env, args.to, title=title))
     return 0
@@ -114,6 +124,8 @@ def _cmd_sessions(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
+    from .paths import classify_cycle, detect_cycles
+
     env, sessions = _course_and_sessions(args)
     mode = "strict" if args.strict else "lenient"
     out = []
@@ -132,6 +144,8 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_erase(args) -> int:
+    from .paths import erase_cycles
+
     env, sessions = _course_and_sessions(args)
     out = []
     for learner, experience in _experiences(sessions, env, "lenient").items():
@@ -141,6 +155,8 @@ def _cmd_erase(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    from .paths import coverage
+
     env, sessions = _course_and_sessions(args)
     experiences = _experiences(sessions, env, "lenient")
     out = []
@@ -156,6 +172,8 @@ def _cmd_coverage(args) -> int:
 def _cmd_mine(args) -> int:
     if args.min_count < 1:
         raise _UsageError("--min-count must be at least 1")
+    from . import clusters as cl
+
     _, sessions = _course_and_sessions(args)
     visit_sets = cl.session_visit_sets(sessions, strategy_paths=args.on_strategy_paths)
     graph = cl.threshold(cl.cooccurrence(visit_sets), args.min_count)
@@ -168,59 +186,71 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    overlay = dot_export.Overlay(args.overlay)
-    walked = overlay in (dot_export.Overlay.VISIT_ORDER, dot_export.Overlay.COVERAGE)
+    overlay = Overlay(args.overlay)
+    walked = overlay in (Overlay.VISIT_ORDER, Overlay.COVERAGE)
     if walked and not (args.log and args.experience):
         raise _UsageError(f"--overlay {overlay.value} needs --log and --experience")
-    if overlay is dot_export.Overlay.CLUSTERS and not args.clusters:
+    if overlay is Overlay.CLUSTERS and not args.clusters:
         raise _UsageError("--overlay clusters needs --clusters FILE")
+    from .dot_export import ExportStyle, export_dot
+
     env, sessions = _course_and_sessions(args, read_log=walked)
 
     experience = found = None
     if walked:
+        from .sessions import build_experience
+
         mine = [s for s in sessions if s.learner_id == args.experience]
         if not mine:
             print(f"error: no sessions for learner {args.experience!r}", file=sys.stderr)
             return 1
         experience = build_experience(mine, env, "lenient")
-    if overlay is dot_export.Overlay.CLUSTERS:
-        found = cl.read_clusters(read_text(args.clusters))
+    if overlay is Overlay.CLUSTERS:
+        from .clusters import read_clusters
 
-    style = dot_export.ExportStyle(overlay, args.include_reference_edges)
-    _emit(args, dot_export.export_dot(env, style, experience, found))
+        found = read_clusters(read_text(args.clusters))
+
+    style = ExportStyle(overlay, args.include_reference_edges)
+    _emit(args, export_dot(env, style, experience, found))
     return 0
 
 
-def _load_store(args) -> notes_mod.NoteStore:
+def _load_store(args) -> NoteStore:
     """The course, then the store bound to it (empty when the file does not exist yet)."""
+    from .notes import new_store, reload
+
     env, _ = _load_course(args.course)
     if Path(args.store).exists():
-        return notes_mod.reload(args.store, env)
-    return notes_mod.new_store(env)
+        return reload(args.store, env)
+    return new_store(env)
 
 
 def _cmd_notes_add(args) -> int:
     if args.timestamp < 0:
         raise _UsageError("--timestamp must be non-negative")
+    from .notes import LearnerNote, attach_note, flush
+
     store = _load_store(args)
     note_id = args.note_id or f"n{next_id_number(store.notes, 'n')}"
-    note = notes_mod.LearnerNote(
+    note = LearnerNote(
         note_id,
         args.node,
         args.learner,
         args.timestamp,
-        notes_mod.NoteAccess(args.access),
+        NoteAccess(args.access),
         args.body,
         tuple(args.attach or ()),
     )
-    notes_mod.flush(notes_mod.attach_note(store, note), args.store)
+    flush(attach_note(store, note), args.store)
     print(note_id)
     return 0
 
 
 def _cmd_notes_list(args) -> int:
+    from .notes import list_notes
+
     store = _load_store(args)
-    for note in notes_mod.list_notes(store, args.node, args.requester, args.role):
+    for note in list_notes(store, args.node, args.requester, args.role):
         attachments = ",".join(note.attachments)
         print(f"{note.note_id}\t{note.timestamp}\t{note.learner_id}\t{note.access.value}\t{note.body}\t{attachments}")
     return 0
@@ -229,27 +259,31 @@ def _cmd_notes_list(args) -> int:
 def _cmd_notes_send(args) -> int:
     if args.sent_at < 0:
         raise _UsageError("--sent-at must be non-negative")
+    from .notes import BROADCAST, Message, flush, send_message
+
     store = _load_store(args)
     message_id = args.message_id or f"m{next_id_number(store.messages, 'm')}"
-    recipients = notes_mod.BROADCAST if args.to == notes_mod.BROADCAST else tuple(
+    recipients = BROADCAST if args.to == BROADCAST else tuple(
         r for r in args.to.split(",") if r
     )
-    message = notes_mod.Message(
+    message = Message(
         message_id,
         args.sender,
         recipients,
         tuple(r for r in args.refs.split(",") if r),
         args.sent_at,
     )
-    notes_mod.flush(notes_mod.send_message(store, message, args.role), args.store)
+    flush(send_message(store, message, args.role), args.store)
     print(message_id)
     return 0
 
 
 def _cmd_notes_inbox(args) -> int:
+    from .notes import BROADCAST, inbox
+
     store = _load_store(args)
-    for message in notes_mod.inbox(store, args.user):
-        to = message.recipients if message.recipients == notes_mod.BROADCAST else ",".join(message.recipients)
+    for message in inbox(store, args.user):
+        to = message.recipients if message.recipients == BROADCAST else ",".join(message.recipients)
         refs = ",".join(message.note_refs)
         print(f"{message.message_id}\t{message.sent_at}\t{message.sender_id}\t{to}\t{refs}")
     return 0
@@ -300,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("mine", help="cluster activities by session co-occurrence")
     _add_log_options(p)
-    p.add_argument("--min-count", type=int, default=cl.DEFAULT_MIN_COOCCURRENCE)
+    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_COOCCURRENCE)
     p.add_argument("--cliques", action="store_true", help="report maximal cliques instead of connected components")
     p.add_argument("--on-strategy-paths", action="store_true", help="cluster loop-erased sessions")
     p.set_defaults(func=_cmd_mine)
@@ -308,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("export", help="render a course to DOT")
     _add_log_options(p, log_required=False)
     p.add_argument("--experience", default=None, metavar="LEARNER_ID")
-    p.add_argument("--overlay", default="none", choices=[o.value for o in dot_export.Overlay])
+    p.add_argument("--overlay", default="none", choices=[o.value for o in Overlay])
     p.add_argument("--clusters", default=None, help="cluster file for the clusters overlay")
     p.add_argument("--include-reference-edges", action="store_true")
     p.set_defaults(func=_cmd_export)
@@ -324,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--node", required=True)
     q.add_argument("--learner", required=True)
     q.add_argument("--timestamp", type=int, default=0)
-    q.add_argument("--access", default="private", choices=[a.value for a in notes_mod.NoteAccess])
+    q.add_argument("--access", default="private", choices=[a.value for a in NoteAccess])
     q.add_argument("--body", default="")
     q.add_argument("--attach", action="append")
     q.add_argument("--note-id", default=None)

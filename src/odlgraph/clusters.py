@@ -16,14 +16,15 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import GraphTooLarge, ParseError
-from .paths import erase_cycles
-from .sessions import Session
+from .options import DEFAULT_MIN_COOCCURRENCE  # re-exported: the cut the command line applies by default
 from .text import lines
 
-DEFAULT_MIN_COOCCURRENCE = 2  # a single co-visit is noise
+if TYPE_CHECKING:
+    from .sessions import Session
+
 MAX_REPORTED_CLIQUES = 1_000_000
 
 
@@ -59,6 +60,8 @@ def session_visit_sets(sessions: Iterable[Session], strategy_paths: bool = False
     With ``strategy_paths`` the per-session walk is loop-erased first, so
     nodes visited only inside detours drop out.
     """
+    if strategy_paths:
+        from .paths import erase_cycles
     out: list[SessionVisitSet] = []
     for session in sessions:
         ids: list[str] = [b.activity_id for b in session.blocks]

@@ -143,19 +143,21 @@ def _resolve_verbs(content: tuple[TabularLine, ...]) -> list[str]:
 
 
 def _outline_edges(depths: list[int]) -> list[tuple[int, int, str]]:
-    """Rule edges for an outline, as (source index, target index, kind)."""
+    """Rule edges for an outline, as (source index, target index, kind).
+
+    The depths start at 0 and rise by at most one per line, so every line
+    after the first gets exactly one edge: a sequence edge from the last line
+    at its depth, or a detour from the line above when it is one deeper.
+    """
     out: list[tuple[int, int, str]] = []
-    last_at_depth: dict[int, int] = {}
-    prev_depth: int | None = None
+    last: list[int] = []  # last[d]: the latest line at depth d with nothing shallower after it
     for i, d in enumerate(depths):
-        seq_src = last_at_depth.get(d)
-        if seq_src is not None:
-            out.append((seq_src, i, "sequence"))
-        if prev_depth is not None and d == prev_depth + 1:
+        if d < len(last):
+            out.append((last[d], i, "sequence"))
+        elif i:
             out.append((i - 1, i, "detour"))
-        last_at_depth = {k: v for k, v in last_at_depth.items() if k < d}
-        last_at_depth[d] = i
-        prev_depth = d
+        del last[d:]
+        last.append(i)
     return out
 
 
@@ -223,23 +225,21 @@ def _escape(text: str) -> str:
 
 
 def _split_record(text: str) -> list[str]:
+    """The fields of a record, escapes undone.
+
+    A ``|`` separates fields unless an odd run of backslashes comes right
+    before it; within a field ``\\\\`` stands for ``\\`` and ``\\|`` for ``|``,
+    and any other backslash is itself.
+    """
     fields: list[str] = []
-    current: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text) and text[i + 1] in "\\|":
-            current.append(text[i + 1])
-            i += 2
-        elif ch == "|":
-            fields.append("".join(current))
-            current = []
-            i += 1
+    escaped = False  # the last piece ended in an odd run of backslashes, so its ``|`` is text
+    for piece in text.split("|"):
+        if escaped:
+            fields[-1] += "|" + piece
         else:
-            current.append(ch)
-            i += 1
-    fields.append("".join(current))
-    return fields
+            fields.append(piece)
+        escaped = (len(piece) - len(piece.rstrip("\\"))) % 2 == 1
+    return [field.replace("\\\\", "\\").replace("\\|", "|") for field in fields]
 
 
 def parse_graph_file(text: str) -> LearningEnvironment:
@@ -337,16 +337,18 @@ def serialize(env: LearningEnvironment, format: str, title: str = "Course") -> s
     """Render an environment as ``odlc`` or ``odlg`` text.
 
     Re-parsing the output yields an environment isomorphic to ``env`` (edge
-    ids are renamed); only an environment without activities gives a file
-    that does not parse.  A value the reader would not give back raises
-    :class:`UnsupportedFormat`: a line end in any field, whitespace at an end
-    the reader strips, a non-finite duration or a composite object.  The
-    tabular format can only express outline-shaped environments; anything
-    else raises :class:`UnsupportedFormat` too.
+    ids are renamed).  What the reader would not give back raises
+    :class:`UnsupportedFormat`: an environment without activities, a line end
+    in any field, whitespace at an end the reader strips, a non-finite
+    duration or a composite object.  The tabular format can only express
+    outline-shaped environments; anything else raises
+    :class:`UnsupportedFormat` too.
     """
     problems = validate(env)
     if problems:
         raise ValueError(f"cannot serialize an invalid environment: {problems[0].message}")
+    if not env.activities:
+        raise UnsupportedFormat("an environment without activities does not read back")
     if format == "odlg":
         return _serialize_graph(env, title)
     if format == "odlc":

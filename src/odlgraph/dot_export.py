@@ -11,23 +11,17 @@ with ``include_reference_edges`` to get one dashed edge each way per
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .clusters import Cluster, sort_clusters
 from .errors import StyleMismatch
-from .model import LearningEnvironment
-from .paths import visit_order
-from .sessions import LearningExperience
+from .options import Overlay
+
+if TYPE_CHECKING:
+    from .clusters import Cluster
+    from .model import LearningEnvironment
+    from .sessions import LearningExperience
 
 CLUSTER_PALETTE = ("lightblue", "lightgreen", "lightyellow", "lightpink", "lightgray", "lightcyan")
-
-
-class Overlay(str, Enum):
-    NONE = "none"
-    VISIT_ORDER = "visit_order"
-    COVERAGE = "coverage"
-    CLUSTERS = "clusters"
 
 
 @dataclass(frozen=True)
@@ -60,10 +54,16 @@ def export_dot(
         raise StyleMismatch("overlay 'clusters' needs clusters")
 
     # Both walk overlays fill the visited nodes; only visit_order labels them with the ordinal.
-    ordinals = visit_order(experience) if overlay in (Overlay.VISIT_ORDER, Overlay.COVERAGE) else {}
+    ordinals: dict[str, int] = {}
+    if overlay in (Overlay.VISIT_ORDER, Overlay.COVERAGE):
+        from .paths import visit_order
+
+        ordinals = visit_order(experience)
 
     color_of: dict[str, str] = {}
     if overlay is Overlay.CLUSTERS:
+        from .clusters import sort_clusters
+
         for idx, cluster in enumerate(sort_clusters(clusters)):
             color = CLUSTER_PALETTE[idx % len(CLUSTER_PALETTE)]
             for member in cluster.members:

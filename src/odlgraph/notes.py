@@ -21,21 +21,15 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field, fields, replace
-from enum import Enum
 from itertools import chain
 from pathlib import Path
 
 from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError
 from .model import LearningEnvironment
+from .options import NoteAccess
 from .text import lines, read_text
 
 BROADCAST = "*"
-
-
-class NoteAccess(str, Enum):
-    PRIVATE = "private"
-    TUTORS = "tutors"
-    ALL = "all"
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import DanglingRef, LearnerMismatch, NonAdjacentStep, ParseError
 from .model import LearningEnvironment
-
-DEFAULT_SESSION_TIMEOUT = 1800  # seconds; the usual half-hour inactivity cut
+from .options import DEFAULT_SESSION_TIMEOUT
 
 
 class ControlBlock(NamedTuple):

@@ -125,6 +125,45 @@ def outline_edges(depths: list[int]) -> list[tuple[int, int, str]]:
     return sorted(out)
 
 
+def depth_map_outline_edges(depths: list[int]) -> list[tuple[int, int, str]]:
+    """Outline rule edges in line order, keeping a map from depth to the latest
+    line there and rebuilding it without the deeper entries at every line."""
+    out = []
+    last_at_depth: dict[int, int] = {}
+    for i, d in enumerate(depths):
+        if d in last_at_depth:
+            out.append((last_at_depth[d], i, "sequence"))
+        if i and d == depths[i - 1] + 1:
+            out.append((i - 1, i, "detour"))
+        last_at_depth = {k: v for k, v in last_at_depth.items() if k < d}
+        last_at_depth[d] = i
+    return out
+
+
+def split_record(text: str) -> list[str]:
+    """``.odlg`` record fields by walking the text one character at a time.
+
+    A backslash before a backslash or a ``|`` makes that character literal;
+    any other backslash is itself; an unescaped ``|`` ends a field.
+    """
+    fields = []
+    current = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text) and text[i + 1] in "\\|":
+            current.append(text[i + 1])
+            i += 2
+        elif ch == "|":
+            fields.append("".join(current))
+            current = []
+            i += 1
+        else:
+            current.append(ch)
+            i += 1
+    fields.append("".join(current))
+    return fields
+
 
 def inherited_verbs(rows: list[tuple[int, str]]) -> list[str]:
     """Tabular verbs by scanning back from each (depth, verb) row.

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import argparse
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from odlgraph import course_format
-from odlgraph.cli import main
+from odlgraph.cli import _build_parser, main
+from odlgraph.clusters import DEFAULT_MIN_COOCCURRENCE
+from odlgraph.dot_export import Overlay
+from odlgraph.notes import NoteAccess
 
 from conftest import MERGESORT_COURSE
 from dotread import parse_dot
@@ -430,3 +436,45 @@ def test_output_to_file(course, log, tmp_path):
     out = tmp_path / "sessions.tsv"
     assert main(["sessions", "--log", log, "--course", course, "--timeout", "1800", "-o", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("u1\t1\t0\t240\t5")
+
+
+def test_parse_of_a_title_only_outline_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "c.odlc"
+    path.write_text("Just a title\n", encoding="utf-8")
+    assert main(["parse", str(path), "--to", "odlg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _command(parser: argparse.ArgumentParser, *names: str) -> argparse.ArgumentParser:
+    for name in names:
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = commands.choices[name]
+    return parser
+
+
+def _option(parser: argparse.ArgumentParser, flag: str) -> argparse.Action:
+    (action,) = (a for a in parser._actions if flag in a.option_strings)
+    return action
+
+
+def test_parser_choices_and_defaults_are_the_librarys():
+    parser = _build_parser()
+    assert _option(_command(parser, "export"), "--overlay").choices == [o.value for o in Overlay]
+    assert _option(_command(parser, "notes", "add"), "--access").choices == [a.value for a in NoteAccess]
+    assert _option(_command(parser, "mine"), "--min-count").default == DEFAULT_MIN_COOCCURRENCE
+
+
+HELP_COMMANDS = [[], ["validate"], ["parse"], ["sessions"], ["cycles"], ["erase"], ["coverage"], ["mine"],
+                 ["export"], ["notes"], ["notes", "add"], ["notes", "list"], ["notes", "send"], ["notes", "inbox"]]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse lays out help differently from Python 3.13 on")
+def test_help_of_every_command_is_unchanged(capsys, monkeypatch):
+    # cli_help.txt holds the help as argparse renders it at 80 columns on Python 3.10 to 3.12.
+    monkeypatch.setenv("COLUMNS", "80")
+    rendered = []
+    for argv in HELP_COMMANDS:
+        assert main([*argv, "--help"]) == 0
+        rendered.append(f"== odlgraph {' '.join([*argv, '--help'])}\n{capsys.readouterr().out}")
+    assert "".join(rendered) == (Path(__file__).parent / "cli_help.txt").read_text(encoding="utf-8")

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from odlgraph.course_format import (
     DETOUR_LABEL,
+    _outline_edges,
+    _split_record,
     parse_graph_file,
     parse_tabular,
     read_document,
@@ -177,6 +179,23 @@ def test_pipe_escaping_in_labels():
     assert isomorphic(env, again)
 
 
+@given(st.text(alphabet="\\| a", max_size=40))
+@settings(max_examples=2000)
+def test_record_split_matches_the_character_walk(text):
+    assert _split_record(text) == oracles.split_record(text)
+
+
+@pytest.mark.parametrize("text", ["end\\", "end\\\\", "end|", "mid\\|dle", "\\|", "|", "\\", "a\\\\\\|b"])
+def test_fields_with_backslashes_and_pipes_round_trip(text):
+    env = _one_edge_env(title=text, label=text, verb=text, locator=text, node_id=text)
+    again = parse_graph_file(serialize(env, "odlg"))
+    (activity,) = (a for a in again.activities.values() if a.id != "LA2")
+    obj = again.objects[activity.object_id]
+    assert (activity.id, obj.title, obj.locator, again.tasks[activity.task_id].verb) == (text,) * 4
+    assert again.edges[0].label == text
+    assert isomorphic(env, again)
+
+
 def test_graph_file_rejects_garbage_and_empties():
     with pytest.raises(ParseError):
         parse_graph_file("WAT a|b\n")
@@ -186,11 +205,11 @@ def test_graph_file_rejects_garbage_and_empties():
         parse_graph_file("NODE A|a|read|a||\nEDGE A|A|mystery|x\n")
 
 
-def test_empty_env_graph_serialization_is_title_only():
-    text = serialize(quick_env([]), "odlg", title="Void")
-    assert text == "# Void\n"
-    with pytest.raises(ParseError):
-        parse_graph_file(text)
+@pytest.mark.parametrize("fmt", ["odlg", "odlc"])
+def test_empty_env_serialization_is_refused(fmt):
+    # A title alone does not read back: both readers want at least one activity.
+    with pytest.raises(UnsupportedFormat, match="without activities"):
+        serialize(quick_env([]), fmt, title="Void")
 
 
 def test_single_node_env_serializes_to_one_node_line():
@@ -297,6 +316,23 @@ def test_large_verbless_outline_parses_in_linear_time():
     env = parse_tabular(text)
     assert time.perf_counter() - start < 2.0
     assert set(env.tasks) == {"read"} and len(env.activities) == 50_000
+
+
+def test_outline_edges_match_the_depth_map_rule_on_random_outlines():
+    rng = random.Random(7)
+    for case in range(3000):
+        depths = [d for d, _ in _outline_rows(rng, rng.randint(1, 40), [""])]
+        assert _outline_edges(depths) == oracles.depth_map_outline_edges(depths), case
+
+
+def test_deepening_outline_parses_in_linear_time():
+    # Rebuilding a depth -> line map at every line made a line at depth d cost d entries.
+    n = 8_000
+    text = "Unit\n" + "".join("\t" * i + f"x{i}\n" for i in range(n))
+    start = time.perf_counter()
+    env = parse_tabular(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(env.edges) == n - 1 and {e.label for e in env.edges} == {DETOUR_LABEL}
 
 
 # --- serialize writes only what reads back --------------------------------------

@@ -1,16 +1,21 @@
-"""Rules for the package, checked on its source.
+"""Rules for the package, checked on its source and in fresh interpreters.
 
-Imports: stdlib only, no private names across modules.  Text: only the
-line-rule owner splits lines or turns a file's bytes into text.
+Imports: stdlib only, no private names across modules, and a command loads
+only the modules it runs.  Text: only the line-rule owner splits lines or
+turns a file's bytes into text.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import odlgraph
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "odlgraph"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -103,3 +108,69 @@ def test_only_the_line_rule_owner_splits_lines_or_decodes_files(path):
         assert found  # the rule lives here, so the check has something to find
     else:
         assert found == []
+
+
+# --- names load on first use -------------------------------------------------------
+
+COURSE = "NODE LA1|Intro|read|ch1||\nNODE LA2|More|read|ch2||\nEDGE LA1|LA2|sequence|\n"
+LOG = "u1,0,LA1\nu1,60,LA2\n"
+# Runs the arguments as a command, then prints its exit code and the package modules it loaded.
+RUN_AND_LIST = (
+    "import sys; sys.path.insert(0, sys.argv.pop(1)); import odlgraph.cli; code = odlgraph.cli.main(sys.argv[1:]); "
+    "print(code, *sorted(name for name in sys.modules if name.startswith('odlgraph.')))"
+)
+
+
+def _loaded(tmp_path: Path, argv: list[str]) -> tuple[int, set[str]]:
+    (tmp_path / "course.odlg").write_text(COURSE, encoding="utf-8")
+    (tmp_path / "log.csv").write_text(LOG, encoding="utf-8")
+    done = subprocess.run([sys.executable, "-c", RUN_AND_LIST, str(PACKAGE.parent), *argv],
+                          cwd=tmp_path, capture_output=True, text=True, check=True)
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return int(code), {name.removeprefix("odlgraph.") for name in modules}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["validate", "course.odlg"], {"notes", "dot_export", "clusters"}),
+    (["sessions", "--log", "log.csv", "--course", "course.odlg"], {"notes", "dot_export", "clusters"}),
+    (["notes", "list", "--store", "notes.jsonl", "--course", "course.odlg", "--node", "LA1", "--requester", "u1"],
+     {"dot_export", "clusters", "paths"}),
+], ids=["validate", "sessions", "notes-list"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    code, loaded = _loaded(tmp_path, argv)
+    assert code == 0
+    assert "course_format" in loaded  # every command reads a course
+    assert loaded & absent == set()
+
+
+def test_importing_the_package_runs_none_of_its_modules():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import odlgraph; "
+         "print(*sorted(name for name in sys.modules if name.startswith('odlgraph.')))", str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
+
+
+def test_every_public_name_is_its_modules_object():
+    for name in odlgraph.__all__:
+        module = importlib.import_module(f"odlgraph.{odlgraph._MODULE_OF[name]}")
+        assert getattr(odlgraph, name) is getattr(module, name), name
+
+
+def test_shared_choices_are_the_same_objects_in_every_module_that_offers_them():
+    from odlgraph import clusters, dot_export, notes, options, sessions
+
+    assert dot_export.Overlay is odlgraph.Overlay is options.Overlay
+    assert notes.NoteAccess is odlgraph.NoteAccess is options.NoteAccess
+    assert clusters.DEFAULT_MIN_COOCCURRENCE == options.DEFAULT_MIN_COOCCURRENCE
+    assert sessions.DEFAULT_SESSION_TIMEOUT == odlgraph.DEFAULT_SESSION_TIMEOUT == options.DEFAULT_SESSION_TIMEOUT
+
+
+def test_dir_lists_every_public_name():
+    assert set(odlgraph.__all__) <= set(dir(odlgraph))
+    assert "__version__" in dir(odlgraph)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        odlgraph.no_such_name
