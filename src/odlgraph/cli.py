@@ -9,12 +9,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 # Every command reads a course; the other modules load inside the commands that run them.
 from . import course_format
-from .errors import OdlError
+from .errors import GraphTooLarge, OdlError
 from .model import LearningEnvironment, next_id_number, validate
 from .options import DEFAULT_MIN_COOCCURRENCE, DEFAULT_SESSION_TIMEOUT, NoteAccess, Overlay
 from .text import lines, read_text
@@ -34,11 +36,9 @@ def _load_course(path: str) -> tuple[LearningEnvironment, str]:
     return course_format.parse_course(read_text(path), path)
 
 
-def _course_and_sessions(args, read_log: bool = True) -> tuple[LearningEnvironment, list[Session]]:
+def _course_and_sessions(args) -> tuple[LearningEnvironment, list[Session]]:
     """The pipeline every log subcommand shares: load the course, read the log, sessionize."""
     env, _ = _load_course(args.course)
-    if not read_log:
-        return env, []
     from .sessions import parse_log, sessionize
 
     skipped: list[tuple[int, str]] = []
@@ -66,19 +66,16 @@ def _timeout(args) -> int:
     return DEFAULT_SESSION_TIMEOUT
 
 
-def _experiences(sessions: list[Session], env: LearningEnvironment, mode: str) -> dict[str, LearningExperience]:
+def _experiences(sessions: list[Session], env: LearningEnvironment, mode: str) -> Iterator[LearningExperience]:
+    """One learner's experience at a time, in the learner order ``sessionize`` returns."""
     from .sessions import build_experience
 
-    per_learner: dict[str, list[Session]] = {}
-    for session in sessions:
-        per_learner.setdefault(session.learner_id, []).append(session)
-    return {
-        learner: build_experience(per_learner[learner], env, mode)
-        for learner in sorted(per_learner)
-    }
+    for _, mine in groupby(sessions, key=attrgetter("learner_id")):
+        yield build_experience(mine, env, mode)
 
 
 def _emit(args, text: str) -> None:
+    """The one writer of data; commands build their whole text first, so a failure writes nothing."""
     if getattr(args, "output", None):
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -92,10 +89,9 @@ def _cmd_validate(args) -> int:
     env, _ = _load_course(args.course)
     report = validate(env)
     if not report:
-        print("OK")
+        _emit(args, "OK\n")
         return 0
-    for violation in report:
-        print(f"{violation.code}\t{violation.subject}\t{violation.message}")
+    _emit(args, "".join(f"{v.code}\t{v.subject}\t{v.message}\n" for v in report))
     return 1
 
 
@@ -112,14 +108,11 @@ def _cmd_parse(args) -> int:
 
 def _cmd_sessions(args) -> int:
     _, sessions = _course_and_sessions(args)
-    out = []
-    for s in sessions:
-        ids = ",".join(b.activity_id for b in s.blocks)
-        out.append(
-            f"{s.learner_id}\t{s.session_index}\t{s.blocks[0].timestamp}"
-            f"\t{s.blocks[-1].timestamp}\t{len(s.blocks)}\t{ids}"
-        )
-    _emit(args, "".join(line + "\n" for line in out))
+    _emit(args, "".join(
+        f"{s.learner_id}\t{s.session_index}\t{s.blocks[0].timestamp}"
+        f"\t{s.blocks[-1].timestamp}\t{len(s.blocks)}\t{','.join(b.activity_id for b in s.blocks)}\n"
+        for s in sessions
+    ))
     return 0
 
 
@@ -128,18 +121,18 @@ def _cmd_cycles(args) -> int:
 
     env, sessions = _course_and_sessions(args)
     mode = "strict" if args.strict else "lenient"
-    out = []
-    for learner, experience in _experiences(sessions, env, mode).items():
+    rows = []
+    for experience in _experiences(sessions, env, mode):
         for cycle in detect_cycles(experience):
             if len(cycle.interior) < args.min_interior:
                 continue
             kind = classify_cycle(cycle, env)
             interior = ",".join(cycle.interior)
-            out.append(
-                f"{learner}\t{cycle.anchor_activity}\t{cycle.start_index}"
-                f"\t{cycle.end_index}\t{kind.value}\t{interior}"
+            rows.append(
+                f"{experience.learner_id}\t{cycle.anchor_activity}\t{cycle.start_index}"
+                f"\t{cycle.end_index}\t{kind.value}\t{interior}\n"
             )
-    _emit(args, "".join(line + "\n" for line in out))
+    _emit(args, "".join(rows))
     return 0
 
 
@@ -147,10 +140,9 @@ def _cmd_erase(args) -> int:
     from .paths import erase_cycles
 
     env, sessions = _course_and_sessions(args)
-    out = []
-    for learner, experience in _experiences(sessions, env, "lenient").items():
-        out.append(f"{learner}\t{','.join(erase_cycles(experience))}")
-    _emit(args, "".join(line + "\n" for line in out))
+    _emit(args, "".join(
+        f"{e.learner_id}\t{','.join(erase_cycles(e))}\n" for e in _experiences(sessions, env, "lenient")
+    ))
     return 0
 
 
@@ -158,14 +150,14 @@ def _cmd_coverage(args) -> int:
     from .paths import coverage
 
     env, sessions = _course_and_sessions(args)
-    experiences = _experiences(sessions, env, "lenient")
-    out = []
-    for learner, experience in experiences.items():
+    rows, visited = [], []
+    for experience in _experiences(sessions, env, "lenient"):
         report = coverage([experience], env)
-        out.append(f"{learner}\t{len(report.visited)}\t{report.total}\t{report.ratio:.4f}")
-    overall = coverage(experiences.values(), env)
-    out.append(f"*\t{len(overall.visited)}\t{overall.total}\t{overall.ratio:.4f}")
-    _emit(args, "".join(line + "\n" for line in out))
+        visited.append(report.visited)
+        rows.append(f"{experience.learner_id}\t{len(report.visited)}\t{report.total}\t{report.ratio:.4f}\n")
+    overall = coverage(visited, env)
+    rows.append(f"*\t{len(overall.visited)}\t{overall.total}\t{overall.ratio:.4f}\n")
+    _emit(args, "".join(rows))
     return 0
 
 
@@ -178,7 +170,10 @@ def _cmd_mine(args) -> int:
     visit_sets = cl.session_visit_sets(sessions, strategy_paths=args.on_strategy_paths)
     graph = cl.threshold(cl.cooccurrence(visit_sets), args.min_count)
     if args.cliques:
-        found = cl.maximal_cliques(graph)
+        try:
+            found = cl.maximal_cliques(graph)
+        except GraphTooLarge as exc:
+            raise OdlError(f"{exc}; drop --cliques to list connected components, which have no guard") from None
     else:
         found = cl.connected_components(graph)
     _emit(args, cl.format_clusters(found))
@@ -194,17 +189,17 @@ def _cmd_export(args) -> int:
         raise _UsageError("--overlay clusters needs --clusters FILE")
     from .dot_export import ExportStyle, export_dot
 
-    env, sessions = _course_and_sessions(args, read_log=walked)
-
     experience = found = None
     if walked:
         from .sessions import build_experience
 
+        env, sessions = _course_and_sessions(args)
         mine = [s for s in sessions if s.learner_id == args.experience]
         if not mine:
-            print(f"error: no sessions for learner {args.experience!r}", file=sys.stderr)
-            return 1
+            raise OdlError(f"no sessions for learner {args.experience!r}")
         experience = build_experience(mine, env, "lenient")
+    else:
+        env, _ = _load_course(args.course)
     if overlay is Overlay.CLUSTERS:
         from .clusters import read_clusters
 
@@ -242,7 +237,7 @@ def _cmd_notes_add(args) -> int:
         tuple(args.attach or ()),
     )
     flush(attach_note(store, note), args.store)
-    print(note_id)
+    _emit(args, note_id + "\n")
     return 0
 
 
@@ -250,9 +245,10 @@ def _cmd_notes_list(args) -> int:
     from .notes import list_notes
 
     store = _load_store(args)
-    for note in list_notes(store, args.node, args.requester, args.role):
-        attachments = ",".join(note.attachments)
-        print(f"{note.note_id}\t{note.timestamp}\t{note.learner_id}\t{note.access.value}\t{note.body}\t{attachments}")
+    _emit(args, "".join(
+        f"{n.note_id}\t{n.timestamp}\t{n.learner_id}\t{n.access.value}\t{n.body}\t{','.join(n.attachments)}\n"
+        for n in list_notes(store, args.node, args.requester, args.role)
+    ))
     return 0
 
 
@@ -274,7 +270,7 @@ def _cmd_notes_send(args) -> int:
         args.sent_at,
     )
     flush(send_message(store, message, args.role), args.store)
-    print(message_id)
+    _emit(args, message_id + "\n")
     return 0
 
 
@@ -282,10 +278,12 @@ def _cmd_notes_inbox(args) -> int:
     from .notes import BROADCAST, inbox
 
     store = _load_store(args)
+    rows = []
     for message in inbox(store, args.user):
         to = message.recipients if message.recipients == BROADCAST else ",".join(message.recipients)
         refs = ",".join(message.note_refs)
-        print(f"{message.message_id}\t{message.sent_at}\t{message.sender_id}\t{to}\t{refs}")
+        rows.append(f"{message.message_id}\t{message.sent_at}\t{message.sender_id}\t{to}\t{refs}\n")
+    _emit(args, "".join(rows))
     return 0
 
 
@@ -400,10 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except OdlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OdlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,11 +3,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from odlgraph import course_format
+from odlgraph import clusters, course_format, sessions
 from odlgraph.cli import _build_parser, main
 from odlgraph.clusters import DEFAULT_MIN_COOCCURRENCE
 from odlgraph.dot_export import Overlay
@@ -105,9 +106,37 @@ def test_cycles_listing_and_min_interior(course, log, capsys):
     assert capsys.readouterr().out.splitlines() == ["u1\tLA2\t1\t3\treference_detour\tDict"]
 
 
-def test_cycles_strict_fails_on_teleport(course, log, capsys):
+def test_cycles_strict_fails_on_teleport(course, log, tmp_path, capsys):
+    # The teleport is u2's, after u1's rows: a writer that streamed rows would leave u1's behind.
     assert main(["cycles", "--log", log, "--course", course, "--strict"]) == 1
-    assert "no connection" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "no connection" in captured.err and captured.out == ""
+    out = tmp_path / "cycles.tsv"
+    assert main(["cycles", "--log", log, "--course", course, "--strict", "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+MANY_LEARNERS_LOG = "".join(f"u{n:02},0,LA1\nu{n:02},60,LA2\nu{n:02},120,LA1\n" for n in range(25))
+
+
+@pytest.mark.parametrize("command", ["cycles", "erase", "coverage"])
+def test_log_commands_hold_one_learners_experience_at_a_time(course, tmp_path, command, capsys, monkeypatch):
+    log_path = tmp_path / "many.csv"
+    log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
+    alive: weakref.WeakSet = weakref.WeakSet()
+    most_alive = []
+    build_experience = sessions.build_experience
+
+    def tracked(*args, **kwargs):
+        experience = build_experience(*args, **kwargs)
+        alive.add(experience)
+        most_alive.append(len(alive))
+        return experience
+
+    monkeypatch.setattr(sessions, "build_experience", tracked)
+    assert main([command, "--log", str(log_path), "--course", course]) == 0
+    assert len(capsys.readouterr().out.splitlines()) >= 25
+    assert len(most_alive) == 25 and max(most_alive) <= 2
 
 
 def test_erase_lists_strategy_paths(course, log, capsys):
@@ -135,6 +164,19 @@ def test_mine_components_and_cliques(course, log, capsys):
     assert capsys.readouterr().out == "clique\t2\tLA1,LA3\n"
 
 
+def test_clique_guard_error_names_the_remedy(course, tmp_path, capsys, monkeypatch):
+    log_path = tmp_path / "two.csv"
+    log_path.write_text("u1,0,LA1\nu1,60,LA2\nu2,0,LA2\nu2,60,LA3\n", encoding="utf-8")
+    argv = ["mine", "--log", str(log_path), "--course", course, "--min-count", "1"]
+    monkeypatch.setattr(clusters, "MAX_REPORTED_CLIQUES", 1)
+    assert main([*argv, "--cliques"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: cliques: 2 exceeds guard of 1; drop --cliques to list connected components, which have no guard\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "component\t1\tLA1,LA2,LA3\n"
+
+
 def test_mine_on_strategy_paths_drops_detour_nodes(course, log, capsys):
     assert main(["mine", "--log", log, "--course", course, "--min-count", "1", "--on-strategy-paths"]) == 0
     out = capsys.readouterr().out
@@ -150,6 +192,15 @@ def test_export_visit_order_for_one_learner(course, log, capsys):
     assert nodes["LA2"]["label"] == "LA2 (2)"
     assert nodes["Dict"]["label"] == "Dict (3)"
     assert nodes["LA3"]["label"] == "LA3 (4)"
+
+
+def test_export_of_a_learner_without_sessions_is_one_error_line(course, log, tmp_path, capsys):
+    out = tmp_path / "walk.dot"
+    argv = ["export", "--course", course, "--log", log, "--experience", "u9", "--overlay", "visit_order"]
+    assert main([*argv, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no sessions for learner 'u9'\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_export_needs_experience_inputs(course, capsys):

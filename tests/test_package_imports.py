@@ -2,7 +2,8 @@
 
 Imports: stdlib only, no private names across modules, and a command loads
 only the modules it runs.  Text: only the line-rule owner splits lines or
-turns a file's bytes into text.
+turns a file's bytes into text.  Output: only the CLI's data writer writes
+to stdout.
 """
 
 from __future__ import annotations
@@ -174,3 +175,31 @@ def test_dir_lists_every_public_name():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         odlgraph.no_such_name
+
+
+# --- one writer of data ------------------------------------------------------------
+
+DATA_WRITER = "_emit"
+
+
+def _stdout_writes(tree: ast.Module) -> list[str]:
+    """Each place in the CLI, outside its data writer, that writes to stdout."""
+    writer = {id(node) for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+              and function.name == DATA_WRITER for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in writer:
+            continue
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
+            found.append(f"line {node.lineno}: sys.stdout")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            to = [ast.unparse(keyword.value) for keyword in node.keywords if keyword.arg == "file"]
+            if to != ["sys.stderr"]:
+                found.append(f"line {node.lineno}: print")
+    return found
+
+
+def test_only_the_data_writer_writes_to_stdout():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert DATA_WRITER in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert _stdout_writes(tree) == []

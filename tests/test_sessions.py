@@ -155,6 +155,8 @@ def random_blocks(draw) -> list[ControlBlock]:
 @settings(max_examples=150)
 def test_sessionize_is_a_partition_with_correct_gaps(blocks, timeout):
     sessions = sessionize(blocks, timeout)
+    order = [(s.learner_id, s.session_index) for s in sessions]
+    assert order == sorted(order)  # the CLI groups learners by this order
     for learner in {b.learner_id for b in blocks}:
         mine = [s for s in sessions if s.learner_id == learner]
         assert [s.session_index for s in mine] == list(range(1, len(mine) + 1))
