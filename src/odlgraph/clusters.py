@@ -1,7 +1,10 @@
 """Session co-occurrence clustering.
 
 Sessions enter as sets of visited activities.  Counting how many sessions
-contain each pair yields a weighted undirected graph; after a frequency cut,
+contain each pair yields a weighted undirected graph.  Pairs are counted in
+the vertical layout of Eclat (Zaki, 2000): each activity's sessions form one
+bitset, and a pair's weight is the popcount of the AND of its two bitsets,
+taken once for each pair that co-occurs at all.  After a frequency cut,
 activity clusters fall out either as connected components (fast) or as
 maximal cliques (coherent, enumerated behind a size guard by an iterative
 Bron-Kerbosch search with Tomita pivoting that carries each clique's
@@ -12,10 +15,10 @@ deterministically ordered so cluster files diff cleanly between runs.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import compress, islice, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import GraphTooLarge, ParseError
@@ -26,6 +29,9 @@ if TYPE_CHECKING:
     from .sessions import Session
 
 MAX_REPORTED_CLIQUES = 1_000_000
+
+# Maps the digits of ``bin(mask)`` to the bytes 0 and 1, so ``compress`` reads a mask bit by bit.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -72,13 +78,39 @@ def session_visit_sets(sessions: Iterable[Session], strategy_paths: bool = False
 
 
 def cooccurrence(session_sets: Iterable[SessionVisitSet]) -> CoOccurrenceGraph:
-    """weight(a, b) = number of sessions whose visit set contains both."""
-    weights: Counter[tuple[str, str]] = Counter()
-    nodes: set[str] = set()
-    for svs in session_sets:
-        nodes.update(svs.visited)
-        weights.update(combinations(sorted(svs.visited), 2))
-    return CoOccurrenceGraph(frozenset(nodes), dict(weights))
+    """weight(a, b) = number of sessions whose visit set contains both.
+
+    One pass over the sessions sets, for session *s*, bit *s* in the session
+    bitset of each activity it visited (built in one ``bytearray`` per
+    activity, so building stays linear) and ORs the session's node mask into
+    those activities' partner masks.  Then, for each activity ``a`` in sorted
+    order and each partner ``b > a``,
+    ``weight(a, b) = (bitset[a] & bitset[b]).bit_count()``.  The cost is
+    O(sum of visit set sizes + co-occurring pairs * sessions / 64), where
+    counting pair by pair in each session of k visits costs k(k-1)/2.
+
+    ``weights`` lists the pairs in sorted order.
+    """
+    visit_sets = [svs.visited for svs in session_sets]
+    width = (len(visit_sets) + 7) >> 3
+    order = sorted(frozenset().union(*visit_sets))
+    node_bit = {node: 1 << i for i, node in enumerate(order)}
+    rows = {node: bytearray(width) for node in order}
+    partners = dict.fromkeys(order, 0)
+    for s, visited in enumerate(visit_sets):
+        byte, bit = s >> 3, 1 << (s & 7)
+        mask = sum(map(node_bit.__getitem__, visited))  # distinct bits, so the sum is their OR
+        for node in visited:
+            rows[node][byte] |= bit
+            partners[node] |= mask
+    bitsets = [int.from_bytes(row, "little") for row in rows.values()]
+    weights: dict[tuple[str, str], int] = {}
+    for i, (a, bitset, near) in enumerate(zip(order, bitsets, partners.values())):
+        later = bin(near >> (i + 1))[:1:-1].encode().translate(_BIT_FLAGS)  # partners after a, lowest first
+        pairs = zip(repeat(a), compress(islice(order, i + 1, None), later))
+        counts = map(int.bit_count, map(bitset.__and__, compress(islice(bitsets, i + 1, None), later)))
+        weights.update(zip(pairs, counts))
+    return CoOccurrenceGraph(frozenset(order), weights)
 
 
 def threshold(graph: CoOccurrenceGraph, min_count: int) -> CoOccurrenceGraph:
@@ -200,19 +232,26 @@ def maximal_cliques(graph: CoOccurrenceGraph, max_nodes_guard: int = 2000) -> li
             if len(found) > MAX_REPORTED_CLIQUES:
                 raise GraphTooLarge(len(found), MAX_REPORTED_CLIQUES, "cliques")
     return [
-        Cluster(frozenset(order[i] for i in members), ClusterKind.CLIQUE, support)
+        Cluster(frozenset(map(order.__getitem__, members)), ClusterKind.CLIQUE, support)
         for members, support in sorted(found)
     ]
 
 
+def _keyed(clusters: Iterable[Cluster]) -> list[tuple[tuple[str, tuple[str, ...]], Cluster]]:
+    """Each cluster after its sort key (kind text, sorted members); equal keys keep their input order."""
+    keyed = [((c.kind.value, tuple(sorted(c.members))), c) for c in clusters]
+    keyed.sort(key=itemgetter(0))
+    return keyed
+
+
 def sort_clusters(clusters: Iterable[Cluster]) -> list[Cluster]:
     """Clusters in the one order files list them and DOT colours them: by kind, then sorted members."""
-    return sorted(clusters, key=lambda c: (c.kind.value, tuple(sorted(c.members))))
+    return [c for _, c in _keyed(clusters)]
 
 
 def format_clusters(clusters: Iterable[Cluster]) -> str:
     """One cluster per line: ``kind<TAB>support<TAB>member,member,...``."""
-    rows = [f"{c.kind.value}\t{c.support}\t{','.join(sorted(c.members))}" for c in sort_clusters(clusters)]
+    rows = [f"{kind}\t{c.support}\t{','.join(members)}" for (kind, members), c in _keyed(clusters)]
     return "\n".join(rows) + ("\n" if rows else "")
 
 

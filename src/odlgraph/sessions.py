@@ -70,10 +70,14 @@ def parse_log(
     Unknown activity ids raise :class:`DanglingRef` unless ``skip_unknown``
     is set, in which case the offending (line_no, activity_id) pairs are
     appended to ``skipped`` (when given) and the lines are dropped.
+
+    Blocks share their strings: each holds the course's own activity id
+    string and one string per learner, not the copies each line splits off.
     """
     blocks: list[ControlBlock] = []
     append = blocks.append
     find_activity = env.activities.get
+    shared_learner = {}.setdefault  # the first string seen for each learner id
     strip = str.strip
     saw_data = False
     for line_no, raw in enumerate(lines, 1):
@@ -103,7 +107,8 @@ def parse_log(
                 continue
             raise DanglingRef(activity_id, line_no=line_no)
         note_id = fields[3] if len(fields) == 4 and fields[3] else None
-        append(ControlBlock(learner, timestamp, activity_id, activity.object_id, activity.task_id, note_id))
+        append(ControlBlock(shared_learner(learner, learner), timestamp, activity.id, activity.object_id,
+                            activity.task_id, note_id))
     return blocks
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -267,14 +268,19 @@ def test_clusters_match_networkx_at_scale(graph):
         assert [c.support for c in found] == [oracles.min_pair_weight(graph.weights, c.members) for c in found]
 
 
+# Listed out of sorted order, and "LA10" sorts before "LA9", so first-seen order is rarely sorted order.
+VISITED_IDS = ["LA9", "z", "LA10", "b", "LA1", "B", "a10", "a2", "Z0", "m"]
+
+
 @st.composite
 def random_session_sets(draw) -> list[SessionVisitSet]:
-    k = draw(st.integers(min_value=0, max_value=8))
+    # Up to 40 sessions, so the per-activity session bitsets span several bytes.
+    k = draw(st.integers(min_value=0, max_value=40))
     out = []
     for i in range(k):
-        size = draw(st.integers(min_value=1, max_value=5))
-        visited = draw(st.sets(st.sampled_from(NODES), min_size=size, max_size=size))
-        out.append(SessionVisitSet(("u1", i + 1), frozenset(visited)))
+        learner = draw(st.sampled_from(["u2", "u10", "u1"]))
+        visited = draw(st.sets(st.sampled_from(VISITED_IDS), max_size=6))
+        out.append(SessionVisitSet((learner, i + 1), frozenset(visited)))
     return out
 
 
@@ -283,8 +289,12 @@ def random_session_sets(draw) -> list[SessionVisitSet]:
 def test_cooccurrence_matches_pair_counting_oracle(session_sets):
     graph = cooccurrence(session_sets)
     assert graph.weights == oracles.pair_counts([s.visited for s in session_sets])
+    assert graph.nodes == frozenset().union(*(s.visited for s in session_sets))
+    assert list(graph.weights) == sorted(graph.weights)
     for (a, b), w in graph.weights.items():
         assert a < b and w >= 1  # symmetric storage by sorted pair, no self-pairs
+    one_shot = cooccurrence(s for s in session_sets)
+    assert one_shot == graph and list(one_shot.weights) == list(graph.weights)
 
 
 @given(random_session_sets(), st.randoms())
@@ -294,6 +304,7 @@ def test_session_order_does_not_matter(session_sets, rng):
     rng.shuffle(shuffled)
     original = cooccurrence(session_sets)
     assert cooccurrence(shuffled) == original
+    assert list(cooccurrence(shuffled).weights) == list(original.weights)
     cut, cut_shuffled = threshold(original, 2), threshold(cooccurrence(shuffled), 2)
     assert format_clusters(connected_components(cut)) == format_clusters(connected_components(cut_shuffled))
     assert format_clusters(maximal_cliques(cut)) == format_clusters(maximal_cliques(cut_shuffled))
@@ -320,5 +331,17 @@ def test_cooccurrence_matches_pair_counting_oracle_on_mining_shaped_sessions(see
     assert type(graph.weights) is dict
     assert graph.weights == oracles.pair_counts([s.visited for s in session_sets])
     assert graph.nodes == frozenset().union(*(s.visited for s in session_sets))
-    first_seen = dict.fromkeys(pair for s in session_sets for pair in combinations(sorted(s.visited), 2))
-    assert list(graph.weights) == list(first_seen)
+    assert list(graph.weights) == sorted(graph.weights)
+
+
+def test_dense_overlap_counts_each_pair_once():
+    # 8,000 sessions over the same 100 activities: 4,950 pairs, each in every session.
+    # Counting pair by pair in each session makes 39.6M increments here.
+    every = frozenset(f"a{i}" for i in range(100))
+    session_sets = [SessionVisitSet((f"u{s % 97}", s), every) for s in range(8_000)]
+    start = time.perf_counter()
+    graph = cooccurrence(session_sets)
+    assert time.perf_counter() - start < 2.0
+    assert graph.nodes == every
+    assert len(graph.weights) == 4_950 and set(graph.weights.values()) == {8_000}
+    assert list(graph.weights) == sorted(combinations(sorted(every), 2))

@@ -41,6 +41,17 @@ def test_parse_log_fills_object_and_task_from_course():
     assert block == ControlBlock("u1", 1000, "LA5", "O1", "read", None)
 
 
+def test_parse_log_blocks_share_the_course_and_learner_strings():
+    # Each line splits off fresh strings; blocks hold shared ones instead.
+    blocks = parse_log([f"u{i % 2},{i},{aid}" for i, aid in enumerate(["LA5", "LA15", "LA5", "LA7"] * 3)], ENV)
+    for block in blocks:
+        assert block.activity_id is ENV.activities[block.activity_id].id
+    by_learner: dict[str, str] = {}
+    for block in blocks:
+        assert by_learner.setdefault(block.learner_id, block.learner_id) is block.learner_id
+    assert sorted(by_learner) == ["u0", "u1"]
+
+
 def test_parse_log_keeps_note_pointer():
     (block,) = parse_log(["u1,1000,LA5,n42"], ENV)
     assert block.note_id == "n42"
