@@ -23,7 +23,7 @@ from .text import lines, read_text
 
 if TYPE_CHECKING:
     from .notes import NoteStore
-    from .sessions import LearningExperience, Session
+    from .sessions import ControlBlock, LearningExperience, Session
 
 TIMEOUT_ENV_VAR = "ODL_TIMEOUT"
 
@@ -36,15 +36,23 @@ def _load_course(path: str) -> tuple[LearningEnvironment, str]:
     return course_format.parse_course(read_text(path), path)
 
 
-def _course_and_sessions(args) -> tuple[LearningEnvironment, list[Session]]:
-    """The pipeline every log subcommand shares: load the course, read the log, sessionize."""
+def _course_and_blocks(args) -> tuple[LearningEnvironment, list[ControlBlock]]:
+    """Load the course and parse every line of the log, warning once per skipped line."""
     env, _ = _load_course(args.course)
-    from .sessions import parse_log, sessionize
+    from .sessions import parse_log
 
     skipped: list[tuple[int, str]] = []
     blocks = parse_log(lines(read_text(args.log)), env, skip_unknown=args.skip_unknown, skipped=skipped)
     for line_no, activity_id in skipped:
         print(f"warning: line {line_no}: unknown activity {activity_id!r} skipped", file=sys.stderr)
+    return env, blocks
+
+
+def _course_and_sessions(args) -> tuple[LearningEnvironment, list[Session]]:
+    """The pipeline every log subcommand shares: load the course, read the log, sessionize."""
+    env, blocks = _course_and_blocks(args)
+    from .sessions import sessionize
+
     return env, sessionize(blocks, args.timeout)
 
 
@@ -191,10 +199,11 @@ def _cmd_export(args) -> int:
 
     experience = found = None
     if walked:
-        from .sessions import build_experience
+        from .sessions import build_experience, sessionize
 
-        env, sessions = _course_and_sessions(args)
-        mine = [s for s in sessions if s.learner_id == args.experience]
+        # Sessions never span learners, so only the drawn learner's blocks are sessionized.
+        env, blocks = _course_and_blocks(args)
+        mine = sessionize([b for b in blocks if b.learner_id == args.experience], args.timeout)
         if not mine:
             raise OdlError(f"no sessions for learner {args.experience!r}")
         experience = build_experience(mine, env, "lenient")

@@ -34,6 +34,10 @@ or a form feed inside a field stays in it.
 
 :func:`serialize` writes either format and refuses, with
 :class:`UnsupportedFormat`, any value its reader would not give back.
+
+:class:`TabularLine` and :class:`CourseDocument` are immutable named tuples:
+each equals the plain tuple of its values and sorts like it, and a changed
+copy comes from ``_replace``, not ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -41,9 +45,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import PurePath
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DanglingRef, ParseError, UnsupportedFormat
 from .model import (
@@ -62,8 +65,7 @@ DETOUR_LABEL = "optional detour"
 IMPLICIT_VERB = "read"
 
 
-@dataclass(frozen=True)
-class TabularLine:
+class TabularLine(NamedTuple):
     """One parsed content line of a tabular course."""
 
     depth: int
@@ -71,8 +73,7 @@ class TabularLine:
     object_text: str
 
 
-@dataclass(frozen=True)
-class CourseDocument:
+class CourseDocument(NamedTuple):
     title: str
     lines: tuple[TabularLine, ...]
 
@@ -231,6 +232,8 @@ def _split_record(text: str) -> list[str]:
     before it; within a field ``\\\\`` stands for ``\\`` and ``\\|`` for ``|``,
     and any other backslash is itself.
     """
+    if "\\" not in text:
+        return text.split("|")  # no escapes: every ``|`` separates
     fields: list[str] = []
     escaped = False  # the last piece ended in an odd run of backslashes, so its ``|`` is text
     for piece in text.split("|"):
@@ -240,6 +243,10 @@ def _split_record(text: str) -> list[str]:
             fields.append(piece)
         escaped = (len(piece) - len(piece.rstrip("\\"))) % 2 == 1
     return [field.replace("\\\\", "\\").replace("\\|", "|") for field in fields]
+
+
+# Tag text to member: a dict lookup, where ``EdgeTag(text)`` runs the enum's Python-level call.
+_EDGE_TAGS = {tag.value: tag for tag in EdgeTag}
 
 
 def parse_graph_file(text: str) -> LearningEnvironment:
@@ -269,7 +276,7 @@ def parse_graph_file(text: str) -> LearningEnvironment:
         fields = _split_record(body)
         if not 4 <= len(fields) <= 6:
             raise ParseError(line_no, f"NODE expects 4 to 6 fields, got {len(fields)}")
-        aid, title, verb, obj_text = (f.strip() for f in fields[:4])
+        aid, title, verb, obj_text = fields[0].strip(), fields[1].strip(), fields[2].strip(), fields[3].strip()
         if not aid:
             raise ParseError(line_no, "empty node id")
         if aid in activities:
@@ -314,13 +321,13 @@ def parse_graph_file(text: str) -> LearningEnvironment:
             raise ParseError(line_no, f"EDGE expects 4 fields, got {len(fields)}")
         from_id, to_id, tag_text = fields[0].strip(), fields[1].strip(), fields[2].strip()
         label = fields[3]
-        for endpoint in (from_id, to_id):
-            if endpoint not in activities:
-                raise DanglingRef(endpoint, line_no=line_no)
-        try:
-            tag = EdgeTag(tag_text)
-        except ValueError:
-            raise ParseError(line_no, f"unknown edge tag {tag_text!r}") from None
+        if from_id not in activities:
+            raise DanglingRef(from_id, line_no=line_no)
+        if to_id not in activities:
+            raise DanglingRef(to_id, line_no=line_no)
+        tag = _EDGE_TAGS.get(tag_text)
+        if tag is None:
+            raise ParseError(line_no, f"unknown edge tag {tag_text!r}")
         edges.append(PrecedentEdge(f"e{len(edges) + 1}", from_id, to_id, label, tag))
 
     env = LearningEnvironment(activities, tuple(edges), objects, tasks)

@@ -10,6 +10,13 @@ never stored as edges.
 Environment values are immutable once built.  The ``add_*`` functions return
 a new environment and never touch the input, so environments are safe to
 share across threads.
+
+The records (:class:`LearningObject`, :class:`LearningTask`,
+:class:`LearningActivity`, :class:`PrecedentEdge`, :class:`Violation`) are
+immutable named tuples: each equals the plain tuple of its values and sorts
+like it, and a changed copy comes from ``_replace``, not
+``dataclasses.replace``.  :class:`LearningEnvironment` stays a frozen
+dataclass, because it caches derived sets per instance.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DanglingRef, DuplicateId
 
@@ -38,8 +46,7 @@ class EdgeTag(str, Enum):
     UNTAGGED = "untagged"
 
 
-@dataclass(frozen=True)
-class LearningObject:
+class LearningObject(NamedTuple):
     """A piece of content, either atomic (has a locator) or composite (has children)."""
 
     id: str
@@ -49,8 +56,7 @@ class LearningObject:
     children: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class LearningTask:
+class LearningTask(NamedTuple):
     """What the learner is asked to do with an object (read, write, exerc, ...)."""
 
     id: str
@@ -58,8 +64,7 @@ class LearningTask:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class LearningActivity:
+class LearningActivity(NamedTuple):
     """A graph node: one object paired with one task."""
 
     id: str
@@ -69,8 +74,7 @@ class LearningActivity:
     expected_duration_minutes: float | None = None
 
 
-@dataclass(frozen=True)
-class PrecedentEdge:
+class PrecedentEdge(NamedTuple):
     """One bag entry: a labeled, tagged precedent between two activities.
 
     Several edges may share endpoints and label; only ``edge_id`` tells
@@ -84,8 +88,7 @@ class PrecedentEdge:
     tag: EdgeTag = EdgeTag.UNTAGGED
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One problem found by :func:`validate`."""
 
     code: str

@@ -76,7 +76,9 @@ def parse_log(
     """
     blocks: list[ControlBlock] = []
     append = blocks.append
-    find_activity = env.activities.get
+    make_block = ControlBlock._make  # one tuple in, no argument binding in the generated ``__new__``
+    # Each activity's (id, object_id, task_id), read off the record once per call, not once per line.
+    resolve = {aid: (a.id, a.object_id, a.task_id) for aid, a in env.activities.items()}.get
     shared_learner = {}.setdefault  # the first string seen for each learner id
     strip = str.strip
     saw_data = False
@@ -99,16 +101,16 @@ def parse_log(
             raise ParseError(line_no, f"bad timestamp {ts_text!r}") from None
         if timestamp < 0:
             raise ParseError(line_no, "negative timestamp")
-        activity = find_activity(activity_id)
-        if activity is None:
+        resolved = resolve(activity_id)
+        if resolved is None:
             if skip_unknown:
                 if skipped is not None:
                     skipped.append((line_no, activity_id))
                 continue
             raise DanglingRef(activity_id, line_no=line_no)
         note_id = fields[3] if len(fields) == 4 and fields[3] else None
-        append(ControlBlock(shared_learner(learner, learner), timestamp, activity.id, activity.object_id,
-                            activity.task_id, note_id))
+        aid, object_id, task_id = resolved
+        append(make_block((shared_learner(learner, learner), timestamp, aid, object_id, task_id, note_id)))
     return blocks
 
 

@@ -60,6 +60,24 @@ def quick_env(
     return LearningEnvironment(activities, bag, objects, tasks)
 
 
+def assert_record_contract(cls, values: tuple, fields: tuple[str, ...], defaults: dict) -> None:
+    """A named-tuple record: its fields, order, defaults and ``repr``, immutability, value equality and hashing."""
+    record = cls(*values)
+    assert cls._fields == fields and cls._field_defaults == defaults
+    assert tuple(getattr(record, name) for name in fields) == values
+    assert record == values  # a named tuple equals the plain tuple of its values
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(fields, values)) + ")"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+    twin = cls(*values)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    changed = record._replace(**{fields[0]: "other"})
+    assert changed != record and getattr(changed, fields[0]) == "other" and record == twin
+    required = len(fields) - len(defaults)
+    assert cls(*values[:required]) == cls(*values[:required], *defaults.values())
+
+
 def walk(ids: list[str], learner: str = "u1") -> LearningExperience:
     visits = tuple(Visit(a, i, False) for i, a in enumerate(ids))
     return LearningExperience(learner, visits, (1,))

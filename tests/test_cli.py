@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import weakref
 from pathlib import Path
@@ -362,6 +363,43 @@ def test_export_takes_the_shared_log_options(course, tmp_path, capsys):
     assert "GHOST" in capsys.readouterr().err
     nodes, _ = parse_dot(out.read_text(encoding="utf-8"))
     assert nodes["LA1"].get("style") == nodes["LA2"].get("style") == "filled" and "style" not in nodes["LA3"]
+
+
+@pytest.mark.parametrize("overlay", ["visit_order", "coverage"])
+def test_export_sessionizes_only_the_drawn_learner_and_draws_what_the_whole_log_gives(
+    course, tmp_path, overlay, capsys, monkeypatch
+):
+    from odlgraph.dot_export import ExportStyle, export_dot
+
+    rng = random.Random(11)
+    names = ["LA1", "LA2", "LA3", "Dict", "GHOST"]
+    rows = [f"u{rng.randrange(6)},{rng.randrange(4000)},{rng.choice(names)}" for _ in range(300)]
+    log_path = tmp_path / "many.csv"
+    log_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    env, _ = course_format.parse_course(Path(course).read_text(encoding="utf-8"), course)
+    # The rule before: sessionize every learner, then keep the drawn one's sessions.
+    every_session = sessions.sessionize(sessions.parse_log(rows, env, skip_unknown=True), 600)
+    warnings = "".join(
+        f"warning: line {n}: unknown activity 'GHOST' skipped\n" for n, row in enumerate(rows, 1) if "GHOST" in row
+    )
+    learners_sessionized: list[set[str]] = []
+    sessionize = sessions.sessionize
+
+    def tracked(blocks, timeout_seconds):
+        blocks = list(blocks)
+        learners_sessionized.append({b.learner_id for b in blocks})
+        return sessionize(blocks, timeout_seconds)
+
+    monkeypatch.setattr(sessions, "sessionize", tracked)
+    for learner in sorted({s.learner_id for s in every_session}):
+        experience = sessions.build_experience([s for s in every_session if s.learner_id == learner], env)
+        argv = ["export", "--course", course, "--log", str(log_path), "--experience", learner,
+                "--overlay", overlay, "--timeout", "600", "--skip-unknown"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == export_dot(env, ExportStyle(Overlay(overlay)), experience)
+        assert captured.err == warnings
+        assert learners_sessionized.pop() == {learner}
 
 
 def test_a_course_is_parsed_once_and_found_without_its_suffix(tmp_path, capsys, monkeypatch):

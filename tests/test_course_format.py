@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from odlgraph.course_format import (
     DETOUR_LABEL,
+    CourseDocument,
+    TabularLine,
     _outline_edges,
     _split_record,
     parse_graph_file,
@@ -33,7 +35,7 @@ from odlgraph.model import (
 )
 
 import oracles
-from conftest import quick_env
+from conftest import assert_record_contract, quick_env
 
 
 def test_single_line_maps_to_read_activity():
@@ -136,6 +138,22 @@ def test_node_and_edge_records():
     (edge,) = env.edges
     assert edge.label == "if you found LA5 very easy to do"
     assert edge.tag is EdgeTag.DIFFICULTY
+
+
+@pytest.mark.parametrize("tag", list(EdgeTag), ids=[t.value for t in EdgeTag])
+def test_every_edge_tag_parses_to_its_member(tag):
+    for tag_field in (tag.value, f" {tag.value}\t"):
+        env = parse_graph_file(f"NODE A|a|read|a||\nNODE B|b|read|b||\nEDGE A|B|{tag_field}|label\n")
+        assert env.edges[0].tag is tag
+
+
+@pytest.mark.parametrize("tag_text", ["Sequence", "detour", ""], ids=["wrong-case", "unknown", "empty"])
+def test_an_unknown_edge_tag_is_a_parse_error_on_its_line(tag_text):
+    text = f"NODE A|a|read|a||\n# a comment\nNODE B|b|read|b||\nEDGE A|B|{tag_text}|label\n"
+    with pytest.raises(ParseError) as err:
+        parse_graph_file(text)
+    assert err.value.line_no == 4
+    assert str(err.value) == f"line 4: unknown edge tag {tag_text!r}"
 
 
 def test_duplicate_edge_lines_make_two_bag_entries():
@@ -473,3 +491,15 @@ def test_tabular_serialize_refuses_or_round_trips(rows, title):
     except UnsupportedFormat:
         return
     assert isomorphic(env, parse_tabular(text))
+
+
+@pytest.mark.parametrize(
+    "cls,values,fields",
+    [
+        (TabularLine, (1, "exerc", "First exercise"), ("depth", "task_verb", "object_text")),
+        (CourseDocument, ("Unit", (TabularLine(0, "read", "Section A"),)), ("title", "lines")),
+    ],
+    ids=["TabularLine", "CourseDocument"],
+)
+def test_document_records_keep_their_fields_and_are_immutable_values(cls, values, fields):
+    assert_record_contract(cls, values, fields, {})

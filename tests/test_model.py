@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from odlgraph.model import (
     LearningTask,
     ObjectKind,
     PrecedentEdge,
+    Violation,
     add_activity,
     add_edge,
     add_object,
@@ -24,9 +26,10 @@ from odlgraph.model import (
     next_id_number,
     validate,
 )
+from odlgraph import course_format, model
 from odlgraph.course_format import parse_graph_file
 
-from conftest import quick_env
+from conftest import assert_record_contract, quick_env
 
 
 def base_env() -> LearningEnvironment:
@@ -242,3 +245,36 @@ def test_add_edge_chain_is_not_quadratic():
     elapsed = time.perf_counter() - start
     assert len(env.edges) == 3000 and env.edges[-1].edge_id == "e3000"
     assert elapsed < 2.0, f"3,000 add_edge calls took {elapsed:.2f} s"
+
+
+# --- the records --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls,values,fields,defaults",
+    [
+        (LearningObject, ("O1", "Part one", ObjectKind.COMPOSITE, "book:p1", ("O2",)),
+         ("id", "title", "kind", "locator", "children"),
+         {"kind": ObjectKind.ATOMIC, "locator": "", "children": ()}),
+        (LearningTask, ("read", "read", "Read the chapter"), ("id", "verb", "description"), {"description": ""}),
+        (LearningActivity, ("LA1", "O1", "read", True, 12.5),
+         ("id", "object_id", "task_id", "is_reference", "expected_duration_minutes"),
+         {"is_reference": False, "expected_duration_minutes": None}),
+        (PrecedentEdge, ("e1", "LA1", "LA2", "go on", EdgeTag.SEQUENCE),
+         ("edge_id", "from_id", "to_id", "label", "tag"), {"label": "", "tag": EdgeTag.UNTAGGED}),
+        (Violation, ("bad_object", "O1", "atomic object 'O1' has no locator"), ("code", "subject", "message"), {}),
+    ],
+    ids=["LearningObject", "LearningTask", "LearningActivity", "PrecedentEdge", "Violation"],
+)
+def test_records_keep_their_fields_and_are_immutable_values(cls, values, fields, defaults):
+    assert_record_contract(cls, values, fields, defaults)
+
+
+def test_the_environment_is_the_only_dataclass_of_the_model_and_course_formats():
+    defined = [
+        f"{module.__name__}.{name}"
+        for module in (model, course_format)
+        for name, value in vars(module).items()
+        if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
+    ]
+    assert defined == ["odlgraph.model.LearningEnvironment"]

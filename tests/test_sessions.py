@@ -19,7 +19,7 @@ from odlgraph.sessions import (
 )
 
 import oracles
-from conftest import quick_env
+from conftest import assert_record_contract, quick_env
 
 
 ENV = quick_env(
@@ -216,19 +216,7 @@ def test_equal_timestamps_preserve_log_order():
     ids=["ControlBlock", "Visit", "Cycle"],
 )
 def test_records_keep_their_fields_and_are_immutable_values(cls, values, fields, defaults):
-    record = cls(*values)
-    assert cls._fields == fields and cls._field_defaults == defaults
-    assert tuple(getattr(record, name) for name in fields) == values
-    assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(fields, values)) + ")"
-    for name in fields:
-        with pytest.raises(AttributeError):
-            setattr(record, name, values[0])
-    twin = cls(*values)
-    assert twin == record and hash(twin) == hash(record) and twin is not record
-    changed = record._replace(**{fields[0]: "other"})
-    assert changed != record and getattr(changed, fields[0]) == "other" and record == twin
-    required = len(fields) - len(defaults)
-    assert cls(*values[:required]) == cls(*values[:required], *defaults.values())
+    assert_record_contract(cls, values, fields, defaults)
 
 
 # --- parse_log against a naive reader ----------------------------------------
