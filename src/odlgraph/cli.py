@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterator
 # Every command reads a course; the other modules load inside the commands that run them.
 from . import course_format
 from .errors import GraphTooLarge, OdlError
-from .model import LearningEnvironment, next_id_number, validate
+from .model import LearningEnvironment, next_id_number
 from .options import DEFAULT_MIN_COOCCURRENCE, DEFAULT_SESSION_TIMEOUT, NoteAccess, Overlay
 from .text import lines, read_text
 
@@ -94,13 +94,9 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    env, _ = _load_course(args.course)
-    report = validate(env)
-    if not report:
-        _emit(args, "OK\n")
-        return 0
-    _emit(args, "".join(f"{v.code}\t{v.subject}\t{v.message}\n" for v in report))
-    return 1
+    _load_course(args.course)  # the readers refuse, on its line, every rule the course breaks
+    _emit(args, "OK\n")
+    return 0
 
 
 def _cmd_parse(args) -> int:

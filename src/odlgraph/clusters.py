@@ -21,9 +21,9 @@ from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import GraphTooLarge, ParseError
+from .errors import GraphTooLarge, ParseError, UnsupportedFormat
 from .options import DEFAULT_MIN_COOCCURRENCE  # re-exported: the cut the command line applies by default
-from .text import lines
+from .text import holds_line_end, lines
 
 if TYPE_CHECKING:
     from .sessions import Session
@@ -250,8 +250,18 @@ def sort_clusters(clusters: Iterable[Cluster]) -> list[Cluster]:
 
 
 def format_clusters(clusters: Iterable[Cluster]) -> str:
-    """One cluster per line: ``kind<TAB>support<TAB>member,member,...``."""
-    rows = [f"{kind}\t{c.support}\t{','.join(members)}" for (kind, members), c in _keyed(clusters)]
+    """One cluster per line: ``kind<TAB>support<TAB>member,member,...``.
+
+    A cluster :func:`read_clusters` would not give back raises :class:`UnsupportedFormat`: one
+    with fewer than two members, or with a member that is empty or holds a tab, a comma or a line end.
+    """
+    rows = []
+    for (kind, members), c in _keyed(clusters):
+        text = ",".join(members)
+        if (len(members) < 2 or "" in c.members or text.count(",") != len(members) - 1 or "\t" in text
+                or holds_line_end(text)):
+            raise UnsupportedFormat(f"cluster {members!r} does not read back")
+        rows.append(f"{kind}\t{c.support}\t{text}")
     return "\n".join(rows) + ("\n" if rows else "")
 
 

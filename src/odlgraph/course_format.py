@@ -32,8 +32,11 @@ or a form feed inside a field stays in it.
     literal backslash as ``\\\\``.  The fifth NODE field is the word ``ref``
     for reference nodes, the sixth an expected duration in minutes (finite).
 
+Each reader checks a course once, line by line, as it reads it: every
+course it returns already passes :func:`odlgraph.model.validate`.
 :func:`serialize` writes either format and refuses, with
-:class:`UnsupportedFormat`, any value its reader would not give back.
+:class:`UnsupportedFormat`, any value its reader would not give back; the
+tabular writer leaves the outline rule to :func:`_outline_edges` alone.
 
 :class:`TabularLine` and :class:`CourseDocument` are immutable named tuples:
 each equals the plain tuple of its values and sorts like it, and a changed
@@ -330,11 +333,7 @@ def parse_graph_file(text: str) -> LearningEnvironment:
             raise ParseError(line_no, f"unknown edge tag {tag_text!r}")
         edges.append(PrecedentEdge(f"e{len(edges) + 1}", from_id, to_id, label, tag))
 
-    env = LearningEnvironment(activities, tuple(edges), objects, tasks)
-    problems = validate(env)
-    if problems:
-        raise ParseError(0, f"parsed environment is inconsistent: {problems[0].message}")
-    return env
+    return LearningEnvironment(activities, tuple(edges), objects, tasks)
 
 
 # --- serialization ----------------------------------------------------------
@@ -405,7 +404,8 @@ def _serialize_tabular(env: LearningEnvironment, title: str) -> str:
     acts = list(env.activities.values())
     index = {a.id: i for i, a in enumerate(acts)}
 
-    incoming: dict[int, list[tuple[int, str]]] = {i: [] for i in range(len(acts))}
+    bag: Counter[tuple[int, int, str]] = Counter()
+    into: dict[int, tuple[int, str]] = {}  # a forward edge into each line that has one
     for edge in env.edges:
         if edge.tag is EdgeTag.SEQUENCE and edge.label == "":
             kind = "sequence"
@@ -414,30 +414,17 @@ def _serialize_tabular(env: LearningEnvironment, title: str) -> str:
         else:
             raise UnsupportedFormat(f"edge {edge.edge_id!r} does not fit the outline rules")
         src, dst = index[edge.from_id], index[edge.to_id]
-        if src >= dst:
-            raise UnsupportedFormat(f"edge {edge.edge_id!r} points backwards in activity order")
-        incoming[dst].append((src, kind))
+        bag[src, dst, kind] += 1
+        if src < dst:
+            into[dst] = (src, kind)
 
+    # A detour goes one deeper than its source, a sequence edge stays level.  The outline rule gives
+    # every later line exactly one edge, and a detour only from the line before, so a bag equal to
+    # its edges is an outline whose depths the reader accepts.
     depths = [0] * len(acts)
-    for i in range(1, len(acts)):
-        if len(incoming[i]) != 1:
-            raise UnsupportedFormat(f"activity {acts[i].id!r} needs exactly one incoming outline edge")
-        src, kind = incoming[i][0]
-        if kind == "detour":
-            if src != i - 1:
-                raise UnsupportedFormat(f"detour into {acts[i].id!r} does not come from its predecessor")
-            depths[i] = depths[src] + 1
-        else:
-            depths[i] = depths[src]
-    if acts and incoming[0]:
-        raise UnsupportedFormat(f"first activity {acts[0].id!r} has incoming edges")
-
-    expected = Counter(_outline_edges(depths))
-    actual = Counter(
-        (index[e.from_id], index[e.to_id], "detour" if e.tag is EdgeTag.INTEREST else "sequence")
-        for e in env.edges
-    )
-    if expected != actual:
+    for dst, (src, kind) in sorted(into.items()):
+        depths[dst] = depths[src] + (kind == "detour")
+    if Counter(_outline_edges(depths)) != bag:
         raise UnsupportedFormat("edge bag does not match any outline")
 
     if not title:

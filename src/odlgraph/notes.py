@@ -55,6 +55,8 @@ class Message:
 
     def __post_init__(self) -> None:
         if self.recipients != BROADCAST:
+            if isinstance(self.recipients, str):  # a tuple of it would be its characters
+                raise TypeError(f"recipients must be {BROADCAST!r} or a tuple of ids, not {self.recipients!r}")
             object.__setattr__(self, "recipients", tuple(sorted(set(self.recipients))))
         object.__setattr__(self, "note_refs", tuple(self.note_refs))
 

@@ -136,7 +136,7 @@ def coverage(
     visited: set[str] = set()
     for experience in experiences:
         visited.update(_visit_ids(experience))
-    visited &= set(env.activities)
+    visited &= env.activities.keys()  # walks the smaller side, not the whole course
     total = len(env.activities)
     ratio = len(visited) / total if total else 0.0
     return CoverageReport(frozenset(visited), total, ratio)

@@ -178,6 +178,18 @@ def test_clique_guard_error_names_the_remedy(course, tmp_path, capsys, monkeypat
     assert capsys.readouterr().out == "component\t1\tLA1,LA2,LA3\n"
 
 
+def test_mine_refuses_a_cluster_file_that_export_could_not_read(tmp_path, capsys):
+    course = tmp_path / "tab.odlg"
+    course.write_text("NODE a\tb|A|read|a\nNODE c|C|read|c\nNODE d|D|read|d\n", encoding="utf-8")
+    log = tmp_path / "log.csv"
+    log.write_text("u1,0,a\tb\nu1,60,c\nu1,120,d\n", encoding="utf-8")
+    out = tmp_path / "cl.tsv"
+    assert main(["mine", "--log", str(log), "--course", str(course), "--min-count", "1", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "does not read back" in captured.err
+    assert not out.exists()
+
+
 def test_mine_on_strategy_paths_drops_detour_nodes(course, log, capsys):
     assert main(["mine", "--log", log, "--course", course, "--min-count", "1", "--on-strategy-paths"]) == 0
     out = capsys.readouterr().out

@@ -21,7 +21,7 @@ from odlgraph.clusters import (
     session_visit_sets,
     threshold,
 )
-from odlgraph.errors import GraphTooLarge
+from odlgraph.errors import GraphTooLarge, UnsupportedFormat
 from odlgraph.sessions import ControlBlock, Session
 
 import oracles
@@ -168,6 +168,28 @@ def test_format_and_read_clusters_round_trip():
     text = format_clusters(clusters)
     assert text == "clique\t2\ta,b\nclique\t1\tc,d,e\n"
     assert read_clusters(text) == sorted(clusters, key=lambda c: tuple(sorted(c.members)))
+
+
+@pytest.mark.parametrize("members", [{"a\tb", "z"}, {"a,b", "z"}, {"a\nb", "z"}, {"a\rb", "z"}, {"a\r\nb", "z"},
+                                     {"", "z"}, {"z"}],
+                         ids=["tab", "comma", "lf", "cr", "crlf", "empty", "one-member"])
+def test_format_clusters_refuses_a_cluster_the_reader_would_not_give_back(members):
+    with pytest.raises(UnsupportedFormat, match="does not read back"):
+        format_clusters([Cluster(frozenset({"c", "d"}), ClusterKind.COMPONENT, 2),
+                         Cluster(frozenset(members), ClusterKind.CLIQUE, 1)])
+
+
+@given(st.lists(st.frozensets(st.text(alphabet="ab,\t\n\r\u2028\x0c ", max_size=3), min_size=1, max_size=4),
+                max_size=3),
+       st.sampled_from(list(ClusterKind)))
+@settings(max_examples=300)
+def test_format_clusters_refuses_or_round_trips(member_sets, kind):
+    found = [Cluster(members, kind, 1) for members in member_sets]
+    try:
+        text = format_clusters(found)
+    except UnsupportedFormat:
+        return
+    assert read_clusters(text) == sorted(found, key=lambda c: tuple(sorted(c.members)))
 
 
 # --- randomized oracle equivalence --------------------------------------------

@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from odlgraph.course_format import (
     TabularLine,
     _outline_edges,
     _split_record,
+    parse_course,
     parse_graph_file,
     parse_tabular,
     read_document,
@@ -25,6 +28,7 @@ from odlgraph.model import (
     LearningObject,
     LearningTask,
     ObjectKind,
+    PrecedentEdge,
     add_activity,
     add_edge,
     add_object,
@@ -33,6 +37,7 @@ from odlgraph.model import (
     isomorphic,
     validate,
 )
+from odlgraph.text import holds_line_end
 
 import oracles
 from conftest import assert_record_contract, quick_env
@@ -441,9 +446,15 @@ def test_tabular_serialize_round_trips_line_breaks_that_are_not_line_ends():
 # mostly inside a plain word, where only a line end stops a field reading back, and sometimes anywhere.
 _FIELD_PIECES = ["a", "b", " ", "\t", "|", "\\|", "\\\\", "\\", "\n", "\r", "\r\n", "\u2028", "\x85", "\x0c",
                  "NODE ", "EDGE ", "#"]
-_anywhere = st.lists(st.sampled_from(_FIELD_PIECES), max_size=3).map("".join)
-_inside = st.builds("a{}b".format, st.sampled_from(["", *_FIELD_PIECES]))
-_field = st.sampled_from([_inside] * 4 + [_anywhere]).flatmap(lambda field: field)
+
+
+def _fields_of(pieces: list[str]):
+    anywhere = st.lists(st.sampled_from(pieces), max_size=3).map("".join)
+    inside = st.builds("a{}b".format, st.sampled_from(["", *pieces]))
+    return st.sampled_from([inside] * 4 + [anywhere]).flatmap(lambda field: field)
+
+
+_field = _fields_of(_FIELD_PIECES)
 _nonempty_field = _field.filter(bool)
 _duration = st.one_of(st.none(), st.floats(min_value=0, allow_infinity=True), st.just(math.nan))
 
@@ -491,6 +502,95 @@ def test_tabular_serialize_refuses_or_round_trips(rows, title):
     except UnsupportedFormat:
         return
     assert isomorphic(env, parse_tabular(text))
+
+
+# --- a course is checked once, by the reader that lets it in --------------------
+
+# Every course a reader accepts already passes validate, so no reader runs validate again.
+# Record fields from the same pieces less the line ends, so that most records stay one line.
+_record_field = _fields_of([piece for piece in _FIELD_PIECES if not holds_line_end(piece)])
+_node_tail = st.sampled_from([[], [""], ["ref"], [" ref "]]).flatmap(
+    lambda tail: st.sampled_from(["", "2.5", " 0 ", "-0.0", "1e3", "-1"]).map(
+        lambda duration: [*tail, duration] if tail else tail))
+_edge_tags = st.sampled_from([*(t.value for t in EdgeTag), " sequence", "Sequence", ""])
+
+
+@st.composite
+def graph_texts(draw) -> str:
+    """A graph course whose records are mostly well formed and whose fields hold the awkward pieces."""
+    ids = draw(st.lists(st.sampled_from(["a", " b ", "a\\|b", "c\\\\"]), min_size=1, max_size=3, unique=True))
+    records = ["NODE " + "|".join([aid, *draw(st.lists(_record_field, min_size=3, max_size=3)), *draw(_node_tail)])
+               for aid in ids]
+    for _ in range(draw(st.integers(0, 3))):
+        ends = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2))
+        records.append("EDGE " + "|".join([*ends, draw(_edge_tags), draw(_record_field)]))
+    records.insert(draw(st.integers(0, len(records))), draw(st.sampled_from(["", "# NODE x"])))
+    return "\n".join(records) + "\n"
+
+
+@given(graph_texts())
+@settings(max_examples=400)
+def test_every_graph_course_the_reader_accepts_is_valid(text):
+    try:
+        env, _ = parse_course(text, "course.odlg")
+    except (ParseError, DanglingRef):
+        return
+    assert validate(env) == []
+
+
+_tabular_row = st.builds(lambda depth, verb, text: "\t" * depth + verb + text, st.integers(0, 2),
+                         st.sampled_from(["", "read\t", "a b\t", "\t"]), _field)
+
+
+@given(st.one_of(outline_texts().map(lambda case: case[0]),
+                 st.lists(_tabular_row, max_size=5).map(lambda rows: "\n".join(["Unit", *rows]) + "\n")))
+@settings(max_examples=300)
+def test_every_tabular_course_the_reader_accepts_is_valid(text):
+    try:
+        env, _ = parse_course(text, "course.odlc")
+    except ParseError:
+        return
+    assert validate(env) == []
+
+
+def _depth_sequences(n: int) -> list[list[int]]:
+    """Every outline of n lines: depths from 0, rising by at most one per line."""
+    found = [[0]]
+    for _ in range(n - 1):
+        found = [depths + [d] for depths in found for d in range(depths[-1] + 2)]
+    return found
+
+
+_OUTLINE_BAGS = {n: [Counter(oracles.outline_edges(depths)) for depths in _depth_sequences(n)] for n in range(1, 7)}
+_outline_choice = st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, len(_OUTLINE_BAGS[n]) - 1)))
+_outline_edge = st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from(["sequence", "detour"]))
+
+
+# The tabular writer refuses no more and no less than the outline rule: it writes a bag of sequence
+# edges and detours exactly when the bag is the rule's edges for some outline of the same lines.
+@given(_outline_choice, st.lists(st.integers(0, 5), max_size=2), st.lists(_outline_edge, max_size=2), st.randoms())
+@settings(max_examples=500)
+def test_tabular_serialize_writes_exactly_the_bags_of_some_outline(outline, dropped, added, rng):
+    n, k = outline
+    bag = list(_OUTLINE_BAGS[n][k].elements())
+    for i in dropped:
+        if bag:
+            bag.pop(i % len(bag))
+    bag += [(src % n, dst % n, kind) for src, dst, kind in added]
+    rng.shuffle(bag)
+    env = _outline_env([f"x{i}" for i in range(n)])
+    env = replace(env, edges=tuple(
+        PrecedentEdge(f"e{j}", f"LA{src + 1}", f"LA{dst + 1}", *(
+            (DETOUR_LABEL, EdgeTag.INTEREST) if kind == "detour" else ("", EdgeTag.SEQUENCE)))
+        for j, (src, dst, kind) in enumerate(bag, 1)
+    ))
+    outline_shaped = Counter(bag) in _OUTLINE_BAGS[n]
+    try:
+        serialize(env, "odlc")
+    except UnsupportedFormat:
+        assert not outline_shaped, bag
+    else:
+        assert outline_shaped, bag
 
 
 @pytest.mark.parametrize(

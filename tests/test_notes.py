@@ -202,6 +202,13 @@ def test_recipients_normalized_to_sorted_unique():
     assert message.recipients == ("a", "z")
 
 
+def test_a_bare_recipient_string_is_refused_not_split_into_characters():
+    with pytest.raises(TypeError, match="'u22'"):
+        Message("m1", "u1", "u22", ("n1",), 0)
+    assert Message("m1", "u1", BROADCAST, ("n1",), 0).recipients == BROADCAST
+    assert Message("m1", "u1", ["u22"], ("n1",), 0).recipients == ("u22",)
+
+
 def test_loads_of_dumps_equals_a_store_built_call_by_call():
     env = quick_env([f"LA{i}" for i in range(50)])
     store = new_store(env)
