@@ -15,11 +15,10 @@ deterministically ordered so cluster files diff cleanly between runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import GraphTooLarge, ParseError, UnsupportedFormat
 from .options import DEFAULT_MIN_COOCCURRENCE  # re-exported: the cut the command line applies by default
@@ -34,14 +33,12 @@ MAX_REPORTED_CLIQUES = 1_000_000
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
-class SessionVisitSet:
+class SessionVisitSet(NamedTuple):
     session_key: tuple[str, int]  # (learner_id, session_index)
     visited: frozenset[str]
 
 
-@dataclass(frozen=True)
-class CoOccurrenceGraph:
+class CoOccurrenceGraph(NamedTuple):
     """Undirected weighted graph; weights are keyed by sorted node pairs."""
 
     nodes: frozenset[str]
@@ -53,8 +50,7 @@ class ClusterKind(str, Enum):
     COMPONENT = "component"
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     members: frozenset[str]
     kind: ClusterKind
     support: int  # minimum pair weight inside the cluster

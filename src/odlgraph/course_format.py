@@ -40,7 +40,7 @@ tabular writer leaves the outline rule to :func:`_outline_edges` alone.
 
 :class:`TabularLine` and :class:`CourseDocument` are immutable named tuples:
 each equals the plain tuple of its values and sorts like it, and a changed
-copy comes from ``_replace``, not ``dataclasses.replace``.
+copy comes from ``_replace``.
 """
 
 from __future__ import annotations

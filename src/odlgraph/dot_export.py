@@ -10,8 +10,7 @@ with ``include_reference_edges`` to get one dashed edge each way per
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import StyleMismatch
 from .options import Overlay
@@ -24,8 +23,7 @@ if TYPE_CHECKING:
 CLUSTER_PALETTE = ("lightblue", "lightgreen", "lightyellow", "lightpink", "lightgray", "lightcyan")
 
 
-@dataclass(frozen=True)
-class ExportStyle:
+class ExportStyle(NamedTuple):
     overlay: Overlay = Overlay.NONE
     include_reference_edges: bool = False
 

@@ -14,16 +14,16 @@ share across threads.
 The records (:class:`LearningObject`, :class:`LearningTask`,
 :class:`LearningActivity`, :class:`PrecedentEdge`, :class:`Violation`) are
 immutable named tuples: each equals the plain tuple of its values and sorts
-like it, and a changed copy comes from ``_replace``, not
-``dataclasses.replace``.  :class:`LearningEnvironment` stays a frozen
-dataclass, because it caches derived sets per instance.
+like it, and a changed copy comes from ``_replace``.
+:class:`LearningEnvironment` is a short plain class instead, because it
+caches derived sets per instance; it compares by value, is not hashable
+(its fields are dicts) and refuses assignment.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -96,14 +96,47 @@ class Violation(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True)
 class LearningEnvironment:
-    """The whole course graph.  Treat instances as immutable values."""
+    """The whole course graph.  Treat instances as immutable values.
 
-    activities: dict[str, LearningActivity] = field(default_factory=dict)
-    edges: tuple[PrecedentEdge, ...] = ()
-    objects: dict[str, LearningObject] = field(default_factory=dict)
-    tasks: dict[str, LearningTask] = field(default_factory=dict)
+    Each field left out starts empty; the dict fields get a fresh dict each.
+    """
+
+    __match_args__ = ("activities", "edges", "objects", "tasks")
+    __hash__ = None  # equality reads the dict fields, which cannot hash
+
+    def __init__(
+        self,
+        activities: dict[str, LearningActivity] | None = None,
+        edges: tuple[PrecedentEdge, ...] = (),
+        objects: dict[str, LearningObject] | None = None,
+        tasks: dict[str, LearningTask] | None = None,
+    ) -> None:
+        # Straight into __dict__, past the refusing __setattr__; the cached properties keep their values there too.
+        self.__dict__.update(
+            activities={} if activities is None else activities,
+            edges=edges,
+            objects={} if objects is None else objects,
+            tasks={} if tasks is None else tasks,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return self.activities, self.edges, self.objects, self.tasks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
     @cached_property
     def edge_endpoints(self) -> frozenset[tuple[str, str]]:
@@ -138,7 +171,7 @@ def add_object(env: LearningEnvironment, obj: LearningObject) -> LearningEnviron
         raise DuplicateId(obj.id, "object")
     objects = dict(env.objects)
     objects[obj.id] = obj
-    return replace(env, objects=objects)
+    return LearningEnvironment(env.activities, env.edges, objects, env.tasks)
 
 
 def add_task(env: LearningEnvironment, task: LearningTask) -> LearningEnvironment:
@@ -146,7 +179,7 @@ def add_task(env: LearningEnvironment, task: LearningTask) -> LearningEnvironmen
         raise DuplicateId(task.id, "task")
     tasks = dict(env.tasks)
     tasks[task.id] = task
-    return replace(env, tasks=tasks)
+    return LearningEnvironment(env.activities, env.edges, env.objects, tasks)
 
 
 def add_activity(env: LearningEnvironment, activity: LearningActivity) -> LearningEnvironment:
@@ -159,7 +192,7 @@ def add_activity(env: LearningEnvironment, activity: LearningActivity) -> Learni
         raise DanglingRef(activity.task_id)
     activities = dict(env.activities)
     activities[activity.id] = activity
-    return replace(env, activities=activities)
+    return LearningEnvironment(activities, env.edges, env.objects, env.tasks)
 
 
 def add_edge(
@@ -179,7 +212,7 @@ def add_edge(
         raise DanglingRef(to_id)
     number = env.next_edge_number
     edge = PrecedentEdge(f"e{number}", from_id, to_id, label, EdgeTag(tag))
-    grown = replace(env, edges=env.edges + (edge,))
+    grown = LearningEnvironment(env.activities, env.edges + (edge,), env.objects, env.tasks)
     # Seed the cache so that a chain of add_edge calls never rescans the edges.
     grown.__dict__["next_edge_number"] = number + 1
     return grown

@@ -8,7 +8,8 @@ no body field.
 A store binds one course environment and is append-only; operations return
 a new store.  Persistence is one JSON object per line with a ``kind``
 discriminator, written deterministically so a flush/reload/flush cycle is
-byte-identical.  Records map one to one onto the dataclass fields.  Loading
+byte-identical.  Records map one to one onto the fields of the named tuples
+:class:`LearnerNote` and :class:`Message` (``_fields``), plus ``kind``.  Loading
 re-checks every note as :func:`attach_note` does, every message's id and
 ``sent_at`` as :func:`send_message` does, and that every message points at
 stored notes; a malformed record is a :class:`ParseError` naming its line.
@@ -20,9 +21,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError
 from .model import LearningEnvironment
@@ -32,8 +33,7 @@ from .text import lines, read_text
 BROADCAST = "*"
 
 
-@dataclass(frozen=True)
-class LearnerNote:
+class LearnerNote(NamedTuple):
     note_id: str
     node_id: str
     learner_id: str
@@ -43,33 +43,43 @@ class LearnerNote:
     attachments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Message:
-    """Pointer-only mail: recipients get note references, never free text."""
-
+class _MessageFields(NamedTuple):
     message_id: str
     sender_id: str
     recipients: tuple[str, ...] | str  # explicit ids, or BROADCAST
     note_refs: tuple[str, ...]
     sent_at: int
 
-    def __post_init__(self) -> None:
-        if self.recipients != BROADCAST:
-            if isinstance(self.recipients, str):  # a tuple of it would be its characters
-                raise TypeError(f"recipients must be {BROADCAST!r} or a tuple of ids, not {self.recipients!r}")
-            object.__setattr__(self, "recipients", tuple(sorted(set(self.recipients))))
-        object.__setattr__(self, "note_refs", tuple(self.note_refs))
+
+class Message(_MessageFields):
+    """Pointer-only mail: recipients get note references, never free text.
+
+    The constructor sorts and de-duplicates explicit recipients and turns
+    ``note_refs`` into a tuple; ``_make`` and ``_replace`` take values as given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, message_id: str, sender_id: str, recipients: tuple[str, ...] | str,
+                note_refs: tuple[str, ...], sent_at: int) -> Message:
+        # A bare string would otherwise become the tuple of its characters.
+        if recipients != BROADCAST:
+            if isinstance(recipients, str):
+                raise TypeError(f"recipients must be {BROADCAST!r} or a tuple of ids, not {recipients!r}")
+            recipients = tuple(sorted(set(recipients)))
+        if isinstance(note_refs, str):
+            raise TypeError(f"note_refs must be a tuple of note ids, not {note_refs!r}")
+        return super().__new__(cls, message_id, sender_id, recipients, tuple(note_refs), sent_at)
 
 
-@dataclass(frozen=True)
-class NoteStore:
+class NoteStore(NamedTuple):
     env: LearningEnvironment
-    notes: dict[str, LearnerNote] = field(default_factory=dict)
-    messages: dict[str, Message] = field(default_factory=dict)
+    notes: dict[str, LearnerNote]
+    messages: dict[str, Message]
 
 
 def new_store(env: LearningEnvironment) -> NoteStore:
-    return NoteStore(env)
+    return NoteStore(env, {}, {})
 
 
 def _check_note(notes: dict[str, LearnerNote], env: LearningEnvironment, note: LearnerNote,
@@ -81,6 +91,8 @@ def _check_note(notes: dict[str, LearnerNote], env: LearningEnvironment, note: L
         raise DanglingRef(note.node_id, line_no)
     if note.timestamp < 0:
         raise ValueError("note timestamp must be non-negative")
+    if isinstance(note.attachments, str):  # stored, it would not read back as a list of strings
+        raise TypeError(f"attachments must be a tuple of strings, not {note.attachments!r}")
 
 
 def _check_message(messages: dict[str, Message], message: Message) -> None:
@@ -96,7 +108,7 @@ def attach_note(store: NoteStore, note: LearnerNote) -> NoteStore:
     _check_note(store.notes, store.env, note)
     notes = dict(store.notes)
     notes[note.note_id] = note
-    return replace(store, notes=notes)
+    return NoteStore(store.env, notes, store.messages)
 
 
 def can_view(note: LearnerNote, requester_id: str, requester_role: str) -> bool:
@@ -139,7 +151,7 @@ def send_message(store: NoteStore, message: Message, sender_role: str = "learner
             raise AccessDenied(f"sender {message.sender_id!r} may not reference note {ref!r}")
     messages = dict(store.messages)
     messages[message.message_id] = message
-    return replace(store, messages=messages)
+    return NoteStore(store.env, store.notes, messages)
 
 
 def inbox(store: NoteStore, user_id: str) -> list[Message]:
@@ -155,7 +167,7 @@ def inbox(store: NoteStore, user_id: str) -> list[Message]:
 # --- persistence ------------------------------------------------------------
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))  # _line_writer puts the keys in order
 _DECODER = json.JSONDecoder()
 
 
@@ -173,26 +185,40 @@ def _str_tuple(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-# Per field annotation: the function that checks a stored JSON value and returns the field value.
+_STR, _INT = _exactly(str, "a string"), _exactly(int, "an integer")
+# Per stored field: the function that checks its JSON value and returns the field value.
 _READERS = {
-    "str": _exactly(str, "a string"),
-    "int": _exactly(int, "an integer"),
-    "NoteAccess": NoteAccess,
-    "tuple[str, ...]": _str_tuple,
-    "tuple[str, ...] | str": lambda value: value if value == BROADCAST else _str_tuple(value),
+    "note_id": _STR, "node_id": _STR, "learner_id": _STR, "timestamp": _INT,
+    "access": NoteAccess, "body": _STR, "attachments": _str_tuple,
+    "message_id": _STR, "sender_id": _STR, "note_refs": _str_tuple, "sent_at": _INT,
+    "recipients": lambda value: value if value == BROADCAST else _str_tuple(value),
 }
-# A stored record holds every field of its dataclass, plus ``kind``.
+# A stored record holds every field of its named tuple, plus ``kind``.
 _RECORDS = {
-    kind: (cls, [(f.name, _READERS[f.type]) for f in fields(cls)])
+    kind: (cls, [(name, _READERS[name]) for name in cls._fields])
     for kind, cls in (("note", LearnerNote), ("message", Message))
 }
 
 
+def _line_writer(kind: str, cls: type):
+    """Writes one record of ``cls`` as its JSON line: every field plus ``kind``, keys in sorted order."""
+    template = dict.fromkeys(sorted(("kind", *cls._fields)))  # a copy keeps this key order
+    template["kind"] = kind
+    fields, encode = cls._fields, _ENCODER.encode
+
+    def write(record) -> str:
+        line = template.copy()
+        line.update(zip(fields, record))
+        return encode(line) + "\n"
+    return write
+
+
+_WRITE_NOTE, _WRITE_MESSAGE = _line_writer("note", LearnerNote), _line_writer("message", Message)
+
+
 def dumps(store: NoteStore) -> str:
     # The encoder writes a str-valued enum as its value and a tuple as a list.
-    notes = (_ENCODER.encode({"kind": "note", **vars(n)}) + "\n" for n in store.notes.values())
-    messages = (_ENCODER.encode({"kind": "message", **vars(m)}) + "\n" for m in store.messages.values())
-    return "".join(chain(notes, messages))
+    return "".join(chain(map(_WRITE_NOTE, store.notes.values()), map(_WRITE_MESSAGE, store.messages.values())))
 
 
 def _from_record(record: dict) -> LearnerNote | Message:

@@ -15,7 +15,6 @@ came back to it.  Two complementary views are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -41,8 +40,7 @@ class DetourKind(str, Enum):
     CONTENT = "content_detour"
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     visited: frozenset[str]
     total: int
     ratio: float

@@ -8,15 +8,16 @@ Learners resume after breaks wherever they like, so the default experience
 mode is lenient and merely flags steps between unconnected activities as
 teleports; strict mode raises instead.
 
-The per-line and per-step records, :class:`ControlBlock` and :class:`Visit`,
-are immutable named tuples (build a changed copy with ``_replace``); the
-few :class:`Session` and :class:`LearningExperience` values are frozen
-dataclasses.
+The per-line, per-session and per-step records, :class:`ControlBlock`,
+:class:`Session` and :class:`Visit`, are immutable named tuples (build a
+changed copy with ``_replace``).  :class:`LearningExperience` is a short
+plain class instead, so that a caller can hold one by a weak reference,
+which a tuple cannot take; it compares and hashes by value and refuses
+assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -37,8 +38,7 @@ class ControlBlock(NamedTuple):
     note_id: str | None = None
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     learner_id: str
     blocks: tuple[ControlBlock, ...]
     session_index: int  # 1-based per learner
@@ -50,13 +50,34 @@ class Visit(NamedTuple):
     teleport: bool = False
 
 
-@dataclass(frozen=True)
 class LearningExperience:
     """A learner's walk over the environment, possibly spanning sessions."""
 
-    learner_id: str
-    visits: tuple[Visit, ...]
-    source_sessions: tuple[int, ...]
+    __match_args__ = ("learner_id", "visits", "source_sessions")
+
+    def __init__(self, learner_id: str, visits: tuple[Visit, ...], source_sessions: tuple[int, ...]) -> None:
+        self.__dict__.update(learner_id=learner_id, visits=visits, source_sessions=source_sessions)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return self.learner_id, self.visits, self.source_sessions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
 def parse_log(

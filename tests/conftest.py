@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from odlgraph.model import (
@@ -61,7 +64,11 @@ def quick_env(
 
 
 def assert_record_contract(cls, values: tuple, fields: tuple[str, ...], defaults: dict) -> None:
-    """A named-tuple record: its fields, order, defaults and ``repr``, immutability, value equality and hashing."""
+    """A named-tuple record: its fields, order, defaults and ``repr``, immutability, value equality and hashing.
+
+    A record whose values hold a dict hashes as its plain tuple does: not at all.  Every record survives
+    a pickle and a copy as an equal value of its own type.
+    """
     record = cls(*values)
     assert cls._fields == fields and cls._field_defaults == defaults
     assert tuple(getattr(record, name) for name in fields) == values
@@ -71,7 +78,16 @@ def assert_record_contract(cls, values: tuple, fields: tuple[str, ...], defaults
         with pytest.raises(AttributeError):
             setattr(record, name, values[0])
     twin = cls(*values)
-    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert twin == record and twin is not record
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record) == expected
+    for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(again) is cls and again == record
     changed = record._replace(**{fields[0]: "other"})
     assert changed != record and getattr(changed, fields[0]) == "other" and record == twin
     required = len(fields) - len(defaults)

@@ -25,6 +25,7 @@ from odlgraph.errors import GraphTooLarge, UnsupportedFormat
 from odlgraph.sessions import ControlBlock, Session
 
 import oracles
+from conftest import assert_record_contract
 
 
 def sets_of(*groups: set[str]) -> list[SessionVisitSet]:
@@ -35,6 +36,15 @@ def graph_of(*weighted: tuple[str, str, int]) -> CoOccurrenceGraph:
     weights = {tuple(sorted((a, b))): w for a, b, w in weighted}
     nodes = frozenset(n for pair in weights for n in pair)
     return CoOccurrenceGraph(nodes, weights)
+
+
+@pytest.mark.parametrize("cls, values, fields, defaults", [
+    (SessionVisitSet, (("u1", 2), frozenset({"a", "b"})), ("session_key", "visited"), {}),
+    (CoOccurrenceGraph, (frozenset({"a", "b"}), {("a", "b"): 3}), ("nodes", "weights"), {}),
+    (Cluster, (frozenset({"a", "b"}), ClusterKind.CLIQUE, 3), ("members", "kind", "support"), {}),
+], ids=["SessionVisitSet", "CoOccurrenceGraph", "Cluster"])
+def test_cluster_records_keep_their_fields_and_are_immutable_values(cls, values, fields, defaults):
+    assert_record_contract(cls, values, fields, defaults)
 
 
 def test_cooccurrence_counts_sessions_containing_both():

@@ -4,7 +4,6 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +24,7 @@ from odlgraph.errors import DanglingRef, ParseError, UnsupportedFormat
 from odlgraph.model import (
     EdgeTag,
     LearningActivity,
+    LearningEnvironment,
     LearningObject,
     LearningTask,
     ObjectKind,
@@ -579,11 +579,11 @@ def test_tabular_serialize_writes_exactly_the_bags_of_some_outline(outline, drop
     bag += [(src % n, dst % n, kind) for src, dst, kind in added]
     rng.shuffle(bag)
     env = _outline_env([f"x{i}" for i in range(n)])
-    env = replace(env, edges=tuple(
+    env = LearningEnvironment(env.activities, tuple(
         PrecedentEdge(f"e{j}", f"LA{src + 1}", f"LA{dst + 1}", *(
             (DETOUR_LABEL, EdgeTag.INTEREST) if kind == "detour" else ("", EdgeTag.SEQUENCE)))
         for j, (src, dst, kind) in enumerate(bag, 1)
-    ))
+    ), env.objects, env.tasks)
     outline_shaped = Counter(bag) in _OUTLINE_BAGS[n]
     try:
         serialize(env, "odlc")

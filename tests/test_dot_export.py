@@ -9,8 +9,13 @@ from odlgraph.errors import StyleMismatch
 from odlgraph.model import EdgeTag, add_edge
 from odlgraph.paths import visit_order
 
-from conftest import quick_env, walk
+from conftest import assert_record_contract, quick_env, walk
 from dotread import parse_dot
+
+
+def test_export_style_keeps_its_fields_and_is_an_immutable_value():
+    assert_record_contract(ExportStyle, (Overlay.CLUSTERS, True), ("overlay", "include_reference_edges"),
+                           {"overlay": Overlay.NONE, "include_reference_edges": False})
 
 
 def test_visit_order_overlay_numbers_nodes():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
-import dataclasses
+import copy
+import pickle
 import time
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,8 +28,8 @@ from odlgraph.model import (
     next_id_number,
     validate,
 )
-from odlgraph import course_format, model
 from odlgraph.course_format import parse_graph_file
+from odlgraph.sessions import LearningExperience, Visit
 
 from conftest import assert_record_contract, quick_env
 
@@ -270,11 +272,31 @@ def test_records_keep_their_fields_and_are_immutable_values(cls, values, fields,
     assert_record_contract(cls, values, fields, defaults)
 
 
-def test_the_environment_is_the_only_dataclass_of_the_model_and_course_formats():
-    defined = [
-        f"{module.__name__}.{name}"
-        for module in (model, course_format)
-        for name, value in vars(module).items()
-        if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
-    ]
-    assert defined == ["odlgraph.model.LearningEnvironment"]
+def test_the_environment_and_the_experience_are_frozen_values_with_their_old_repr():
+    env = quick_env(["LA1", "LA2"], [("LA1", "LA2")], reference={"LA2"})
+    walked = LearningExperience("u1", (Visit("LA1", 0),), (1,))
+    assert LearningEnvironment() == LearningEnvironment({}, (), {}, {}) == empty_environment()
+    assert LearningEnvironment().activities is not LearningEnvironment().activities
+    assert LearningEnvironment(edges=env.edges).edges == env.edges
+    assert repr(LearningEnvironment()) == "LearningEnvironment(activities={}, edges=(), objects={}, tasks={})"
+    assert repr(walked) == ("LearningExperience(learner_id='u1', "
+                            "visits=(Visit(activity_id='LA1', timestamp=0, teleport=False),), source_sessions=(1,))")
+    assert env.reference_ids == {"LA2"}  # cached before the copies below
+    for value, values in ((env, (env.activities, env.edges, env.objects, env.tasks)),
+                          (walked, ("u1", (Visit("LA1", 0),), (1,)))):
+        assert value != values and value != object()  # equal only to a value of its own type
+        for name in value.__match_args__:
+            with pytest.raises(AttributeError, match=name):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=name):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(again) is type(value) and again == value and again is not value
+    with pytest.raises(TypeError):
+        hash(env)
+    twin = LearningExperience("u1", (Visit("LA1", 0),), (1,))
+    assert twin == walked and hash(twin) == hash(walked) == hash(("u1", (Visit("LA1", 0),), (1,)))
+    assert twin != LearningExperience("u2", (Visit("LA1", 0),), (1,))
+    assert weakref.ref(walked)() is walked

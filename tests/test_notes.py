@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 
@@ -12,6 +11,7 @@ from odlgraph.notes import (
     LearnerNote,
     Message,
     NoteAccess,
+    NoteStore,
     attach_note,
     can_view,
     dumps,
@@ -24,7 +24,7 @@ from odlgraph.notes import (
     send_message,
 )
 
-from conftest import quick_env
+from conftest import assert_record_contract, quick_env
 
 ENV = quick_env(["LA5", "LA12", "LA112"])
 
@@ -108,7 +108,7 @@ def test_list_notes_orders_by_time_then_id():
 
 
 def test_message_type_has_no_body_field():
-    assert "body" not in {f.name for f in dataclasses.fields(Message)}
+    assert "body" not in Message._fields
 
 
 def test_broadcast_message_reaches_every_inbox():
@@ -198,8 +198,11 @@ def test_empty_store_serializes_to_empty_text():
 
 
 def test_recipients_normalized_to_sorted_unique():
-    message = Message("m1", "u1", ("z", "a", "a"), ("n1",), 0)
-    assert message.recipients == ("a", "z")
+    message = Message("m1", "u1", ("z", "a", "a"), ["n1"], 0)
+    assert message == ("m1", "u1", ("a", "z"), ("n1",), 0)
+    # _make and _replace build the tuple as given, without the constructor's normalisation.
+    assert Message._make(("m1", "u1", ("z", "a"), ("n1",), 0)).recipients == ("z", "a")
+    assert message._replace(recipients=("z", "a", "a")).recipients == ("z", "a", "a")
 
 
 def test_a_bare_recipient_string_is_refused_not_split_into_characters():
@@ -207,6 +210,38 @@ def test_a_bare_recipient_string_is_refused_not_split_into_characters():
         Message("m1", "u1", "u22", ("n1",), 0)
     assert Message("m1", "u1", BROADCAST, ("n1",), 0).recipients == BROADCAST
     assert Message("m1", "u1", ["u22"], ("n1",), 0).recipients == ("u22",)
+
+
+def test_a_bare_note_refs_string_is_refused_not_split_into_characters():
+    with pytest.raises(TypeError, match="'n1'"):
+        Message("m1", "u1", ("u2",), "n1", 0)
+    assert Message("m1", "u1", ("u2",), ["n1"], 0).note_refs == ("n1",)
+
+
+def test_a_bare_attachments_string_is_refused_not_written_as_a_store_loads_would_refuse():
+    store = store_with(note("n1", NoteAccess.ALL))
+    with pytest.raises(TypeError, match="'file.pdf'"):
+        attach_note(store, LearnerNote("n2", "LA5", "u1", 0, attachments="file.pdf"))
+    assert list(store.notes) == ["n1"]
+    kept = attach_note(store, LearnerNote("n2", "LA5", "u1", 0, attachments=("file.pdf",)))
+    assert loads(dumps(kept), ENV) == kept
+
+
+@pytest.mark.parametrize("cls, values, fields, defaults", [
+    (LearnerNote, ("n1", "LA5", "u1", 7, NoteAccess.TUTORS, "see p. 3", ("a.pdf",)),
+     ("note_id", "node_id", "learner_id", "timestamp", "access", "body", "attachments"),
+     {"access": NoteAccess.PRIVATE, "body": "", "attachments": ()}),
+    (Message, ("m1", "u1", ("u2", "u3"), ("n1",), 9),
+     ("message_id", "sender_id", "recipients", "note_refs", "sent_at"), {}),
+    (NoteStore, (ENV, {}, {}), ("env", "notes", "messages"), {}),
+], ids=["LearnerNote", "Message", "NoteStore"])
+def test_note_records_keep_their_fields_and_are_immutable_values(cls, values, fields, defaults):
+    assert_record_contract(cls, values, fields, defaults)
+
+
+def test_new_stores_get_fresh_dicts():
+    first, second = new_store(ENV), new_store(ENV)
+    assert first == second and first.notes is not second.notes and first.messages is not second.messages
 
 
 def test_loads_of_dumps_equals_a_store_built_call_by_call():

@@ -1,7 +1,7 @@
 """Rules for the package, checked on its source and in fresh interpreters.
 
-Imports: stdlib only, no private names across modules, and a command loads
-only the modules it runs.  Text: only the line-rule owner splits lines or
+Imports: stdlib only, no private names across modules, no ``dataclasses``,
+and a command loads only the modules it runs.  Text: only the line-rule owner splits lines or
 turns a file's bytes into text.  Output: only the CLI's data writer writes
 to stdout.
 """
@@ -84,6 +84,13 @@ def test_package_imports_only_the_standard_library(path):
     assert outside == set()
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # Importing dataclasses (and the inspect it pulls in) would cost every command about 10 ms at start.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "dataclasses" not in {top for _, top, _ in _imports(tree)}
+
+
 LINE_RULE_OWNER = "text.py"
 
 
@@ -115,20 +122,30 @@ def test_only_the_line_rule_owner_splits_lines_or_decodes_files(path):
 
 COURSE = "NODE LA1|Intro|read|ch1||\nNODE LA2|More|read|ch2||\nEDGE LA1|LA2|sequence|\n"
 LOG = "u1,0,LA1\nu1,60,LA2\n"
-# Runs the arguments as a command, then prints its exit code and the package modules it loaded.
+CLUSTERS = "clique\t1\tLA1,LA2\n"
+STORE = ('{"access":"all","attachments":[],"body":"","kind":"note","learner_id":"u1","node_id":"LA1",'
+         '"note_id":"n1","timestamp":0}\n')
+# Runs the arguments as a command, then prints its exit code and every module loaded by then.
 RUN_AND_LIST = (
     "import sys; sys.path.insert(0, sys.argv.pop(1)); import odlgraph.cli; code = odlgraph.cli.main(sys.argv[1:]); "
-    "print(code, *sorted(name for name in sys.modules if name.startswith('odlgraph.')))"
+    "print(code, *sorted(sys.modules))"
 )
 
 
 def _loaded(tmp_path: Path, argv: list[str]) -> tuple[int, set[str]]:
+    """The command's exit code and every module its fresh interpreter loaded."""
     (tmp_path / "course.odlg").write_text(COURSE, encoding="utf-8")
     (tmp_path / "log.csv").write_text(LOG, encoding="utf-8")
+    (tmp_path / "clusters.tsv").write_text(CLUSTERS, encoding="utf-8")
+    (tmp_path / "notes.jsonl").write_text(STORE, encoding="utf-8")
     done = subprocess.run([sys.executable, "-c", RUN_AND_LIST, str(PACKAGE.parent), *argv],
                           cwd=tmp_path, capture_output=True, text=True, check=True)
     code, *modules = done.stdout.splitlines()[-1].split()
-    return int(code), {name.removeprefix("odlgraph.") for name in modules}
+    return int(code), set(modules)
+
+
+def _package_modules(modules: set[str]) -> set[str]:
+    return {name.removeprefix("odlgraph.") for name in modules if name.startswith("odlgraph.")}
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -139,9 +156,35 @@ def _loaded(tmp_path: Path, argv: list[str]) -> tuple[int, set[str]]:
 ], ids=["validate", "sessions", "notes-list"])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
     code, loaded = _loaded(tmp_path, argv)
+    loaded = _package_modules(loaded)
     assert code == 0
     assert "course_format" in loaded  # every command reads a course
     assert loaded & absent == set()
+
+
+LOG_ARGS = ["--log", "log.csv", "--course", "course.odlg"]
+STORE_ARGS = ["--store", "notes.jsonl", "--course", "course.odlg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "course.odlg"],
+    ["parse", "course.odlg", "--to", "dot"],
+    ["sessions", *LOG_ARGS],
+    ["cycles", *LOG_ARGS],
+    ["mine", *LOG_ARGS, "--cliques", "--on-strategy-paths", "--min-count", "1"],
+    ["export", "--course", "course.odlg", "--overlay", "clusters", "--clusters", "clusters.tsv"],
+    ["notes", "add", *STORE_ARGS, "--node", "LA2", "--learner", "u2"],
+    ["notes", "send", *STORE_ARGS, "--sender", "u2", "--to", "u1", "--refs", "n1"],
+    ["notes", "list", *STORE_ARGS, "--node", "LA1", "--requester", "u1"],
+    ["notes", "inbox", *STORE_ARGS, "--user", "u1"],
+], ids=["validate", "parse-dot", "sessions", "cycles", "mine-cliques", "export-clusters",
+        "notes-add", "notes-send", "notes-list", "notes-inbox"])
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv):
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, check=True).stdout.split()
+    code, loaded = _loaded(tmp_path, argv)
+    assert code == 0
+    assert {"dataclasses", "inspect"} & (loaded - set(bare)) == set()
 
 
 def test_importing_the_package_runs_none_of_its_modules():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from odlgraph.errors import DanglingRef, LearnerMismatch, NonAdjacentStep, OdlError, ParseError
 from odlgraph.model import is_adjacent
-from odlgraph.paths import Cycle
+from odlgraph.paths import CoverageReport, Cycle
 from odlgraph.sessions import (
     ControlBlock,
     Session,
@@ -212,8 +212,11 @@ def test_equal_timestamps_preserve_log_order():
          ("learner_id", "timestamp", "activity_id", "object_id", "task_id", "note_id"), {"note_id": None}),
         (Visit, ("LA5", 5, True), ("activity_id", "timestamp", "teleport"), {"teleport": False}),
         (Cycle, ("LA5", 0, 2, ("LA7",)), ("anchor_activity", "start_index", "end_index", "interior"), {}),
+        (Session, ("u1", (ControlBlock("u1", 5, "LA5", "O1", "read"),), 1),
+         ("learner_id", "blocks", "session_index"), {}),
+        (CoverageReport, (frozenset({"LA5"}), 4, 0.25), ("visited", "total", "ratio"), {}),
     ],
-    ids=["ControlBlock", "Visit", "Cycle"],
+    ids=["ControlBlock", "Visit", "Cycle", "Session", "CoverageReport"],
 )
 def test_records_keep_their_fields_and_are_immutable_values(cls, values, fields, defaults):
     assert_record_contract(cls, values, fields, defaults)
