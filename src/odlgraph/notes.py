@@ -7,13 +7,24 @@ no body field.
 
 A store binds one course environment and is append-only; operations return
 a new store.  Persistence is one JSON object per line with a ``kind``
-discriminator, written deterministically so a flush/reload/flush cycle is
-byte-identical.  Records map one to one onto the fields of the named tuples
-:class:`LearnerNote` and :class:`Message` (``_fields``), plus ``kind``.  Loading
-re-checks every note as :func:`attach_note` does, every message's id and
-``sent_at`` as :func:`send_message` does, and that every message points at
-stored notes; a malformed record is a :class:`ParseError` naming its line.
-A flush replaces the file atomically.
+discriminator.  Records map one to one onto the fields of the named tuples
+:class:`LearnerNote` and :class:`Message` (``_fields``), plus ``kind``.
+
+One type table gives the exact type each field holds: a string, an integer
+that is not a bool, a :class:`NoteAccess` member, a tuple of strings (a JSON
+list of strings), or, for ``recipients``, :data:`BROADCAST` or a tuple of
+strings.  :func:`attach_note` and :func:`send_message` refuse a record the
+table refuses with :class:`TypeError`, as :func:`dumps` does for a store
+built by hand, so the store writes only what :func:`loads` reads back.
+:func:`dumps` writes each record as exactly
+``json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))``
+plus ``"\\n"``, so a flush/reload/flush cycle is byte-identical.  Loading
+re-checks every field against the same table, every note as
+:func:`attach_note` does, every message's id and ``sent_at`` as
+:func:`send_message` does, and that every message points at stored notes; a
+malformed record is a :class:`ParseError` naming its line.  A flush replaces
+the file atomically, and refuses with :class:`UnsupportedFormat`, before it
+writes anything, a store whose text is not UTF-8 (a lone surrogate).
 """
 
 from __future__ import annotations
@@ -21,11 +32,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from itertools import chain
+from functools import partial
+from itertools import chain, product, repeat
+from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError
+from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError, UnsupportedFormat
 from .model import LearningEnvironment
 from .options import NoteAccess
 from .text import lines, read_text
@@ -84,19 +98,17 @@ def new_store(env: LearningEnvironment) -> NoteStore:
 
 def _check_note(notes: dict[str, LearnerNote], env: LearningEnvironment, note: LearnerNote,
                 line_no: int | None = None) -> None:
-    """The rules every stored note keeps, whether attached or loaded."""
+    """The rules every stored note keeps beyond its field types, whether attached or loaded."""
     if note.note_id in notes:
         raise DuplicateId(note.note_id, "note")
     if note.node_id not in env.activities:
         raise DanglingRef(note.node_id, line_no)
     if note.timestamp < 0:
         raise ValueError("note timestamp must be non-negative")
-    if isinstance(note.attachments, str):  # stored, it would not read back as a list of strings
-        raise TypeError(f"attachments must be a tuple of strings, not {note.attachments!r}")
 
 
 def _check_message(messages: dict[str, Message], message: Message) -> None:
-    """The rules every stored message keeps on its own, whether sent or loaded."""
+    """The rules every stored message keeps on its own beyond its field types, whether sent or loaded."""
     if message.message_id in messages:
         raise DuplicateId(message.message_id, "message")
     if message.sent_at < 0:
@@ -105,6 +117,7 @@ def _check_message(messages: dict[str, Message], message: Message) -> None:
 
 def attach_note(store: NoteStore, note: LearnerNote) -> NoteStore:
     """Append one note; the target activity must exist in the store's course."""
+    _check_fields("note", note)
     _check_note(store.notes, store.env, note)
     notes = dict(store.notes)
     notes[note.note_id] = note
@@ -140,6 +153,7 @@ def list_notes(
 
 def send_message(store: NoteStore, message: Message, sender_role: str = "learner") -> NoteStore:
     """Store a message after checking the sender can see every referenced note."""
+    _check_fields("message", message)
     _check_message(store.messages, message)
     if not message.note_refs:
         raise EmptyContent("a message must reference at least one note")
@@ -164,11 +178,13 @@ def inbox(store: NoteStore, user_id: str) -> list[Message]:
     return sorted(mine, key=lambda m: (m.sent_at, m.message_id))
 
 
-# --- persistence ------------------------------------------------------------
+# --- the record codec ---------------------------------------------------------
 
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))  # _line_writer puts the keys in order
+_ENCODE = encode_basestring  # what JSONEncoder(ensure_ascii=False) writes a string with
 _DECODER = json.JSONDecoder()
+_ACCESS = {access.value: access for access in NoteAccess}
+_STR = frozenset((str,))
 
 
 def _exactly(json_type: type, name: str):
@@ -179,86 +195,182 @@ def _exactly(json_type: type, name: str):
     return read
 
 
+def _access(value) -> NoteAccess:
+    try:
+        return _ACCESS[value]
+    except (KeyError, TypeError):
+        return NoteAccess(value)  # raises the ValueError that names the bad value
+
+
 def _str_tuple(value) -> tuple[str, ...]:
-    if type(value) is not list or not all(type(v) is str for v in value):
+    if type(value) is not list or not _STR.issuperset(map(type, value)):
         raise ValueError("expected a list of strings")
     return tuple(value)
 
 
-_STR, _INT = _exactly(str, "a string"), _exactly(int, "an integer")
-# Per stored field: the function that checks its JSON value and returns the field value.
-_READERS = {
-    "note_id": _STR, "node_id": _STR, "learner_id": _STR, "timestamp": _INT,
-    "access": NoteAccess, "body": _STR, "attachments": _str_tuple,
-    "message_id": _STR, "sender_id": _STR, "note_refs": _str_tuple, "sent_at": _INT,
-    "recipients": lambda value: value if value == BROADCAST else _str_tuple(value),
+def _json_lists(column) -> list[str]:
+    return [f"[{','.join(map(_ENCODE, strings))}]" if strings else "[]" for strings in column]
+
+
+class _Form(NamedTuple):
+    """How the codec handles one type of the type table."""
+
+    name: str  # as an error names it
+    held: frozenset[type]  # the types a field of this form may hold
+    decoded: tuple[type, ...]  # the types its value may have as JSON decodes it
+    read: Callable  # checks a decoded value and returns the field value; a bad one raises ValueError
+    write: Callable  # the JSON texts of a column of field values
+
+
+_FORMS = {
+    str: _Form("a string", _STR, (str,), _exactly(str, "a string"), partial(map, _ENCODE)),
+    int: _Form("an integer", frozenset((int,)), (int,), _exactly(int, "an integer"), partial(map, int.__repr__)),
+    NoteAccess: _Form("a NoteAccess member", frozenset((NoteAccess,)), (str,), _access, partial(map, _ENCODE)),
+    tuple: _Form("a tuple of strings", frozenset((tuple,)), (list,), _str_tuple, _json_lists),
+    BROADCAST: _Form(
+        f"{BROADCAST!r} or a tuple of strings", frozenset((str, tuple)), (str, list),
+        lambda value: value if value == BROADCAST else _str_tuple(value),
+        lambda column: [_ENCODE(r) if r == BROADCAST else text for r, text in zip(column, _json_lists(column))],
+    ),
 }
-# A stored record holds every field of its named tuple, plus ``kind``.
-_RECORDS = {
-    kind: (cls, [(name, _READERS[name]) for name in cls._fields])
-    for kind, cls in (("note", LearnerNote), ("message", Message))
+
+# The type table: for each record kind, its named tuple and, in ``_fields`` order, the exact type each
+# field holds.  ``int`` excludes bool, ``tuple`` is a tuple of strings (a JSON list of strings), and
+# BROADCAST is the string "*" or a tuple of strings.  Every check of a record's field types reads it.
+_TYPES = {
+    "note": (LearnerNote, {"note_id": str, "node_id": str, "learner_id": str, "timestamp": int,
+                           "access": NoteAccess, "body": str, "attachments": tuple}),
+    "message": (Message, {"message_id": str, "sender_id": str, "recipients": BROADCAST,
+                          "note_refs": tuple, "sent_at": int}),
 }
 
 
-def _line_writer(kind: str, cls: type):
-    """Writes one record of ``cls`` as its JSON line: every field plus ``kind``, keys in sorted order."""
-    template = dict.fromkeys(sorted(("kind", *cls._fields)))  # a copy keeps this key order
-    template["kind"] = kind
-    fields, encode = cls._fields, _ENCODER.encode
-
-    def write(record) -> str:
-        line = template.copy()
-        line.update(zip(fields, record))
-        return encode(line) + "\n"
-    return write
+def _holds(form, column) -> bool:
+    """Whether a field the type table gives ``form`` may hold every value of ``column``."""
+    if not _FORMS[form].held.issuperset(map(type, column)):
+        return False
+    if form is tuple or form == BROADCAST:
+        # A string here is BROADCAST, and a tuple holds strings only (iterating "*" gives a string).
+        return ({value for value in column if type(value) is str} <= {BROADCAST}
+                and _STR.issuperset(map(type, chain.from_iterable(column))))
+    return True
 
 
-_WRITE_NOTE, _WRITE_MESSAGE = _line_writer("note", LearnerNote), _line_writer("message", Message)
+def _check_fields(kind: str, record: tuple) -> None:
+    """Raise :class:`TypeError` naming the first field of ``record`` that the type table refuses."""
+    types = _TYPES[kind][1]
+    if len(record) != len(types):
+        raise TypeError(f"a {kind} record has {len(types)} fields, not {len(record)}: {record!r}")
+    for (name, form), value in zip(types.items(), record):
+        if not _holds(form, (value,)):
+            raise TypeError(f"{kind} field {name!r} must be {_FORMS[form].name}, not {value!r}")
+
+
+class _Codec:
+    """One record kind of the type table, compiled for :func:`dumps` and :func:`loads`."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.cls, types = _TYPES[kind]
+        self.field_types = list(types.values())
+        forms = [_FORMS[form] for form in self.field_types]
+        self.values = itemgetter(*types)  # a decoded record's values in ``_fields`` order
+        # Every field-type tuple a decoded record may hold.
+        self.decoded = frozenset(product(*(form.decoded for form in forms)))
+        # (index, name, reader) of every field, and of those whose decoded value still needs reading
+        # once its type is right: a NoteAccess value and the lists.
+        self.readers = [(i, name, forms[i].read) for i, name in enumerate(types)]
+        self.converters = [(i, name, read) for i, name, read in self.readers if types[name] not in (str, int)]
+        # The line: every field plus ``kind``, keys in sorted order, cut where the field values go.
+        keys = sorted(("kind", *types))
+        line = ",".join(f"{_ENCODE(key)}:{_ENCODE(kind) if key == 'kind' else '%s'}" for key in keys)
+        self.pieces = ("{" + line + "}\n").split("%s")
+        fields = list(types)
+        self.writers = [(fields.index(key), _FORMS[types[key]].write) for key in keys if key != "kind"]
+
+    def write(self, records) -> list[str]:
+        """The lines of ``records``, in pieces; a record the table refuses raises :class:`TypeError`."""
+        records = list(records)
+        if not records:
+            return []
+        columns = list(zip(*records))
+        # The table's test a column at a time, which is each record's test as every field is tested alone.
+        if set(map(len, records)) != {len(self.field_types)} or not all(map(_holds, self.field_types, columns)):
+            for record in records:
+                _check_fields(self.kind, record)
+        texts = [write(columns[i]) for i, write in self.writers]
+        pieces = [*chain.from_iterable(zip(map(repeat, self.pieces), texts)), repeat(self.pieces[-1])]
+        return list(chain.from_iterable(zip(*pieces)))
+
+    def read(self, record: dict) -> LearnerNote | Message:
+        """The note or message a decoded record holds; a bad record raises ValueError or KeyError."""
+        try:
+            values = list(self.values(record))
+        except KeyError:
+            values, readers = [None] * len(self.readers), self.readers  # name the first missing field
+        else:
+            readers = self.converters if tuple(map(type, values)) in self.decoded else self.readers
+        for i, name, read in readers:
+            try:
+                values[i] = read(record[name])
+            except ValueError as exc:
+                raise ValueError(f"field {name!r}: {exc}") from None
+        return self.cls(*values)
+
+
+_CODECS = {kind: _Codec(kind) for kind in _TYPES}
 
 
 def dumps(store: NoteStore) -> str:
-    # The encoder writes a str-valued enum as its value and a tuple as a list.
-    return "".join(chain(map(_WRITE_NOTE, store.notes.values()), map(_WRITE_MESSAGE, store.messages.values())))
+    """The store's text: one line per note, then one per message.
+
+    Each line is ``json.dumps(record, sort_keys=True, ensure_ascii=False,
+    separators=(",", ":"))`` of the record's fields plus ``kind``.  A record
+    whose fields the type table refuses raises :class:`TypeError`.
+    """
+    notes, messages = _CODECS["note"].write(store.notes.values()), _CODECS["message"].write(store.messages.values())
+    return "".join(chain(notes, messages))
 
 
-def _from_record(record: dict) -> LearnerNote | Message:
-    """The note or message a decoded record holds; a bad record raises ``ValueError`` or ``KeyError``."""
+def _from_record(record) -> LearnerNote | Message:
+    """The note or message a decoded line holds; a bad record raises ``ValueError`` or ``KeyError``."""
+    if not isinstance(record, dict):
+        raise ValueError("a record must be a JSON object")
     kind = record.get("kind")
-    if not isinstance(kind, str) or kind not in _RECORDS:
+    codec = _CODECS.get(kind) if type(kind) is str else None
+    if codec is None:
         raise ValueError(f"unknown record kind {kind!r}")
-    cls, spec = _RECORDS[kind]
-    values = []
-    for name, read in spec:
-        try:
-            values.append(read(record[name]))
-        except ValueError as exc:
-            raise ValueError(f"field {name!r}: {exc}") from None
-    return cls(*values)
+    return codec.read(record)
 
 
 def loads(text: str, env: LearningEnvironment) -> NoteStore:
     """Read a store in one pass, re-checking each note against ``env``.
 
-    A line that is not a JSON object, names an unknown ``kind``, lacks a field,
-    holds a field of the wrong JSON type or a bad value raises
-    :class:`ParseError` with its line number, as does a note with a negative
-    timestamp or a message with a negative ``sent_at``.  A duplicate note or
-    message id raises :class:`DuplicateId`, and a note on an unknown activity
-    or a message pointing at a note the store does not hold raises
-    :class:`DanglingRef` naming the line.
+    Lines of only whitespace are skipped.  A line that is not a JSON object,
+    names an unknown ``kind``, lacks a field, holds a field of a type the type
+    table refuses or a bad value raises :class:`ParseError` with its line
+    number, as does a note with a negative timestamp or a message with a
+    negative ``sent_at``.  A duplicate note or message id raises
+    :class:`DuplicateId`, and a note on an unknown activity or a message
+    pointing at a note the store does not hold raises :class:`DanglingRef`
+    naming the line.
     """
     notes: dict[str, LearnerNote] = {}
     messages: dict[str, Message] = {}
     message_lines: dict[str, int] = {}
+    scan = _DECODER.scan_once
     for line_no, line in enumerate(lines(text), 1):
-        if not line.strip():
-            continue
         try:
-            record = _DECODER.decode(line)
-            if not isinstance(record, dict):
-                raise ValueError("a record must be a JSON object")
+            try:
+                record, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):  # whitespace around the record, or a line decode words the error for
+                if not line.strip():
+                    continue
+                record = _DECODER.decode(line)
             item = _from_record(record)
-            if isinstance(item, LearnerNote):
+            if type(item) is LearnerNote:
                 _check_note(notes, env, item, line_no)
                 notes[item.note_id] = item
             else:
@@ -279,12 +391,23 @@ def loads(text: str, env: LearningEnvironment) -> NoteStore:
 
 
 def flush(store: NoteStore, path: str | Path) -> None:
-    """Write the store to ``path`` atomically: a reader sees the old file or the new one, never a part."""
+    """Write the store to ``path`` atomically: a reader sees the old file or the new one, never a part.
+
+    Text that UTF-8 cannot encode (a lone surrogate) raises :class:`UnsupportedFormat` before any file
+    is touched.
+    """
     path = Path(path)
+    text = dumps(store)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line_no = text.count("\n", 0, exc.start) + 1
+        raise UnsupportedFormat(f"cannot write the store as UTF-8: line {line_no} holds "
+                                f"{text[exc.start:exc.end]!r} ({exc.reason})") from None
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(temp, "x", encoding="utf-8") as out:
-            out.write(dumps(store))
+        with open(temp, "xb") as out:
+            out.write(data)
             out.flush()
             os.fsync(out.fileno())
         if path.exists():

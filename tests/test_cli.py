@@ -325,6 +325,23 @@ def test_store_message_pointing_at_a_missing_note_is_a_data_error(course, tmp_pa
     assert store.read_bytes() == before
 
 
+@pytest.mark.parametrize("stored_body", [None, "\\udcff"], ids=["from-the-flag", "json-escape-in-the-store"])
+def test_text_that_is_not_utf8_is_a_data_error_that_leaves_the_store(course, tmp_path, stored_body, capsys):
+    # A shell passes the byte 0xff of `--body $'\xff'` to Python as the lone surrogate U+DCFF.
+    store = tmp_path / "notes.jsonl"
+    store.write_text(NOTE + (NOTE.replace('"n1"', '"n2"').replace('""', f'"{stored_body}"') if stored_body else ""),
+                     encoding="utf-8")
+    before = store.read_bytes()
+    argv = ["notes", "add", "--store", str(store), "--course", course, "--node", "LA1", "--learner", "u1",
+            "--body", "plain" if stored_body else "\udcff"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the store as UTF-8: line ") and err.count("\n") == 1
+    assert "'\\udcff'" in err
+    assert store.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["course.odlg", "notes.jsonl"]
+
+
 def test_negative_note_timestamp_is_a_usage_error_before_any_file_is_read(tmp_path, capsys):
     store = tmp_path / "notes.jsonl"
     argv = ["notes", "add", "--store", str(store), "--course", str(tmp_path / "missing.odlg"),

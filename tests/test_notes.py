@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from odlgraph.errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError
+from odlgraph.errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError, UnsupportedFormat
 from odlgraph.notes import (
     BROADCAST,
     LearnerNote,
@@ -25,6 +27,8 @@ from odlgraph.notes import (
 )
 
 from conftest import assert_record_contract, quick_env
+from writer_matches_json import HARD, json_line
+from writer_matches_json import main as writer_matches_json
 
 ENV = quick_env(["LA5", "LA12", "LA112"])
 
@@ -325,10 +329,19 @@ def test_send_rejects_negative_sent_at():
         (_message_line(sender_id=["u1"]), "field 'sender_id': expected a string"),
         (_message_line(sent_at="0"), "field 'sent_at': expected an integer"),
         (_message_line(sent_at=-5), "sent_at must be non-negative"),
+        (_store_line().strip() + " " + _store_line().strip(), "invalid JSON: Extra data"),
+        (_store_line().strip() + "x", "invalid JSON: Extra data"),
+        (" " + _store_line()[:40], "invalid JSON"),
+        (_store_line().replace('"node_id": "LA5", ', "").replace('"learner_id": "u1", ', ""),
+         "missing field 'node_id'"),
+        (_store_line(note_id=5).replace('"body": "", ', ""), "field 'note_id': expected a string"),
+        (_message_line(recipients=["u2", 3]), "field 'recipients': expected a list of strings"),
     ],
     ids=["truncated", "unknown-kind", "not-an-object", "missing-field", "bad-access", "negative-timestamp",
          "note-id-int", "timestamp-bool", "timestamp-float", "access-null", "attachment-int", "attachments-str",
-         "missing-body", "recipients-str", "note-refs-str", "sender-list", "sent-at-str", "negative-sent-at"],
+         "missing-body", "recipients-str", "note-refs-str", "sender-list", "sent-at-str", "negative-sent-at",
+         "two-records", "trailing-junk", "leading-space-truncated", "two-missing-fields", "bad-type-before-missing",
+         "recipient-int"],
 )
 def test_loads_reports_the_bad_line(line, reason):
     text = _store_line(note_id="n0") + "\n" + line
@@ -372,3 +385,141 @@ def test_loads_rejects_a_message_pointing_at_a_missing_note():
 def test_loads_resolves_message_refs_after_the_whole_store():
     store = loads(_message_line(note_refs=["n0"]) + _store_line(note_id="n0"), ENV)
     assert list(store.messages["m1"].note_refs) == ["n0"] and list(store.notes) == ["n0"]
+
+
+@pytest.mark.parametrize("line", [
+    " " + _store_line(),
+    "\t" + _store_line(),
+    _store_line()[:-1] + " \t\n",
+    "\t " + _store_line()[:-1] + "  \n",
+    _store_line().replace('"kind"', '"colour": "red", "kind"'),
+], ids=["leading-space", "leading-tab", "trailing-blanks", "blanks-around", "unknown-key"])
+def test_loads_accepts_a_record_with_blanks_around_it_or_an_unknown_key(line):
+    text = _store_line(note_id="n0") + line
+    assert list(loads(text, ENV).notes) == ["n0", "n1"]
+
+
+def test_loads_skips_lines_of_whitespace_only():
+    text = " \n\t\n" + _store_line(note_id="n0") + "\n \x0c \x85\n" + _store_line() + "   "
+    assert list(loads(text, ENV).notes) == ["n0", "n1"]
+
+
+def test_a_missing_field_is_named_in_field_order():
+    line = _store_line()
+    for name in ("attachments", "timestamp", "note_id"):
+        line = line.replace(f'"{name}": ', f'"_{name}": ')
+    with pytest.raises(ParseError, match="missing field 'note_id'"):
+        loads(line, ENV)
+
+
+# Notes and messages the type table refuses; each one used to be stored, written, and then refused by loads.
+BAD_NOTES = {
+    "timestamp-bool": (LearnerNote("n2", "LA5", "u1", True), "'timestamp' must be an integer, not True"),
+    "timestamp-float": (LearnerNote("n2", "LA5", "u1", 1.5), "'timestamp' must be an integer, not 1.5"),
+    "body-int": (LearnerNote("n2", "LA5", "u1", 0, body=5), "'body' must be a string, not 5"),
+    "attachment-int": (LearnerNote("n2", "LA5", "u1", 0, attachments=(1,)), "'attachments' must be a tuple"),
+    "access-plain-string": (LearnerNote("n2", "LA5", "u1", 0, "all"), "'access' must be a NoteAccess member"),
+    "note-id-none": (LearnerNote(None, "LA5", "u1", 0), "'note_id' must be a string, not None"),
+}
+BAD_MESSAGES = {
+    "sent-at-bool": (Message("m1", "u1", ("u2",), ("n1",), True), "'sent_at' must be an integer, not True"),
+    "sent-at-float": (Message("m1", "u1", ("u2",), ("n1",), 0.5), "'sent_at' must be an integer, not 0.5"),
+    "recipient-int": (Message._make(("m1", "u1", ("u2", 3), ("n1",), 0)),
+                      "'recipients' must be '*' or a tuple of strings"),
+    "recipients-string": (Message._make(("m1", "u1", "u2", ("n1",), 0)), "'recipients' must be '*' or a tuple"),
+    "recipients-list": (Message._make(("m1", "u1", ["u2"], ("n1",), 0)), "'recipients' must be '*' or a tuple"),
+    "note-refs-list": (Message._make(("m1", "u1", ("u2",), ["n1"], 0)), "'note_refs' must be a tuple of strings"),
+    "sender-bytes": (Message("m1", b"u1", ("u2",), ("n1",), 0), "'sender_id' must be a string, not b'u1'"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_NOTES))
+def test_attach_and_dumps_refuse_a_note_the_type_table_refuses(name):
+    bad, reason = BAD_NOTES[name][0], re.escape(BAD_NOTES[name][1])
+    store = store_with(note("n1", NoteAccess.ALL))
+    with pytest.raises(TypeError, match=reason):
+        attach_note(store, bad)
+    assert list(store.notes) == ["n1"]
+    by_hand = NoteStore(ENV, {**store.notes, "n2": bad}, {})
+    with pytest.raises(TypeError, match=reason):
+        dumps(by_hand)
+
+
+@pytest.mark.parametrize("name", list(BAD_MESSAGES))
+def test_send_and_dumps_refuse_a_message_the_type_table_refuses(name):
+    bad, reason = BAD_MESSAGES[name][0], re.escape(BAD_MESSAGES[name][1])
+    store = store_with(note("n1", NoteAccess.ALL))
+    with pytest.raises(TypeError, match=reason):
+        send_message(store, bad)
+    assert store.messages == {}
+    by_hand = NoteStore(ENV, store.notes, {"m0": Message("m0", "u1", BROADCAST, ("n1",), 0), "m1": bad})
+    with pytest.raises(TypeError, match=reason):
+        dumps(by_hand)
+
+
+def test_dumps_refuses_a_record_with_the_wrong_number_of_fields():
+    by_hand = NoteStore(ENV, {"n1": ("n1", "LA5", "u1", 0, NoteAccess.ALL, "")}, {})
+    with pytest.raises(TypeError, match="a note record has 7 fields, not 6"):
+        dumps(by_hand)
+
+
+def test_a_note_shared_with_all_is_seen_before_and_after_a_reload():
+    store = store_with(LearnerNote("n1", "LA5", "author", 0, NoteAccess("all")))
+    assert [n.note_id for n in list_notes(store, "LA5", "someone-else")] == ["n1"]
+    assert [n.note_id for n in list_notes(loads(dumps(store), ENV), "LA5", "someone-else")] == ["n1"]
+
+
+def test_flush_refuses_text_that_is_not_utf8_before_touching_the_file(tmp_path):
+    path = tmp_path / "store.jsonl"
+    store = store_with(note("n1", NoteAccess.ALL))
+    flush(store, path)
+    before = path.read_bytes()
+    with pytest.raises(UnsupportedFormat, match=r"line 2 holds '\\udcff'"):
+        flush(attach_note(store, LearnerNote("n2", "LA5", "u1", 0, body="a\udcffb")), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
+    # The JSON escape of a lone surrogate loads, and the next flush refuses it the same way.
+    loaded = loads(before.decode() + _store_line(note_id="n2", body="\udcff"), ENV)
+    with pytest.raises(UnsupportedFormat):
+        flush(loaded, path)
+    assert path.read_bytes() == before
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(HARD)), max_size=8)
+
+
+@st.composite
+def stores(draw):
+    store = new_store(ENV)
+    for i in range(draw(st.integers(1, 6))):
+        store = attach_note(store, LearnerNote(
+            f"n{i}:{draw(_TEXT)}", draw(st.sampled_from(["LA5", "LA12", "LA112"])), draw(_TEXT),
+            draw(st.integers(0, 2 ** 70)), draw(st.sampled_from(list(NoteAccess))), draw(_TEXT),
+            tuple(draw(st.lists(_TEXT, max_size=3)))))
+    shared = [n.note_id for n in store.notes.values() if n.access is not NoteAccess.PRIVATE]
+    for i in range(draw(st.integers(0, 4)) if shared else 0):
+        recipients = draw(st.one_of(st.just(BROADCAST), st.lists(_TEXT, max_size=3)))
+        refs = draw(st.lists(st.sampled_from(shared), min_size=1, max_size=3))
+        store = send_message(store, Message(f"m{i}:{draw(_TEXT)}", draw(_TEXT), recipients, refs,
+                                            draw(st.integers(0, 2 ** 40))), "tutor")
+    return store
+
+
+@given(stores())
+@settings(max_examples=300)
+def test_each_line_dumps_writes_is_the_json_dumps_line_and_reads_back(store):
+    text = dumps(store)
+    assert text.split("\n")[:-1] == [json_line(r)[:-1] for r in [*store.notes.values(), *store.messages.values()]]
+    assert loads(text, ENV) == store
+
+
+def test_the_writer_matches_json_dumps_on_seeded_stores(capsys):
+    assert writer_matches_json(["writer_matches_json.py", "200"]) == 0
+    assert capsys.readouterr().out.endswith("200 stores, every line equals json.dumps\n")
+
+
+def test_the_type_table_gives_every_field_in_field_order():
+    from odlgraph.notes import _TYPES
+
+    assert {kind: (cls, list(types)) for kind, (cls, types) in _TYPES.items()} == {
+        "note": (LearnerNote, list(LearnerNote._fields)), "message": (Message, list(Message._fields))}
