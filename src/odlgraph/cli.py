@@ -410,3 +410,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:  # console-script entry point
     raise SystemExit(main())
+
+
+if __name__ == "__main__":  # python -m odlgraph.cli
+    run()

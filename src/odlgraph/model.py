@@ -16,8 +16,8 @@ The records (:class:`LearningObject`, :class:`LearningTask`,
 immutable named tuples: each equals the plain tuple of its values and sorts
 like it, and a changed copy comes from ``_replace``.
 :class:`LearningEnvironment` is a short plain class instead, because it
-caches derived sets per instance; it compares by value, is not hashable
-(its fields are dicts) and refuses assignment.
+caches derived sets per instance; a :class:`FrozenValue`, it compares by
+value, is not hashable (its fields are dicts) and refuses assignment.
 """
 
 from __future__ import annotations
@@ -96,7 +96,30 @@ class Violation(NamedTuple):
     message: str
 
 
-class LearningEnvironment:
+class FrozenValue:
+    """Base of the plain value classes: refuses assignment, and compares and shows the ``__match_args__``
+    fields; each subclass fills ``__dict__`` in its own ``__init__`` and sets its own hash policy."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class LearningEnvironment(FrozenValue):
     """The whole course graph.  Treat instances as immutable values.
 
     Each field left out starts empty; the dict fields get a fresh dict each.
@@ -119,24 +142,6 @@ class LearningEnvironment:
             objects={} if objects is None else objects,
             tasks={} if tasks is None else tasks,
         )
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return self.activities, self.edges, self.objects, self.tasks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
-        return f"{type(self).__name__}({fields})"
 
     @cached_property
     def edge_endpoints(self) -> frozenset[tuple[str, str]]:
@@ -312,9 +317,7 @@ def _containment_cycles(env: LearningEnvironment) -> list[Violation]:
                 color[node] = BLACK
                 path.pop()
                 continue
-            if color[node] == BLACK:
-                continue
-            if color[node] == GRAY:
+            if color[node] != WHITE:
                 continue
             color[node] = GRAY
             path.append(node)

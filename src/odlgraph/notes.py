@@ -16,7 +16,8 @@ list of strings), or, for ``recipients``, :data:`BROADCAST` or a tuple of
 strings.  :func:`attach_note` and :func:`send_message` refuse a record the
 table refuses with :class:`TypeError`, as :func:`dumps` does for a store
 built by hand, so the store writes only what :func:`loads` reads back.
-:func:`dumps` writes each record as exactly
+:func:`dumps` checks the table a column at a time, then writes each record
+from one f-string per kind, keys in sorted order, as exactly
 ``json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))``
 plus ``"\\n"``, so a flush/reload/flush cycle is byte-identical.  Loading
 re-checks every field against the same table, every note as
@@ -24,7 +25,8 @@ re-checks every field against the same table, every note as
 :func:`send_message` does, and that every message points at stored notes; a
 malformed record is a :class:`ParseError` naming its line.  A flush replaces
 the file atomically, and refuses with :class:`UnsupportedFormat`, before it
-writes anything, a store whose text is not UTF-8 (a lone surrogate).
+writes anything, a store holding text UTF-8 cannot encode or an over-long
+integer.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from functools import partial
-from itertools import chain, product, repeat
+import sys
+from itertools import chain, product
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -117,7 +119,7 @@ def _check_message(messages: dict[str, Message], message: Message) -> None:
 
 def attach_note(store: NoteStore, note: LearnerNote) -> NoteStore:
     """Append one note; the target activity must exist in the store's course."""
-    _check_fields("note", note)
+    _check_fields("note", [note])
     _check_note(store.notes, store.env, note)
     notes = dict(store.notes)
     notes[note.note_id] = note
@@ -125,35 +127,21 @@ def attach_note(store: NoteStore, note: LearnerNote) -> NoteStore:
 
 
 def can_view(note: LearnerNote, requester_id: str, requester_role: str) -> bool:
-    if note.learner_id == requester_id:
-        return True
-    if note.access is NoteAccess.ALL:
-        return True
-    if note.access is NoteAccess.TUTORS:
-        return requester_role == "tutor"
-    return False
+    return (note.learner_id == requester_id or note.access is NoteAccess.ALL
+            or (note.access is NoteAccess.TUTORS and requester_role == "tutor"))
 
 
-def list_notes(
-    store: NoteStore,
-    node_id: str,
-    requester_id: str,
-    requester_role: str = "learner",
-) -> list[LearnerNote]:
+def list_notes(store: NoteStore, node_id: str, requester_id: str, requester_role: str = "learner") -> list[LearnerNote]:
     """Notes on one activity that the requester may see, oldest first."""
     if node_id not in store.env.activities:
         raise DanglingRef(node_id)
-    visible = [
-        n
-        for n in store.notes.values()
-        if n.node_id == node_id and can_view(n, requester_id, requester_role)
-    ]
+    visible = [n for n in store.notes.values() if n.node_id == node_id and can_view(n, requester_id, requester_role)]
     return sorted(visible, key=lambda n: (n.timestamp, n.note_id))
 
 
 def send_message(store: NoteStore, message: Message, sender_role: str = "learner") -> NoteStore:
     """Store a message after checking the sender can see every referenced note."""
-    _check_fields("message", message)
+    _check_fields("message", [message])
     _check_message(store.messages, message)
     if not message.note_refs:
         raise EmptyContent("a message must reference at least one note")
@@ -170,11 +158,7 @@ def send_message(store: NoteStore, message: Message, sender_role: str = "learner
 
 def inbox(store: NoteStore, user_id: str) -> list[Message]:
     """Messages addressed to the user or broadcast, oldest first."""
-    mine = [
-        m
-        for m in store.messages.values()
-        if m.recipients == BROADCAST or user_id in m.recipients
-    ]
+    mine = [m for m in store.messages.values() if m.recipients == BROADCAST or user_id in m.recipients]
     return sorted(mine, key=lambda m: (m.sent_at, m.message_id))
 
 
@@ -208,10 +192,6 @@ def _str_tuple(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _json_lists(column) -> list[str]:
-    return [f"[{','.join(map(_ENCODE, strings))}]" if strings else "[]" for strings in column]
-
-
 class _Form(NamedTuple):
     """How the codec handles one type of the type table."""
 
@@ -219,19 +199,15 @@ class _Form(NamedTuple):
     held: frozenset[type]  # the types a field of this form may hold
     decoded: tuple[type, ...]  # the types its value may have as JSON decodes it
     read: Callable  # checks a decoded value and returns the field value; a bad one raises ValueError
-    write: Callable  # the JSON texts of a column of field values
 
 
 _FORMS = {
-    str: _Form("a string", _STR, (str,), _exactly(str, "a string"), partial(map, _ENCODE)),
-    int: _Form("an integer", frozenset((int,)), (int,), _exactly(int, "an integer"), partial(map, int.__repr__)),
-    NoteAccess: _Form("a NoteAccess member", frozenset((NoteAccess,)), (str,), _access, partial(map, _ENCODE)),
-    tuple: _Form("a tuple of strings", frozenset((tuple,)), (list,), _str_tuple, _json_lists),
-    BROADCAST: _Form(
-        f"{BROADCAST!r} or a tuple of strings", frozenset((str, tuple)), (str, list),
-        lambda value: value if value == BROADCAST else _str_tuple(value),
-        lambda column: [_ENCODE(r) if r == BROADCAST else text for r, text in zip(column, _json_lists(column))],
-    ),
+    str: _Form("a string", _STR, (str,), _exactly(str, "a string")),
+    int: _Form("an integer", frozenset((int,)), (int,), _exactly(int, "an integer")),
+    NoteAccess: _Form("a NoteAccess member", frozenset((NoteAccess,)), (str,), _access),
+    tuple: _Form("a tuple of strings", frozenset((tuple,)), (list,), _str_tuple),
+    BROADCAST: _Form(f"{BROADCAST!r} or a tuple of strings", frozenset((str, tuple)), (str, list),
+                     lambda value: value if value == BROADCAST else _str_tuple(value)),
 }
 
 # The type table: for each record kind, its named tuple and, in ``_fields`` order, the exact type each
@@ -256,69 +232,21 @@ def _holds(form, column) -> bool:
     return True
 
 
-def _check_fields(kind: str, record: tuple) -> None:
-    """Raise :class:`TypeError` naming the first field of ``record`` that the type table refuses."""
+def _check_fields(kind: str, records: list) -> None:
+    """Raise :class:`TypeError` naming the first field of the first record that the type table refuses.
+
+    The table's test runs a column at a time, which is each record's test as every field is tested alone;
+    only a column that fails sends it looking for the record and field to name.
+    """
     types = _TYPES[kind][1]
-    if len(record) != len(types):
-        raise TypeError(f"a {kind} record has {len(types)} fields, not {len(record)}: {record!r}")
-    for (name, form), value in zip(types.items(), record):
-        if not _holds(form, (value,)):
-            raise TypeError(f"{kind} field {name!r} must be {_FORMS[form].name}, not {value!r}")
-
-
-class _Codec:
-    """One record kind of the type table, compiled for :func:`dumps` and :func:`loads`."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.cls, types = _TYPES[kind]
-        self.field_types = list(types.values())
-        forms = [_FORMS[form] for form in self.field_types]
-        self.values = itemgetter(*types)  # a decoded record's values in ``_fields`` order
-        # Every field-type tuple a decoded record may hold.
-        self.decoded = frozenset(product(*(form.decoded for form in forms)))
-        # (index, name, reader) of every field, and of those whose decoded value still needs reading
-        # once its type is right: a NoteAccess value and the lists.
-        self.readers = [(i, name, forms[i].read) for i, name in enumerate(types)]
-        self.converters = [(i, name, read) for i, name, read in self.readers if types[name] not in (str, int)]
-        # The line: every field plus ``kind``, keys in sorted order, cut where the field values go.
-        keys = sorted(("kind", *types))
-        line = ",".join(f"{_ENCODE(key)}:{_ENCODE(kind) if key == 'kind' else '%s'}" for key in keys)
-        self.pieces = ("{" + line + "}\n").split("%s")
-        fields = list(types)
-        self.writers = [(fields.index(key), _FORMS[types[key]].write) for key in keys if key != "kind"]
-
-    def write(self, records) -> list[str]:
-        """The lines of ``records``, in pieces; a record the table refuses raises :class:`TypeError`."""
-        records = list(records)
-        if not records:
-            return []
-        columns = list(zip(*records))
-        # The table's test a column at a time, which is each record's test as every field is tested alone.
-        if set(map(len, records)) != {len(self.field_types)} or not all(map(_holds, self.field_types, columns)):
-            for record in records:
-                _check_fields(self.kind, record)
-        texts = [write(columns[i]) for i, write in self.writers]
-        pieces = [*chain.from_iterable(zip(map(repeat, self.pieces), texts)), repeat(self.pieces[-1])]
-        return list(chain.from_iterable(zip(*pieces)))
-
-    def read(self, record: dict) -> LearnerNote | Message:
-        """The note or message a decoded record holds; a bad record raises ValueError or KeyError."""
-        try:
-            values = list(self.values(record))
-        except KeyError:
-            values, readers = [None] * len(self.readers), self.readers  # name the first missing field
-        else:
-            readers = self.converters if tuple(map(type, values)) in self.decoded else self.readers
-        for i, name, read in readers:
-            try:
-                values[i] = read(record[name])
-            except ValueError as exc:
-                raise ValueError(f"field {name!r}: {exc}") from None
-        return self.cls(*values)
-
-
-_CODECS = {kind: _Codec(kind) for kind in _TYPES}
+    if set(map(len, records)) <= {len(types)} and all(map(_holds, types.values(), zip(*records))):
+        return
+    for record in records:
+        if len(record) != len(types):
+            raise TypeError(f"a {kind} record has {len(types)} fields, not {len(record)}: {record!r}")
+        for (name, form), value in zip(types.items(), record):
+            if not _holds(form, (value,)):
+                raise TypeError(f"{kind} field {name!r} must be {_FORMS[form].name}, not {value!r}")
 
 
 def dumps(store: NoteStore) -> str:
@@ -326,10 +254,51 @@ def dumps(store: NoteStore) -> str:
 
     Each line is ``json.dumps(record, sort_keys=True, ensure_ascii=False,
     separators=(",", ":"))`` of the record's fields plus ``kind``.  A record
-    whose fields the type table refuses raises :class:`TypeError`.
+    whose fields the type table refuses raises :class:`TypeError`, and an
+    integer too long to write as text :class:`UnsupportedFormat`.
     """
-    notes, messages = _CODECS["note"].write(store.notes.values()), _CODECS["message"].write(store.messages.values())
-    return "".join(chain(notes, messages))
+    notes, messages = list(store.notes.values()), list(store.messages.values())
+    _check_fields("note", notes)
+    _check_fields("message", messages)
+    encode, join = _ENCODE, ",".join
+    try:
+        note_lines = [
+            f'{{"access":{encode(access)},"attachments":[{join(map(encode, attachments))}],"body":{encode(body)},'
+            f'"kind":"note","learner_id":{encode(learner_id)},"node_id":{encode(node_id)},'
+            f'"note_id":{encode(note_id)},"timestamp":{timestamp}}}\n'
+            for note_id, node_id, learner_id, timestamp, access, body, attachments in notes
+        ]
+        message_lines = [
+            f'{{"kind":"message","message_id":{encode(message_id)},'
+            f'"note_refs":[{join(map(encode, note_refs))}],"recipients":'
+            f'{encode(recipients) if recipients == BROADCAST else "[" + join(map(encode, recipients)) + "]"},'
+            f'"sender_id":{encode(sender_id)},"sent_at":{sent_at}}}\n'
+            for message_id, sender_id, recipients, note_refs, sent_at in messages
+        ]
+    except ValueError:  # only an integer of more digits than the interpreter writes as text fails here
+        for kind, records in (("note", notes), ("message", messages)):
+            for record in records:
+                for name, value in zip(_TYPES[kind][1], record):
+                    if type(value) is int and abs(value) >= 10 ** sys.get_int_max_str_digits():
+                        # Not the value itself: formatting it fails the same way.
+                        raise UnsupportedFormat(f"cannot write the store: {kind} {record[0]!r} field {name!r} "
+                                                "holds an integer too long to write as text") from None
+        raise
+    return "".join(chain(note_lines, message_lines))
+
+
+def _reader(kind: str) -> tuple:
+    """How :func:`loads` reads a record of ``kind``, as the five values :func:`_from_record` unpacks."""
+    cls, types = _TYPES[kind]
+    forms = [_FORMS[form] for form in types.values()]
+    decoded = frozenset(product(*(form.decoded for form in forms)))  # every field-type tuple a decoded record may hold
+    readers = [(i, name, forms[i].read) for i, name in enumerate(types)]
+    # The fields whose decoded value still needs reading once its type is right: a NoteAccess value and the lists.
+    converters = [(i, name, read) for i, name, read in readers if types[name] not in (str, int)]
+    return cls, itemgetter(*types), decoded, readers, converters
+
+
+_READERS = {kind: _reader(kind) for kind in _TYPES}
 
 
 def _from_record(record) -> LearnerNote | Message:
@@ -337,10 +306,22 @@ def _from_record(record) -> LearnerNote | Message:
     if not isinstance(record, dict):
         raise ValueError("a record must be a JSON object")
     kind = record.get("kind")
-    codec = _CODECS.get(kind) if type(kind) is str else None
-    if codec is None:
+    reader = _READERS.get(kind) if type(kind) is str else None
+    if reader is None:
         raise ValueError(f"unknown record kind {kind!r}")
-    return codec.read(record)
+    cls, get_values, decoded, readers, converters = reader
+    try:
+        values = list(get_values(record))
+    except KeyError:
+        values = [None] * len(readers)  # the readers name the first missing field
+    else:
+        readers = converters if tuple(map(type, values)) in decoded else readers
+    for i, name, read in readers:
+        try:
+            values[i] = read(record[name])
+        except ValueError as exc:
+            raise ValueError(f"field {name!r}: {exc}") from None
+    return cls(*values)
 
 
 def loads(text: str, env: LearningEnvironment) -> NoteStore:
@@ -394,7 +375,7 @@ def flush(store: NoteStore, path: str | Path) -> None:
     """Write the store to ``path`` atomically: a reader sees the old file or the new one, never a part.
 
     Text that UTF-8 cannot encode (a lone surrogate) raises :class:`UnsupportedFormat` before any file
-    is touched.
+    is touched.  An :class:`OSError` that names a file names ``path``.
     """
     path = Path(path)
     text = dumps(store)
@@ -413,8 +394,11 @@ def flush(store: NoteStore, path: str | Path) -> None:
         if path.exists():
             shutil.copymode(path, temp)
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # Name the store the caller gave, not the temporary file's random name.
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

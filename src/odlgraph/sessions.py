@@ -12,8 +12,8 @@ The per-line, per-session and per-step records, :class:`ControlBlock`,
 :class:`Session` and :class:`Visit`, are immutable named tuples (build a
 changed copy with ``_replace``).  :class:`LearningExperience` is a short
 plain class instead, so that a caller can hold one by a weak reference,
-which a tuple cannot take; it compares and hashes by value and refuses
-assignment.
+which a tuple cannot take; a :class:`~odlgraph.model.FrozenValue`, it
+compares by value and refuses assignment, and it hashes by value too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DanglingRef, LearnerMismatch, NonAdjacentStep, ParseError
-from .model import LearningEnvironment
+from .model import FrozenValue, LearningEnvironment
 from .options import DEFAULT_SESSION_TIMEOUT
 
 
@@ -50,7 +50,7 @@ class Visit(NamedTuple):
     teleport: bool = False
 
 
-class LearningExperience:
+class LearningExperience(FrozenValue):
     """A learner's walk over the environment, possibly spanning sessions."""
 
     __match_args__ = ("learner_id", "visits", "source_sessions")
@@ -58,26 +58,8 @@ class LearningExperience:
     def __init__(self, learner_id: str, visits: tuple[Visit, ...], source_sessions: tuple[int, ...]) -> None:
         self.__dict__.update(learner_id=learner_id, visits=visits, source_sessions=source_sessions)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return self.learner_id, self.visits, self.source_sessions
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
     def __hash__(self) -> int:
         return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
-        return f"{type(self).__name__}({fields})"
 
 
 def parse_log(

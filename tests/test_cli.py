@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import subprocess
 import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
+import odlgraph
 from odlgraph import clusters, course_format, sessions
 from odlgraph.cli import _build_parser, main
 from odlgraph.clusters import DEFAULT_MIN_COOCCURRENCE
@@ -59,6 +62,20 @@ def log(tmp_path):
 def test_validate_ok(course, capsys):
     assert main(["validate", course]) == 0
     assert capsys.readouterr().out.strip() == "OK"
+
+
+def test_python_dash_m_runs_the_cli_in_a_fresh_interpreter(course):
+    src = str(Path(odlgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "odlgraph.cli", *argv], capture_output=True, text=True,
+                              env=env, timeout=60)
+
+    ok = cli("validate", course)
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "OK\n", "")
+    unknown = cli("no-such-command")
+    assert unknown.returncode == 2 and "invalid choice: 'no-such-command'" in unknown.stderr and unknown.stdout == ""
 
 
 def test_validate_broken_course_exits_1(tmp_path, capsys):
@@ -340,6 +357,17 @@ def test_text_that_is_not_utf8_is_a_data_error_that_leaves_the_store(course, tmp
     assert "'\\udcff'" in err
     assert store.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["course.odlg", "notes.jsonl"]
+
+
+def test_a_store_that_cannot_be_written_is_named_as_given_on_every_run(course, tmp_path, capsys):
+    store = tmp_path / "missing" / "notes.jsonl"
+    argv = ["notes", "add", "--store", str(store), "--course", course, "--node", "LA1", "--learner", "u1"]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: [Errno ") and errors[0].count("\n") == 1
+    assert errors[0].endswith(f": {str(store)!r}\n")
 
 
 def test_negative_note_timestamp_is_a_usage_error_before_any_file_is_read(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -457,6 +458,25 @@ def test_send_and_dumps_refuse_a_message_the_type_table_refuses(name):
         dumps(by_hand)
 
 
+def _large_store_with(bad: LearnerNote | Message) -> NoteStore:
+    """100 good notes and 100 good messages, with ``bad`` in the middle of the records of its kind."""
+    notes = [note(f"n{i}", NoteAccess.ALL) for i in range(100)]
+    messages = [Message(f"m{i}", "u1", BROADCAST, (f"n{i}",), i) for i in range(100)]
+    (notes if isinstance(bad, LearnerNote) else messages).insert(50, bad)
+    return NoteStore(ENV, dict(enumerate(notes)), dict(enumerate(messages)))
+
+
+@pytest.mark.parametrize("bad,reason", [*BAD_NOTES.values(), *BAD_MESSAGES.values()],
+                         ids=[*BAD_NOTES, *BAD_MESSAGES])
+def test_dumps_names_a_bad_record_among_good_ones_as_attach_and_send_do(bad, reason):
+    store = store_with(note("n1", NoteAccess.ALL))
+    with pytest.raises(TypeError) as one_record:
+        attach_note(store, bad) if isinstance(bad, LearnerNote) else send_message(store, bad)
+    with pytest.raises(TypeError, match=re.escape(reason)) as many_records:
+        dumps(_large_store_with(bad))
+    assert str(many_records.value) == str(one_record.value)
+
+
 def test_dumps_refuses_a_record_with_the_wrong_number_of_fields():
     by_hand = NoteStore(ENV, {"n1": ("n1", "LA5", "u1", 0, NoteAccess.ALL, "")}, {})
     with pytest.raises(TypeError, match="a note record has 7 fields, not 6"):
@@ -483,6 +503,40 @@ def test_flush_refuses_text_that_is_not_utf8_before_touching_the_file(tmp_path):
     with pytest.raises(UnsupportedFormat):
         flush(loaded, path)
     assert path.read_bytes() == before
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python writes integers of any length")
+
+
+@needs_digit_limit
+def test_dumps_refuses_an_integer_too_long_to_write_and_flush_leaves_the_file(tmp_path):
+    path = tmp_path / "store.jsonl"
+    store = store_with(note("n1", NoteAccess.ALL))
+    flush(store, path)
+    before = path.read_bytes()
+    huge = 10 ** (_DIGIT_LIMIT + 1)
+    for too_long, reason in (
+        (attach_note(store, note("n2", NoteAccess.ALL, ts=huge)), "note 'n2' field 'timestamp'"),
+        (send_message(store, Message("m1", "u1", BROADCAST, ("n1",), huge)), "message 'm1' field 'sent_at'"),
+    ):
+        with pytest.raises(UnsupportedFormat, match=f"{reason} holds an integer too long to write as text$"):
+            dumps(too_long)
+        with pytest.raises(UnsupportedFormat):
+            flush(too_long, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
+
+
+@needs_digit_limit
+def test_loads_refuses_an_integer_too_long_to_read():
+    digits = "1" * (_DIGIT_LIMIT + 1)
+    for line in (_store_line(timestamp=0).replace('"timestamp": 0', f'"timestamp": {digits}'),
+                 _message_line(sent_at=0).replace('"sent_at": 0', f'"sent_at": {digits}')):
+        assert digits in line
+        with pytest.raises(ParseError) as err:
+            loads(_store_line(note_id="n0") + line, ENV)
+        assert err.value.line_no == 2
 
 
 _TEXT = st.text(st.one_of(st.characters(), st.sampled_from(HARD)), max_size=8)
