@@ -24,7 +24,8 @@ _PUBLIC = {
     ),
     "options": ("DEFAULT_SESSION_TIMEOUT", "NoteAccess", "Overlay"),
     "sessions": (
-        "ControlBlock", "LearningExperience", "Session", "Visit", "build_experience", "parse_log", "sessionize",
+        "ControlBlock", "LearningExperience", "Session", "Visit", "build_experience", "iter_blocks", "parse_log",
+        "sessionize",
     ),
     "paths": (
         "CoverageReport", "Cycle", "DetourKind", "classify_cycle", "coverage", "detect_cycles", "erase_cycles",

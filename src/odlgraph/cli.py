@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -19,13 +20,14 @@ from . import course_format
 from .errors import GraphTooLarge, OdlError
 from .model import LearningEnvironment, next_id_number
 from .options import DEFAULT_MIN_COOCCURRENCE, DEFAULT_SESSION_TIMEOUT, NoteAccess, Overlay
-from .text import lines, read_text
+from .text import iter_lines, read_text
 
 if TYPE_CHECKING:
     from .notes import NoteStore
-    from .sessions import ControlBlock, LearningExperience, Session
+    from .sessions import LearningExperience, Session
 
 TIMEOUT_ENV_VAR = "ODL_TIMEOUT"
+_PIECES_PER_WRITE = 4096
 
 
 class _UsageError(Exception):
@@ -36,24 +38,24 @@ def _load_course(path: str) -> tuple[LearningEnvironment, str]:
     return course_format.parse_course(read_text(path), path)
 
 
-def _course_and_blocks(args) -> tuple[LearningEnvironment, list[ControlBlock]]:
-    """Load the course and parse every line of the log, warning once per skipped line."""
+def _course_and_sessions(args, learner: str | None = None) -> tuple[LearningEnvironment, list[Session]]:
+    """The pipeline every log subcommand shares: load the course, stream the log's blocks into ``sessionize``.
+
+    With ``learner``, only that learner's blocks are kept; every line is still
+    checked.  Each skipped line is warned about once the whole log has been
+    read, so a bad line later in the log prints its error alone.
+    """
     env, _ = _load_course(args.course)
-    from .sessions import parse_log
+    from .sessions import iter_blocks, sessionize
 
     skipped: list[tuple[int, str]] = []
-    blocks = parse_log(lines(read_text(args.log)), env, skip_unknown=args.skip_unknown, skipped=skipped)
+    blocks = iter_blocks(iter_lines(read_text(args.log)), env, args.skip_unknown, skipped)
+    if learner is not None:
+        blocks = (block for block in blocks if block[0] == learner)
+    found = sessionize(blocks, args.timeout)
     for line_no, activity_id in skipped:
         print(f"warning: line {line_no}: unknown activity {activity_id!r} skipped", file=sys.stderr)
-    return env, blocks
-
-
-def _course_and_sessions(args) -> tuple[LearningEnvironment, list[Session]]:
-    """The pipeline every log subcommand shares: load the course, read the log, sessionize."""
-    env, blocks = _course_and_blocks(args)
-    from .sessions import sessionize
-
-    return env, sessionize(blocks, args.timeout)
+    return env, found
 
 
 def _timeout(args) -> int:
@@ -75,19 +77,29 @@ def _timeout(args) -> int:
 
 
 def _experiences(sessions: list[Session], env: LearningEnvironment, mode: str) -> Iterator[LearningExperience]:
-    """One learner's experience at a time, in the learner order ``sessionize`` returns."""
+    """One learner's experience at a time, in the learner order ``sessionize`` returns.
+
+    The list is emptied as it is read, so the blocks of each learner are let go
+    once their experience is built, and a long output is not held beside them.
+    """
     from .sessions import build_experience
 
-    for _, mine in groupby(sessions, key=attrgetter("learner_id")):
+    sessions.reverse()
+    drained = (sessions.pop() for _ in range(len(sessions)))
+    for _, mine in groupby(drained, key=attrgetter("learner_id")):
         yield build_experience(mine, env, mode)
 
 
-def _emit(args, text: str) -> None:
-    """The one writer of data; commands build their whole text first, so a failure writes nothing."""
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(args, *pieces: str) -> None:
+    """The one writer of data; commands build all their text first, so a failure writes nothing.
+
+    The pieces are joined a batch at a time as they are written, so a long
+    output of many rows is never held a second time as one text.
+    """
+    output = getattr(args, "output", None)
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as out:
+        for start in range(0, len(pieces), _PIECES_PER_WRITE):
+            out.write("".join(pieces[start:start + _PIECES_PER_WRITE]))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -112,7 +124,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_sessions(args) -> int:
     _, sessions = _course_and_sessions(args)
-    _emit(args, "".join(
+    _emit(args, *(
         f"{s.learner_id}\t{s.session_index}\t{s.blocks[0].timestamp}"
         f"\t{s.blocks[-1].timestamp}\t{len(s.blocks)}\t{','.join(b.activity_id for b in s.blocks)}\n"
         for s in sessions
@@ -121,6 +133,8 @@ def _cmd_sessions(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
+    if args.min_interior < 0:
+        raise _UsageError("--min-interior must be non-negative")
     from .paths import classify_cycle, detect_cycles
 
     env, sessions = _course_and_sessions(args)
@@ -136,7 +150,7 @@ def _cmd_cycles(args) -> int:
                 f"{experience.learner_id}\t{cycle.anchor_activity}\t{cycle.start_index}"
                 f"\t{cycle.end_index}\t{kind.value}\t{interior}\n"
             )
-    _emit(args, "".join(rows))
+    _emit(args, *rows)
     return 0
 
 
@@ -144,7 +158,7 @@ def _cmd_erase(args) -> int:
     from .paths import erase_cycles
 
     env, sessions = _course_and_sessions(args)
-    _emit(args, "".join(
+    _emit(args, *(
         f"{e.learner_id}\t{','.join(erase_cycles(e))}\n" for e in _experiences(sessions, env, "lenient")
     ))
     return 0
@@ -161,7 +175,7 @@ def _cmd_coverage(args) -> int:
         rows.append(f"{experience.learner_id}\t{len(report.visited)}\t{report.total}\t{report.ratio:.4f}\n")
     overall = coverage(visited, env)
     rows.append(f"*\t{len(overall.visited)}\t{overall.total}\t{overall.ratio:.4f}\n")
-    _emit(args, "".join(rows))
+    _emit(args, *rows)
     return 0
 
 
@@ -195,11 +209,10 @@ def _cmd_export(args) -> int:
 
     experience = found = None
     if walked:
-        from .sessions import build_experience, sessionize
+        from .sessions import build_experience
 
-        # Sessions never span learners, so only the drawn learner's blocks are sessionized.
-        env, blocks = _course_and_blocks(args)
-        mine = sessionize([b for b in blocks if b.learner_id == args.experience], args.timeout)
+        # Sessions never span learners, so only the drawn learner's blocks are kept and sessionized.
+        env, mine = _course_and_sessions(args, args.experience)
         if not mine:
             raise OdlError(f"no sessions for learner {args.experience!r}")
         experience = build_experience(mine, env, "lenient")
@@ -250,7 +263,7 @@ def _cmd_notes_list(args) -> int:
     from .notes import list_notes
 
     store = _load_store(args)
-    _emit(args, "".join(
+    _emit(args, *(
         f"{n.note_id}\t{n.timestamp}\t{n.learner_id}\t{n.access.value}\t{n.body}\t{','.join(n.attachments)}\n"
         for n in list_notes(store, args.node, args.requester, args.role)
     ))
@@ -288,7 +301,7 @@ def _cmd_notes_inbox(args) -> int:
         to = message.recipients if message.recipients == BROADCAST else ",".join(message.recipients)
         refs = ",".join(message.note_refs)
         rows.append(f"{message.message_id}\t{message.sent_at}\t{message.sender_id}\t{to}\t{refs}\n")
-    _emit(args, "".join(rows))
+    _emit(args, *rows)
     return 0
 
 

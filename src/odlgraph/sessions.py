@@ -19,8 +19,8 @@ compares by value and refuses assignment, and it hashes by value too.
 from __future__ import annotations
 
 from itertools import islice
-from operator import attrgetter
-from typing import Iterable, NamedTuple
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DanglingRef, LearnerMismatch, NonAdjacentStep, ParseError
 from .model import FrozenValue, LearningEnvironment
@@ -62,6 +62,71 @@ class LearningExperience(FrozenValue):
         return hash(self._values())
 
 
+def iter_blocks(
+    lines: Iterable[str],
+    env: LearningEnvironment,
+    skip_unknown: bool = False,
+    skipped: list[tuple[int, str]] | None = None,
+) -> Iterator[ControlBlock]:
+    """The control blocks of log lines, one at a time, as :func:`parse_log` lists them.
+
+    A bad line raises when the iteration reaches it, and a skipped line's
+    (line_no, activity_id) is appended to ``skipped`` as it is passed.
+    """
+    new = tuple.__new__  # the block's fields in one tuple, without the named tuple's ``__new__``
+    # Each raw field, as split off a line, mapped on first sight to what it strips to: the learner's one
+    # shared id string (a stripped id maps to itself), and the activity's (id, object_id, task_id) off
+    # the course record.
+    learners: dict[str, str] = {}
+    activities: dict[str, tuple[str, str, str]] = {}
+    course = env.activities
+    for line_no, line in enumerate(lines, 1):
+        fields = line.split(",")
+        if len(fields) == 3:
+            learner, stamp, activity = fields
+            note_id = None
+        elif len(fields) == 4:
+            learner, stamp, activity, note_id = fields
+            note_id = note_id.strip() or None
+        else:
+            # No data line has been read while ``learners`` is empty, so a header may still come.
+            if not line.strip() or (not learners and fields[0].strip().lower() == "learner_id"):
+                continue  # a blank line, or the optional header
+            raise ParseError(line_no, "expected learner_id,timestamp,activity_id[,note_id]")
+        learner_id = learners.get(learner)
+        if learner_id is None:
+            learner_id = learner.strip()
+            if not learners and learner_id.lower() == "learner_id":
+                continue  # the optional header
+            if not learner_id:
+                raise ParseError(line_no, "empty learner id")
+            learner_id = learners[learner] = learners.setdefault(learner_id, learner_id)
+        try:
+            timestamp = int(stamp)
+        except ValueError:
+            # int() skips the spaces strip() drops, all but U+001C to U+001F.
+            stamp = stamp.strip()
+            try:
+                timestamp = int(stamp)
+            except ValueError:
+                raise ParseError(line_no, f"bad timestamp {stamp!r}") from None
+        if timestamp < 0:
+            raise ParseError(line_no, "negative timestamp")
+        resolved = activities.get(activity)
+        if resolved is None:
+            activity_id = activity.strip()
+            record = course.get(activity_id)
+            if record is None:
+                if skip_unknown:
+                    if skipped is not None:
+                        skipped.append((line_no, activity_id))
+                    continue
+                raise DanglingRef(activity_id, line_no=line_no)
+            resolved = activities[activity] = (record.id, record.object_id, record.task_id)
+        aid, object_id, task_id = resolved
+        yield new(ControlBlock, (learner_id, timestamp, aid, object_id, task_id, note_id))
+
+
 def parse_log(
     lines: Iterable[str],
     env: LearningEnvironment,
@@ -77,71 +142,38 @@ def parse_log(
     Blocks share their strings: each holds the course's own activity id
     string and one string per learner, not the copies each line splits off.
     """
-    blocks: list[ControlBlock] = []
-    append = blocks.append
-    make_block = ControlBlock._make  # one tuple in, no argument binding in the generated ``__new__``
-    # Each activity's (id, object_id, task_id), read off the record once per call, not once per line.
-    resolve = {aid: (a.id, a.object_id, a.task_id) for aid, a in env.activities.items()}.get
-    shared_learner = {}.setdefault  # the first string seen for each learner id
-    strip = str.strip
-    saw_data = False
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = list(map(strip, line.split(",")))
-        if not saw_data and fields[0].lower() == "learner_id":
-            continue  # optional header
-        saw_data = True
-        if not 3 <= len(fields) <= 4:
-            raise ParseError(line_no, "expected learner_id,timestamp,activity_id[,note_id]")
-        learner, ts_text, activity_id = fields[0], fields[1], fields[2]
-        if not learner:
-            raise ParseError(line_no, "empty learner id")
-        try:
-            timestamp = int(ts_text)
-        except ValueError:
-            raise ParseError(line_no, f"bad timestamp {ts_text!r}") from None
-        if timestamp < 0:
-            raise ParseError(line_no, "negative timestamp")
-        resolved = resolve(activity_id)
-        if resolved is None:
-            if skip_unknown:
-                if skipped is not None:
-                    skipped.append((line_no, activity_id))
-                continue
-            raise DanglingRef(activity_id, line_no=line_no)
-        note_id = fields[3] if len(fields) == 4 and fields[3] else None
-        aid, object_id, task_id = resolved
-        append(make_block((shared_learner(learner, learner), timestamp, aid, object_id, task_id, note_id)))
-    return blocks
+    return list(iter_blocks(lines, env, skip_unknown, skipped))
 
 
 def sessionize(blocks: Iterable[ControlBlock], timeout_seconds: int = DEFAULT_SESSION_TIMEOUT) -> list[Session]:
     """Partition blocks into per-learner sessions split at gaps over the timeout.
 
     Within a learner, blocks are time-ordered; equal timestamps keep input
-    order.  Output is sorted by learner id, then session index.
+    order.  Output is sorted by learner id, then session index.  The blocks
+    may come one at a time, as :func:`iter_blocks` gives them.
     """
     if timeout_seconds <= 0:
         raise ValueError("timeout_seconds must be positive")
     per_learner: dict[str, list[ControlBlock]] = {}
     for block in blocks:
-        per_learner.setdefault(block.learner_id, []).append(block)
+        mine = per_learner.get(block[0])
+        if mine is None:
+            per_learner[block[0]] = [block]
+        else:
+            mine.append(block)
 
+    new, timestamp = tuple.__new__, itemgetter(1)
     sessions: list[Session] = []
+    append = sessions.append
     for learner in sorted(per_learner):
-        ordered = sorted(per_learner[learner], key=attrgetter("timestamp"))
-        run: list[ControlBlock] = []
-        index = 1
-        for block in ordered:
-            if run and block.timestamp - run[-1].timestamp > timeout_seconds:
-                sessions.append(Session(learner, tuple(run), index))
-                index += 1
-                run = []
-            run.append(block)
-        if run:
-            sessions.append(Session(learner, tuple(run), index))
+        ordered = tuple(sorted(per_learner[learner], key=timestamp))
+        start, index, last = 0, 1, ordered[0][1]
+        for end, block in enumerate(ordered):
+            if block[1] - last > timeout_seconds:
+                append(new(Session, (learner, ordered[start:end], index)))
+                start, index = end, index + 1
+            last = block[1]
+        append(new(Session, (learner, ordered[start:], index)))
     return sessions
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import odlgraph
-from odlgraph import clusters, course_format, sessions
+from odlgraph import cli, clusters, course_format, sessions
 from odlgraph.cli import _build_parser, main
 from odlgraph.clusters import DEFAULT_MIN_COOCCURRENCE
 from odlgraph.dot_export import Overlay
@@ -404,6 +404,96 @@ def test_log_lines_end_at_line_breaks_only(course, tmp_path, capsys):
     log_path.write_text("u\u2028v,6,LA1\ru1,soon,LA1\n", encoding="utf-8", newline="")
     assert main(["sessions", "--log", str(log_path), "--course", course]) == 1
     assert capsys.readouterr().err == "error: line 2: bad timestamp 'soon'\n"
+
+
+GRAPH_RECORDS = GRAPH_COURSE.split("\n", 1)[1]  # the course without its comment line: the first line is a NODE
+BOM_CASES = {
+    "log": ("access.csv", LOG, ["sessions", "--log", "{file}", "--course", "{course}"]),
+    "odlg": ("c.odlg", GRAPH_RECORDS, ["parse", "{file}", "--to", "odlg"]),
+    "odlg-without-suffix": ("c", GRAPH_RECORDS, ["parse", "{file}", "--to", "odlg"]),
+    "odlc": ("c.odlc", MERGESORT_COURSE, ["parse", "{file}", "--to", "odlg"]),
+    "clusters": ("c.tsv", "clique\t2\tLA1,LA3\n", ["export", "--course", "{course}", "--overlay", "clusters",
+                                                    "--clusters", "{file}"]),
+    "store": ("s.jsonl", NOTE, ["notes", "list", "--store", "{file}", "--course", "{course}", "--node", "LA1",
+                                "--requester", "u2"]),
+}
+
+
+@pytest.mark.parametrize("case", list(BOM_CASES))
+def test_a_leading_byte_order_mark_is_not_part_of_the_file(course, tmp_path, case, capsys):
+    # Spreadsheet tools and some editors start UTF-8 files with U+FEFF; every reader reads past it.
+    name, text, argv = BOM_CASES[case]
+    outputs = []
+    for mark in ("", "\ufeff"):
+        path = tmp_path / name
+        path.write_text(mark + text, encoding="utf-8")
+        assert main([a.format(file=path, course=course) for a in argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out and "\ufeff" not in captured.out
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["sessions", "cycles", "erase", "coverage", "mine", "export"])
+def test_a_bad_line_after_skipped_lines_prints_its_error_alone(course, tmp_path, command, capsys):
+    # Skipped lines are warned about once the whole log is read, so a bad line stops the command first.
+    log_path = tmp_path / "noisy.csv"
+    log_path.write_text("u1,0,LA1\nu1,5,GHOST\nu1,6,GHOST\nu1,7,LA2\nu1,soon,LA3\nu1,9,LA3\n", encoding="utf-8")
+    argv = [command, "--log", str(log_path), "--course", course, "--skip-unknown"]
+    if command == "export":
+        argv += ["--overlay", "visit_order", "--experience", "u1"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: line 5: bad timestamp 'soon'\n")
+
+
+def test_negative_min_interior_is_a_usage_error_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert main(["cycles", "--log", missing + ".csv", "--course", missing + ".odlg", "--min-interior", "-1"]) == 2
+    assert capsys.readouterr() == ("", "usage error: --min-interior must be non-negative\n")
+
+
+@pytest.mark.parametrize("command", ["sessions", "cycles", "erase", "coverage"])
+def test_output_written_in_batches_is_the_whole_output(course, tmp_path, command, capsys, monkeypatch):
+    log_path = tmp_path / "many.csv"
+    log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
+    argv = [command, "--log", str(log_path), "--course", course]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    assert whole.count("\n") >= 25
+    monkeypatch.setattr(cli, "_PIECES_PER_WRITE", 2)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    out = tmp_path / "out.tsv"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == whole
+
+
+@pytest.mark.parametrize("command", ["cycles", "erase", "coverage"])
+def test_log_commands_let_go_of_each_learners_sessions_once_used(course, tmp_path, command, capsys, monkeypatch):
+    log_path = tmp_path / "many.csv"
+    log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
+    held: list[list] = []
+    course_and_sessions = cli._course_and_sessions
+
+    def kept(args):
+        env, found = course_and_sessions(args)
+        held.append(found)
+        return env, found
+
+    learners_left = []
+    build_experience = sessions.build_experience
+
+    def tracked(mine, env, mode):
+        mine = list(mine)
+        learners_left.append({s.learner_id for s in held[0]})
+        assert mine[0].learner_id not in learners_left[-1]
+        return build_experience(mine, env, mode)
+
+    monkeypatch.setattr(cli, "_course_and_sessions", kept)
+    monkeypatch.setattr(sessions, "build_experience", tracked)
+    assert main([command, "--log", str(log_path), "--course", course]) == 0
+    # Each learner has one session; the grouping has read the next learner's session when one is built.
+    assert [len(left) for left in learners_left] == [*range(23, -1, -1), 0]
 
 
 def test_mine_components_flag_is_gone(course, log, capsys):

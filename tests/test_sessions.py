@@ -14,6 +14,7 @@ from odlgraph.sessions import (
     Session,
     Visit,
     build_experience,
+    iter_blocks,
     parse_log,
     sessionize,
 )
@@ -72,6 +73,35 @@ def test_parse_log_unknown_activity():
     kept = parse_log(["u1,5,LA5", "u1,6,LA99"], ENV, skip_unknown=True, skipped=skipped)
     assert [b.activity_id for b in kept] == ["LA5"]
     assert skipped == [(2, "LA99")]
+
+
+def test_a_timestamp_padded_with_what_strip_drops_but_int_refuses_is_read():
+    # int() skips surrounding whitespace except U+001C to U+001F, which str.strip() drops.
+    (block,) = parse_log(["u1,\x1c5\x1c,LA5"], ENV)
+    assert block.timestamp == 5
+    assert [b.timestamp for b in parse_log(["u1, \x1f7\t,LA5", "u1,\x1d5\x1e,LA5"], ENV)] == [7, 5]
+    with pytest.raises(ParseError) as err:
+        parse_log(["u1,5,LA5", "u1,\x1cx\x1f,LA5"], ENV)
+    assert err.value.line_no == 2 and "bad timestamp 'x'" in str(err.value)
+
+
+def test_iter_blocks_gives_parse_log_a_block_at_a_time():
+    lines = ["u1,5,LA5", "u1,6,GHOST", "u2,7,LA15", "u1,soon,LA5", "u1,8,LA5"]
+    skipped: list[tuple[int, str]] = []
+    found = iter_blocks(lines, ENV, skip_unknown=True, skipped=skipped)
+    assert next(found) == ControlBlock("u1", 5, "LA5", "O1", "read")
+    assert skipped == []
+    assert next(found).learner_id == "u2"
+    assert skipped == [(2, "GHOST")]
+    with pytest.raises(ParseError) as err:
+        next(found)  # the bad line raises when the iteration reaches it
+    assert err.value.line_no == 4
+    assert parse_log(lines[:3], ENV, skip_unknown=True) == list(iter_blocks(lines[:3], ENV, skip_unknown=True))
+
+
+def test_sessionize_takes_blocks_one_at_a_time():
+    blocks = blocks_of(("u2", 0, "LA5"), ("u1", 600, "LA15"), ("u1", 0, "LA5"), ("u1", 5000, "LA7"))
+    assert sessionize(iter(blocks), 1800) == sessionize(blocks, 1800)
 
 
 def test_parse_log_skips_optional_header_and_blanks():
@@ -278,7 +308,7 @@ def test_parse_log_matches_a_naive_reader(seed):
 
 
 LOG_FRAGMENTS = ["u1", "u2", " ", "", "LA5", "Dictionary", "GHOST", "0", "17", "-1", "x", "n1", "learner_id",
-                 "\t", "\r", "\u2028", "\x85", "1_0", "\u0665"]
+                 "\t", "\r", "\u2028", "\x85", "1_0", "\u0665", "\x1c", "\x1f"]
 
 
 @given(

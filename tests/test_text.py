@@ -11,7 +11,8 @@ from odlgraph.clusters import read_clusters
 from odlgraph.course_format import parse_graph_file, parse_tabular
 from odlgraph.errors import OdlError, ParseError
 from odlgraph.notes import loads
-from odlgraph.text import holds_line_end, lines, read_text
+from odlgraph import text as text_module
+from odlgraph.text import holds_line_end, iter_lines, lines, read_text
 
 from conftest import quick_env
 
@@ -47,6 +48,25 @@ def test_lines_match_text_mode_reading(text):
     assert lines(text) == expected
 
 
+@given(st.lists(st.sampled_from(ALPHABET), max_size=30).map("".join), st.integers(min_value=0, max_value=6))
+@settings(max_examples=300)
+def test_iter_lines_gives_the_lines_whatever_the_piece_size(text, piece_chars):
+    # Small pieces end in mid-text, at a "\r\n" and between empty lines; one piece holds all of a short text.
+    expected = lines(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(text_module, "_PIECE_CHARS", piece_chars)
+        assert list(iter_lines(text)) == expected
+        assert lines(text) == expected
+
+
+def test_iter_lines_joins_many_pieces_of_the_default_size_without_a_seam():
+    text = "".join(f"line {n}\r\n" for n in range(100_000))  # about 20 pieces
+    found = iter_lines(text)
+    assert next(found) == "line 0"
+    assert next(found) == "line 1"
+    assert list(found) == [f"line {n}" for n in range(2, 100_000)]
+
+
 def test_holds_line_end():
     assert holds_line_end("a\nb") and holds_line_end("\r")
     assert not any(holds_line_end(f"a{ch}b") for ch in NOT_LINE_ENDS)
@@ -58,6 +78,14 @@ def test_read_text_decodes_utf8(tmp_path):
     assert read_text(path) == read_text(str(path)) == "\u00e9\u2028x\r\n"
 
 
+def test_read_text_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes("\ufeffa\n".encode())
+    assert read_text(path) == "a\n"
+    path.write_bytes("\ufeff\ufeffa\ufeff".encode())
+    assert read_text(path) == "\ufeffa\ufeff"  # only one, and only at the start
+
+
 @pytest.mark.parametrize("data,line_no", [
     (b"\xff", 1),
     (b"a\n\xff", 2),
@@ -65,7 +93,10 @@ def test_read_text_decodes_utf8(tmp_path):
     (b"a\r\x80", 2),
     ("a\u2028b\x85c\x0c".encode() + b"\xfe", 1),
     (b"a\n\n\n\xc3(", 4),
-], ids=["first", "after-lf", "after-cr-and-crlf", "after-bare-cr", "after-not-line-ends", "bad-continuation"])
+    ("\ufeff".encode() + b"\xff", 1),
+    ("\ufeffa\r\n".encode() + b"\xff", 2),
+], ids=["first", "after-lf", "after-cr-and-crlf", "after-bare-cr", "after-not-line-ends", "bad-continuation",
+        "after-byte-order-mark", "line-after-byte-order-mark"])
 def test_read_text_names_the_bad_byte_line_by_the_line_rule(tmp_path, data, line_no):
     path = tmp_path / "f.txt"
     path.write_bytes(data)
