@@ -76,17 +76,17 @@ def _timeout(args) -> int:
     return DEFAULT_SESSION_TIMEOUT
 
 
-def _experiences(sessions: list[Session], env: LearningEnvironment, mode: str) -> Iterator[LearningExperience]:
-    """One learner's experience at a time, in the learner order ``sessionize`` returns.
+def _drained(sessions: list[Session]) -> Iterator[Session]:
+    """The sessions in order, each taken out of the list as it is read, so its blocks go once it is used."""
+    sessions.reverse()
+    return (sessions.pop() for _ in range(len(sessions)))
 
-    The list is emptied as it is read, so the blocks of each learner are let go
-    once their experience is built, and a long output is not held beside them.
-    """
+
+def _experiences(sessions: list[Session], env: LearningEnvironment, mode: str) -> Iterator[LearningExperience]:
+    """One learner's experience at a time, from the sessions as :func:`_drained` gives them."""
     from .sessions import build_experience
 
-    sessions.reverse()
-    drained = (sessions.pop() for _ in range(len(sessions)))
-    for _, mine in groupby(drained, key=attrgetter("learner_id")):
+    for _, mine in groupby(_drained(sessions), key=attrgetter("learner_id")):
         yield build_experience(mine, env, mode)
 
 
@@ -139,18 +139,16 @@ def _cmd_cycles(args) -> int:
 
     env, sessions = _course_and_sessions(args)
     mode = "strict" if args.strict else "lenient"
-    rows = []
+    texts = []
     for experience in _experiences(sessions, env, mode):
-        for cycle in detect_cycles(experience):
-            if len(cycle.interior) < args.min_interior:
-                continue
-            kind = classify_cycle(cycle, env)
-            interior = ",".join(cycle.interior)
-            rows.append(
-                f"{experience.learner_id}\t{cycle.anchor_activity}\t{cycle.start_index}"
-                f"\t{cycle.end_index}\t{kind.value}\t{interior}\n"
-            )
-    _emit(args, *rows)
+        # One text per learner: every row is held until the last learner is read, and a string per
+        # detour would cost an object each.
+        texts.append("".join(
+            f"{experience.learner_id}\t{cycle.anchor_activity}\t{cycle.start_index}"
+            f"\t{cycle.end_index}\t{classify_cycle(cycle, env).value}\t{','.join(cycle.interior)}\n"
+            for cycle in detect_cycles(experience) if len(cycle.interior) >= args.min_interior
+        ))
+    _emit(args, *texts)
     return 0
 
 
@@ -185,7 +183,7 @@ def _cmd_mine(args) -> int:
     from . import clusters as cl
 
     _, sessions = _course_and_sessions(args)
-    visit_sets = cl.session_visit_sets(sessions, strategy_paths=args.on_strategy_paths)
+    visit_sets = cl.session_visit_sets(_drained(sessions), strategy_paths=args.on_strategy_paths)
     graph = cl.threshold(cl.cooccurrence(visit_sets), args.min_count)
     if args.cliques:
         try:
@@ -209,13 +207,11 @@ def _cmd_export(args) -> int:
 
     experience = found = None
     if walked:
-        from .sessions import build_experience
-
         # Sessions never span learners, so only the drawn learner's blocks are kept and sessionized.
         env, mine = _course_and_sessions(args, args.experience)
         if not mine:
             raise OdlError(f"no sessions for learner {args.experience!r}")
-        experience = build_experience(mine, env, "lenient")
+        (experience,) = _experiences(mine, env, "lenient")
     else:
         env, _ = _load_course(args.course)
     if overlay is Overlay.CLUSTERS:

@@ -28,13 +28,11 @@ from .options import DEFAULT_SESSION_TIMEOUT
 
 
 class ControlBlock(NamedTuple):
-    """One logged interaction: who touched which activity when."""
+    """One logged interaction: who touched which activity when; the course holds its object and task."""
 
     learner_id: str
     timestamp: int
     activity_id: str
-    object_id: str
-    task_id: str
     note_id: str | None = None
 
 
@@ -74,12 +72,10 @@ def iter_blocks(
     (line_no, activity_id) is appended to ``skipped`` as it is passed.
     """
     new = tuple.__new__  # the block's fields in one tuple, without the named tuple's ``__new__``
-    # Each raw field, as split off a line, mapped on first sight to what it strips to: the learner's one
-    # shared id string (a stripped id maps to itself), and the activity's (id, object_id, task_id) off
-    # the course record.
+    # Each raw learner field, as split off a line, mapped on first sight to the learner's one shared id
+    # string (a stripped id maps to itself).
     learners: dict[str, str] = {}
-    activities: dict[str, tuple[str, str, str]] = {}
-    course = env.activities
+    activities = env.activities
     for line_no, line in enumerate(lines, 1):
         fields = line.split(",")
         if len(fields) == 3:
@@ -112,19 +108,17 @@ def iter_blocks(
                 raise ParseError(line_no, f"bad timestamp {stamp!r}") from None
         if timestamp < 0:
             raise ParseError(line_no, "negative timestamp")
-        resolved = activities.get(activity)
-        if resolved is None:
+        record = activities.get(activity)
+        if record is None:
             activity_id = activity.strip()
-            record = course.get(activity_id)
+            record = activities.get(activity_id)
             if record is None:
                 if skip_unknown:
                     if skipped is not None:
                         skipped.append((line_no, activity_id))
                     continue
                 raise DanglingRef(activity_id, line_no=line_no)
-            resolved = activities[activity] = (record.id, record.object_id, record.task_id)
-        aid, object_id, task_id = resolved
-        yield new(ControlBlock, (learner_id, timestamp, aid, object_id, task_id, note_id))
+        yield new(ControlBlock, (learner_id, timestamp, record.id, note_id))
 
 
 def parse_log(
@@ -133,7 +127,7 @@ def parse_log(
     skip_unknown: bool = False,
     skipped: list[tuple[int, str]] | None = None,
 ) -> list[ControlBlock]:
-    """Parse log lines into control blocks, resolving object/task from the course.
+    """Parse log lines into control blocks, checking each activity against the course.
 
     Unknown activity ids raise :class:`DanglingRef` unless ``skip_unknown``
     is set, in which case the offending (line_no, activity_id) pairs are

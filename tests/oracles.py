@@ -6,6 +6,7 @@ matrix squaring) and shares no code with the package.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from itertools import combinations
 
 
@@ -224,13 +225,13 @@ def pairwise_experience(ids: list[str], adjacent, strict: bool) -> tuple:
     return ("ok", flags)
 
 
-def naive_parse_log(lines: list[str], activities: dict[str, tuple[str, str]], skip_unknown: bool) -> tuple:
-    """Log lines read field by field against ``activities`` (id -> (object id, task id)).
+def naive_parse_log(lines: list[str], activities: Collection[str], skip_unknown: bool) -> tuple:
+    """Log lines read field by field against the course's ``activities`` ids.
 
     Returns ``("ok", rows, skipped)`` with one ``(learner, timestamp, activity,
-    object, task, note or None)`` row per kept line and the ``(line number,
-    id)`` of each line dropped as unknown, or, for the first bad line,
-    ``("parse", line number)`` or ``("dangling", line number, id)``.
+    note or None)`` row per kept line and the ``(line number, id)`` of each
+    line dropped as unknown, or, for the first bad line, ``("parse", line
+    number)`` or ``("dangling", line number, id)``.
     """
     rows, skipped = [], []
     header_allowed = True
@@ -255,5 +256,5 @@ def naive_parse_log(lines: list[str], activities: dict[str, tuple[str, str]], sk
             skipped.append((number, parts[2]))
             continue
         note = parts[3] if len(parts) == 4 and parts[3] != "" else None
-        rows.append((parts[0], stamp, parts[2], *activities[parts[2]], note))
+        rows.append((parts[0], stamp, parts[2], note))
     return ("ok", rows, skipped)

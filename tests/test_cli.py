@@ -276,6 +276,7 @@ def test_timeout_env_var_and_flag_priority(course, log, capsys, monkeypatch):
         pytest.param(["export", "--timeout", "0"], id="export-without-overlay--timeout=0"),
         pytest.param(["export", "--timeout", "-5"], id="export-without-overlay--timeout=-5"),
         pytest.param(["sessions", "--timeout", "-1"], id="sessions--timeout=-1"),
+        pytest.param(["export", "--overlay", "clusters"], id="export-clusters-overlay-without--clusters"),
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
@@ -286,7 +287,9 @@ def test_bad_flag_values_are_one_line_usage_errors(course, log, argv, capsys):
 
 
 @pytest.mark.parametrize("command", ["sessions", "cycles", "erase", "coverage", "mine", "export"])
-@pytest.mark.parametrize("timeout_flag,env_value", [(["--timeout", "0"], None), ([], "soon")], ids=["flag", "env"])
+@pytest.mark.parametrize(
+    "timeout_flag,env_value", [(["--timeout", "0"], None), ([], "soon"), ([], "0")], ids=["flag", "env", "env-zero"]
+)
 def test_timeout_is_checked_before_any_file_is_read(tmp_path, command, timeout_flag, env_value, capsys, monkeypatch):
     if env_value is not None:
         monkeypatch.setenv("ODL_TIMEOUT", env_value)
@@ -494,6 +497,41 @@ def test_log_commands_let_go_of_each_learners_sessions_once_used(course, tmp_pat
     assert main([command, "--log", str(log_path), "--course", course]) == 0
     # Each learner has one session; the grouping has read the next learner's session when one is built.
     assert [len(left) for left in learners_left] == [*range(23, -1, -1), 0]
+
+
+@pytest.mark.parametrize(
+    "strategy_paths,clusters_out", [(False, "component\t25\tLA1,LA2\n"), (True, "")], ids=["visits", "strategy-paths"]
+)
+def test_mine_lets_go_of_each_session_once_its_visit_set_is_read(
+    course, tmp_path, strategy_paths, clusters_out, capsys, monkeypatch
+):
+    log_path = tmp_path / "many.csv"
+    log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
+    held: list[list] = []
+    course_and_sessions = cli._course_and_sessions
+
+    def kept(args):
+        env, found = course_and_sessions(args)
+        held.append(found)
+        return env, found
+
+    sessions_left = []
+    session_visit_sets = clusters.session_visit_sets
+
+    def tracked(found, strategy_paths=False):
+        def read():
+            for session in found:
+                sessions_left.append(len(held[0]))
+                yield session
+
+        return session_visit_sets(read(), strategy_paths)
+
+    monkeypatch.setattr(cli, "_course_and_sessions", kept)
+    monkeypatch.setattr(clusters, "session_visit_sets", tracked)
+    argv = ["mine", "--log", str(log_path), "--course", course, "--min-count", "25"]
+    assert main(argv + ["--on-strategy-paths"] * strategy_paths) == 0
+    assert capsys.readouterr().out == clusters_out  # each walk LA1,LA2,LA1 erases to LA1
+    assert sessions_left == list(range(24, -1, -1))
 
 
 def test_mine_components_flag_is_gone(course, log, capsys):

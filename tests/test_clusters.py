@@ -161,7 +161,7 @@ def test_read_clusters_keeps_a_member_holding_u2028():
 
 def test_visit_sets_from_sessions_dedupe_and_strategy_option():
     def block(aid: str, ts: int) -> ControlBlock:
-        return ControlBlock("u1", ts, aid, "O1", "read")
+        return ControlBlock("u1", ts, aid)
 
     session = Session("u1", (block("a", 0), block("b", 1), block("c", 2), block("b", 3), block("d", 4)), 1)
     (raw,) = session_visit_sets([session])

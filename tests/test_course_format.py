@@ -178,6 +178,9 @@ def test_edge_to_undeclared_node_is_dangling():
         parse_graph_file(text)
     assert err.value.missing_id == "LAX"
     assert err.value.line_no == 2
+    with pytest.raises(DanglingRef) as err:
+        parse_graph_file("NODE LA5|a|read|a||\nEDGE LA5|LA5|sequence|\nEDGE LAY|LA5|sequence|\n")
+    assert (err.value.missing_id, err.value.line_no) == ("LAY", 3)
 
 
 def test_reference_flag_and_duration_round_trip():
@@ -226,6 +229,12 @@ def test_graph_file_rejects_garbage_and_empties():
         parse_graph_file("# nothing else\n")
     with pytest.raises(ParseError):
         parse_graph_file("NODE A|a|read|a||\nEDGE A|A|mystery|x\n")
+    with pytest.raises(ParseError) as err:
+        parse_graph_file("NODE A|a|read|a||\nNODE  |b|read|b||\n")
+    assert (err.value.line_no, err.value.reason) == (2, "empty node id")
+    with pytest.raises(ParseError) as err:
+        parse_graph_file("NODE A|a|read|a||\nNODE B|b|read|b||\nNODE A |c|read|c||\n")
+    assert (err.value.line_no, err.value.reason) == (3, "duplicate node id 'A'")
 
 
 @pytest.mark.parametrize("fmt", ["odlg", "odlc"])
@@ -410,7 +419,7 @@ def test_graph_serialize_keeps_the_short_duration_text_where_it_reads_back():
     assert [line.rsplit("|", 1)[1] for line in serialize(env, "odlg").splitlines()[1:]] == ["12.5", "30", "0.1"]
 
 
-@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity", "abc"])
 def test_graph_reader_refuses_a_non_finite_duration(text):
     with pytest.raises(ParseError, match="bad duration"):
         parse_graph_file(f"NODE A|a|read|a||{text}\n")

@@ -147,6 +147,62 @@ def test_validate_reports_bad_atomic_and_composite_objects():
     assert ("bad_object", "O10") in codes
 
 
+VALID = quick_env(["LA1", "LA2"], [("LA1", "LA2")])
+
+
+def broken(activities=(), edges=None, objects=(), tasks=()) -> LearningEnvironment:
+    """The valid two-activity course with the given records added or put in place of its own."""
+    return LearningEnvironment(
+        {**VALID.activities, **{a.id: a for a in activities}},
+        VALID.edges if edges is None else edges,
+        {**VALID.objects, **{o.id: o for o in objects}},
+        {**VALID.tasks, **{t.id: t for t in tasks}},
+    )
+
+
+BROKEN_ENVIRONMENTS = {
+    "add_object-duplicate": (
+        lambda: add_object(VALID, LearningObject("O1", "again", ObjectKind.ATOMIC, "again")),
+        ("DuplicateId", "O1", "object")),
+    "add_task-duplicate": (lambda: add_task(VALID, LearningTask("read", "read")), ("DuplicateId", "read", "task")),
+    "add_activity-unknown-object": (
+        lambda: add_activity(VALID, LearningActivity("LA3", "O9", "read")), ("DanglingRef", "O9")),
+    "add_edge-from-unknown": (lambda: add_edge(VALID, "LA9", "LA1"), ("DanglingRef", "LA9")),
+    "empty-verb": (lambda: broken(tasks=[LearningTask("read", "")]), [("empty_verb", "read")]),
+    "atomic-with-children": (
+        lambda: broken(objects=[
+            LearningObject("O1", "c", ObjectKind.ATOMIC, "c", ("O2",)), LearningObject("O2", "d", locator="d")]),
+        [("bad_object", "O1")]),
+    "missing-child": (
+        lambda: broken(objects=[LearningObject("O2", "unit", ObjectKind.COMPOSITE, children=("O9",))]),
+        [("dangling_ref", "O2")]),
+    "unknown-kind": (lambda: broken(objects=[LearningObject("O2", "clip", "video", "clip")]), [("bad_object", "O2")]),
+    "activity-missing-object": (
+        lambda: broken(activities=[LearningActivity("LA3", "O9", "read")]), [("dangling_ref", "LA3")]),
+    "activity-missing-task": (
+        lambda: broken(activities=[LearningActivity("LA3", "O1", "solve")]), [("dangling_ref", "LA3")]),
+    "negative-duration": (
+        lambda: broken(activities=[LearningActivity("LA3", "O1", "read", False, -1.0)]), [("bad_duration", "LA3")]),
+    "duplicate-edge-id": (
+        lambda: broken(edges=(PrecedentEdge("e1", "LA1", "LA2"), PrecedentEdge("e1", "LA2", "LA1"))),
+        [("duplicate_edge_id", "e1")]),
+    "bad-tag": (lambda: broken(edges=(PrecedentEdge("e1", "LA1", "LA2", "", "sequence"),)), [("bad_tag", "e1")]),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_ENVIRONMENTS))
+def test_each_broken_environment_is_refused_or_reported_exactly(case):
+    build, expected = BROKEN_ENVIRONMENTS[case]
+    try:
+        env = build()
+    except DuplicateId as err:
+        assert ("DuplicateId", err.entity_id, err.kind) == expected
+    except DanglingRef as err:
+        assert ("DanglingRef", err.missing_id) == expected
+    else:
+        assert [(v.code, v.subject) for v in validate(env)] == expected
+
+
 def test_validate_idempotent():
     env = quick_env(["LA1"], [("LA1", "LA1")])
     assert validate(env) == validate(env)

@@ -49,6 +49,9 @@ def test_attach_and_list_note():
     store = store_with(note("n1", NoteAccess.ALL, author="u1"))
     found = list_notes(store, "LA5", "u2", "learner")
     assert [n.note_id for n in found] == ["n1"]
+    with pytest.raises(DanglingRef) as err:
+        list_notes(store, "LA999", "u1")
+    assert err.value.missing_id == "LA999"
 
 
 def test_attach_rejects_unknown_node():
