@@ -11,7 +11,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -82,12 +82,12 @@ def _drained(sessions: list[Session]) -> Iterator[Session]:
     return (sessions.pop() for _ in range(len(sessions)))
 
 
-def _experiences(sessions: list[Session], env: LearningEnvironment, mode: str) -> Iterator[LearningExperience]:
-    """One learner's experience at a time, from the sessions as :func:`_drained` gives them."""
+def _walks(sessions: list[Session], env=None, mode=None) -> Iterator[tuple[str, list[str] | LearningExperience]]:
+    """Each learner's id and walk in turn, from :func:`_drained`: its activity ids, or its experience in ``mode``."""
     from .sessions import build_experience
 
-    for _, mine in groupby(_drained(sessions), key=attrgetter("learner_id")):
-        yield build_experience(mine, env, mode)
+    for learner, mine in groupby(_drained(sessions), key=itemgetter(0)):
+        yield learner, build_experience(mine, env, mode) if mode else [b[2] for s in mine for b in s[1]]
 
 
 def _emit(args, *pieces: str) -> None:
@@ -138,15 +138,14 @@ def _cmd_cycles(args) -> int:
     from .paths import classify_cycle, detect_cycles
 
     env, sessions = _course_and_sessions(args)
-    mode = "strict" if args.strict else "lenient"
     texts = []
-    for experience in _experiences(sessions, env, mode):
+    for learner, walk in _walks(sessions, env, "strict" if args.strict else None):
         # One text per learner: every row is held until the last learner is read, and a string per
         # detour would cost an object each.
         texts.append("".join(
-            f"{experience.learner_id}\t{cycle.anchor_activity}\t{cycle.start_index}"
+            f"{learner}\t{cycle.anchor_activity}\t{cycle.start_index}"
             f"\t{cycle.end_index}\t{classify_cycle(cycle, env).value}\t{','.join(cycle.interior)}\n"
-            for cycle in detect_cycles(experience) if len(cycle.interior) >= args.min_interior
+            for cycle in detect_cycles(walk) if len(cycle.interior) >= args.min_interior
         ))
     _emit(args, *texts)
     return 0
@@ -155,10 +154,8 @@ def _cmd_cycles(args) -> int:
 def _cmd_erase(args) -> int:
     from .paths import erase_cycles
 
-    env, sessions = _course_and_sessions(args)
-    _emit(args, *(
-        f"{e.learner_id}\t{','.join(erase_cycles(e))}\n" for e in _experiences(sessions, env, "lenient")
-    ))
+    _, sessions = _course_and_sessions(args)
+    _emit(args, *(f"{learner}\t{','.join(erase_cycles(ids))}\n" for learner, ids in _walks(sessions)))
     return 0
 
 
@@ -167,10 +164,10 @@ def _cmd_coverage(args) -> int:
 
     env, sessions = _course_and_sessions(args)
     rows, visited = [], []
-    for experience in _experiences(sessions, env, "lenient"):
-        report = coverage([experience], env)
+    for learner, ids in _walks(sessions):
+        report = coverage([ids], env)
         visited.append(report.visited)
-        rows.append(f"{experience.learner_id}\t{len(report.visited)}\t{report.total}\t{report.ratio:.4f}\n")
+        rows.append(f"{learner}\t{len(report.visited)}\t{report.total}\t{report.ratio:.4f}\n")
     overall = coverage(visited, env)
     rows.append(f"*\t{len(overall.visited)}\t{overall.total}\t{overall.ratio:.4f}\n")
     _emit(args, *rows)
@@ -211,7 +208,7 @@ def _cmd_export(args) -> int:
         env, mine = _course_and_sessions(args, args.experience)
         if not mine:
             raise OdlError(f"no sessions for learner {args.experience!r}")
-        (experience,) = _experiences(mine, env, "lenient")
+        ((_, experience),) = _walks(mine, env, "lenient")
     else:
         env, _ = _load_course(args.course)
     if overlay is Overlay.CLUSTERS:

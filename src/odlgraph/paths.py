@@ -46,10 +46,13 @@ class CoverageReport(NamedTuple):
     ratio: float
 
 
-def _visit_ids(experience: LearningExperience | Sequence[str]) -> list[str]:
+def _visit_ids(experience: LearningExperience | Sequence[str]) -> tuple[str, ...]:
     if isinstance(experience, LearningExperience):
-        return [v.activity_id for v in experience.visits]
-    return list(experience)
+        return tuple([v.activity_id for v in experience.visits])
+    if isinstance(experience, str):
+        # A bare string would otherwise be walked as the sequence of its characters.
+        raise TypeError(f"a walk must be a LearningExperience or a sequence of activity ids, not {experience!r}")
+    return tuple(experience)
 
 
 def detect_cycles(experience: LearningExperience | Sequence[str]) -> list[Cycle]:
@@ -60,12 +63,13 @@ def detect_cycles(experience: LearningExperience | Sequence[str]) -> list[Cycle]
     visit slice strictly between anchor and return.
     """
     ids = _visit_ids(experience)
+    new = tuple.__new__  # the cycle's fields in one tuple, without the named tuple's ``__new__``
     latest: dict[str, int] = {}
     cycles: list[Cycle] = []
     for j, node in enumerate(ids):
         i = latest.get(node)
         if i is not None:
-            cycles.append(Cycle(node, i, j, tuple(ids[i + 1:j])))
+            cycles.append(new(Cycle, (node, i, j, ids[i + 1:j])))
         latest[node] = j
     return cycles
 
@@ -93,23 +97,26 @@ def split_strategy_tactics(
     inner detours, in stack order).  Together the detours account for every
     erased visit: strategy + interiors + one anchor per detour = input.
     """
-    ids = _visit_ids(experience)
-    stack: list[tuple[int, str]] = []
+    new = tuple.__new__  # as in detect_cycles
+    # The stack as two lists: its nodes, and the visit index each node's later detours leave from.
+    nodes: list[str] = []
+    starts: list[int] = []
     position: dict[str, int] = {}
     cycles: list[Cycle] = []
-    for j, node in enumerate(ids):
+    for j, node in enumerate(_visit_ids(experience)):
         p = position.get(node)
         if p is None:
-            position[node] = len(stack)
-            stack.append((j, node))
+            position[node] = len(nodes)
+            nodes.append(node)
+            starts.append(j)
         else:
-            popped = stack[p + 1:]
-            for _, dropped in popped:
+            popped = tuple(nodes[p + 1:])
+            for dropped in popped:
                 del position[dropped]
-            del stack[p + 1:]
-            cycles.append(Cycle(node, stack[p][0], j, tuple(n for _, n in popped)))
-            stack[p] = (j, node)  # later detours leave from this visit
-    return [node for _, node in stack], cycles
+            del nodes[p + 1:], starts[p + 1:]
+            cycles.append(new(Cycle, (node, starts[p], j, popped)))
+            starts[p] = j  # later detours leave from this visit
+    return nodes, cycles
 
 
 def erase_cycles(experience: LearningExperience | Sequence[str]) -> list[str]:

@@ -10,9 +10,11 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import odlgraph
-from odlgraph import cli, clusters, course_format, sessions
+from odlgraph import cli, clusters, course_format, paths, sessions
+from odlgraph.errors import NonAdjacentStep
 from odlgraph.cli import _build_parser, main
 from odlgraph.clusters import DEFAULT_MIN_COOCCURRENCE
 from odlgraph.dot_export import Overlay
@@ -134,27 +136,103 @@ def test_cycles_strict_fails_on_teleport(course, log, tmp_path, capsys):
     assert not out.exists()
 
 
+# Rows of u1..u3 in any order, with equal timestamps, gaps over the 60 s timeout, steps between unconnected
+# activities (such as LA1 to LA3) and the reference node Dict.
+log_rows = st.lists(
+    st.tuples(st.sampled_from(["u1", "u2", "u3"]), st.integers(0, 400), st.sampled_from(["LA1", "LA2", "LA3", "Dict"])),
+    min_size=1, max_size=40,
+)
+
+
+@given(rows=log_rows, min_interior=st.integers(0, 3))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_walk_commands_print_what_the_library_gives_for_each_experience(course, tmp_path, capsys, rows, min_interior):
+    text = "".join(f"{learner},{timestamp},{activity}\n" for learner, timestamp, activity in rows)
+    log_path = tmp_path / "drawn.csv"
+    log_path.write_text(text, encoding="utf-8")
+    env, _ = course_format.parse_course(GRAPH_COURSE, "course.odlg")
+    found = sessions.sessionize(sessions.parse_log(text.splitlines(), env), 60)
+    experiences = [
+        sessions.build_experience([s for s in found if s.learner_id == learner], env)
+        for learner in sorted({s.learner_id for s in found})
+    ]
+
+    def run(*argv: str) -> tuple[int, str, str]:
+        code = main([*argv, "--log", str(log_path), "--course", course, "--timeout", "60"])
+        return (code, *capsys.readouterr())
+
+    def cycle_rows(k: int) -> str:
+        return "".join(
+            f"{e.learner_id}\t{c.anchor_activity}\t{c.start_index}\t{c.end_index}"
+            f"\t{paths.classify_cycle(c, env).value}\t{','.join(c.interior)}\n"
+            for e in experiences for c in paths.detect_cycles(e) if len(c.interior) >= k
+        )
+
+    reports = [paths.coverage([e], env) for e in experiences]
+    overall = paths.coverage(experiences, env)
+    assert run("cycles") == (0, cycle_rows(0), "")
+    assert run("cycles", "--min-interior", str(min_interior)) == (0, cycle_rows(min_interior), "")
+    assert run("erase") == (0, "".join(f"{e.learner_id}\t{','.join(paths.erase_cycles(e))}\n" for e in experiences), "")
+    assert run("coverage") == (0, "".join(
+        f"{e.learner_id}\t{len(r.visited)}\t{r.total}\t{r.ratio:.4f}\n" for e, r in zip(experiences, reports)
+    ) + f"*\t{len(overall.visited)}\t{overall.total}\t{overall.ratio:.4f}\n", "")
+    # --strict prints the lenient rows, or fails on the first teleport of the first learner who made one.
+    teleports = [(i, e.visits) for e in experiences for i, v in enumerate(e.visits) if v.teleport]
+    if teleports:
+        i, visits = teleports[0]
+        error = NonAdjacentStep(i, visits[i - 1].activity_id, visits[i].activity_id)
+        assert run("cycles", "--strict") == (1, "", f"error: {error}\n")
+    else:
+        assert run("cycles", "--strict") == (0, cycle_rows(0), "")
+
+
 MANY_LEARNERS_LOG = "".join(f"u{n:02},0,LA1\nu{n:02},60,LA2\nu{n:02},120,LA1\n" for n in range(25))
 
 
-@pytest.mark.parametrize("command", ["cycles", "erase", "coverage"])
+class _Walk(list):
+    """A walk of activity ids that a weak reference can follow, as a plain list cannot."""
+
+    __slots__ = ("__weakref__",)
+
+
+WALK_COMMANDS = [
+    pytest.param(["cycles"], id="cycles"),
+    pytest.param(["erase"], id="erase"),
+    pytest.param(["coverage"], id="coverage"),
+    pytest.param(["cycles", "--strict"], id="cycles-strict"),
+]
+
+
+@pytest.mark.parametrize("command", WALK_COMMANDS)
 def test_log_commands_hold_one_learners_experience_at_a_time(course, tmp_path, command, capsys, monkeypatch):
+    # Lenient commands walk each learner's activity ids; only the step check of --strict builds experiences.
     log_path = tmp_path / "many.csv"
     log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
-    alive: weakref.WeakSet = weakref.WeakSet()
+    refs: list[weakref.ref] = []
     most_alive = []
-    build_experience = sessions.build_experience
+    built = []
+    walks, build_experience = cli._walks, sessions.build_experience
 
-    def tracked(*args, **kwargs):
-        experience = build_experience(*args, **kwargs)
-        alive.add(experience)
-        most_alive.append(len(alive))
+    def tracked(*args):
+        for learner, walk in walks(*args):
+            if type(walk) is list:
+                walk = _Walk(walk)
+            refs.append(weakref.ref(walk))
+            most_alive.append(sum(ref() is not None for ref in refs))
+            yield learner, walk
+
+    def counted(*args):
+        experience = build_experience(*args)
+        built.append(experience.learner_id)
         return experience
 
-    monkeypatch.setattr(sessions, "build_experience", tracked)
-    assert main([command, "--log", str(log_path), "--course", course]) == 0
+    monkeypatch.setattr(cli, "_walks", tracked)
+    monkeypatch.setattr(sessions, "build_experience", counted)
+    assert main([*command, "--log", str(log_path), "--course", course]) == 0
     assert len(capsys.readouterr().out.splitlines()) >= 25
     assert len(most_alive) == 25 and max(most_alive) <= 2
+    assert len(built) == (25 if "--strict" in command else 0)
+    assert built == [f"u{n:02}" for n in range(len(built))]
 
 
 def test_erase_lists_strategy_paths(course, log, capsys):
@@ -471,7 +549,7 @@ def test_output_written_in_batches_is_the_whole_output(course, tmp_path, command
     assert out.read_text(encoding="utf-8") == whole
 
 
-@pytest.mark.parametrize("command", ["cycles", "erase", "coverage"])
+@pytest.mark.parametrize("command", WALK_COMMANDS)
 def test_log_commands_let_go_of_each_learners_sessions_once_used(course, tmp_path, command, capsys, monkeypatch):
     log_path = tmp_path / "many.csv"
     log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
@@ -484,18 +562,18 @@ def test_log_commands_let_go_of_each_learners_sessions_once_used(course, tmp_pat
         return env, found
 
     learners_left = []
-    build_experience = sessions.build_experience
+    walks = cli._walks
 
-    def tracked(mine, env, mode):
-        mine = list(mine)
-        learners_left.append({s.learner_id for s in held[0]})
-        assert mine[0].learner_id not in learners_left[-1]
-        return build_experience(mine, env, mode)
+    def tracked(*args):
+        for learner, walk in walks(*args):
+            learners_left.append({s.learner_id for s in held[0]})
+            assert learner not in learners_left[-1]
+            yield learner, walk
 
     monkeypatch.setattr(cli, "_course_and_sessions", kept)
-    monkeypatch.setattr(sessions, "build_experience", tracked)
-    assert main([command, "--log", str(log_path), "--course", course]) == 0
-    # Each learner has one session; the grouping has read the next learner's session when one is built.
+    monkeypatch.setattr(cli, "_walks", tracked)
+    assert main([*command, "--log", str(log_path), "--course", course]) == 0
+    # Each learner has one session; the grouping has read the next learner's session when a walk is given.
     assert [len(left) for left in learners_left] == [*range(23, -1, -1), 0]
 
 

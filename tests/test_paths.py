@@ -164,3 +164,28 @@ def test_coverage_monotone_and_bounded(experience_sets):
         assert report.ratio >= previous
         assert report.visited == set().union(*map(set, acc)) & set(env.activities)
         previous = report.ratio
+
+
+@pytest.mark.parametrize("as_input", [list, tuple, walk], ids=["list", "tuple", "experience"])
+def test_detours_are_cycle_records_with_tuple_interiors(as_input):
+    # A plain tuple equals a Cycle of the same values, so only the types tell them apart.
+    ids = ["a", "b", "c", "b", "a", "d", "a"]
+    detours = [*detect_cycles(as_input(ids)), *split_strategy_tactics(as_input(ids))[1]]
+    assert len(detours) == 6
+    for detour in detours:
+        assert type(detour) is Cycle and type(detour.interior) is tuple
+    assert detect_cycles(as_input(ids))[1] == Cycle("a", 0, 4, ("b", "c", "b"))
+    assert split_strategy_tactics(as_input(ids)) == (["a"], [
+        Cycle("b", 1, 3, ("c",)), Cycle("a", 0, 4, ("b",)), Cycle("a", 4, 6, ("d",))
+    ])
+
+
+@pytest.mark.parametrize("call", [
+    detect_cycles, erase_cycles, split_strategy_tactics, visit_order,
+    lambda ids: coverage([["LA5"], ids], REF_ENV),
+], ids=["detect_cycles", "erase_cycles", "split_strategy_tactics", "visit_order", "coverage"])
+def test_a_bare_string_is_not_a_walk(call):
+    # Each character would otherwise be taken for an activity id.
+    with pytest.raises(TypeError, match="'LA5'"):
+        call("LA5")
+    assert call(("LA5",)) == call(["LA5"])
