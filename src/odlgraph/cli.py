@@ -163,12 +163,12 @@ def _cmd_coverage(args) -> int:
     from .paths import coverage
 
     env, sessions = _course_and_sessions(args)
-    rows, visited = [], []
+    rows, visited = [], set()
     for learner, ids in _walks(sessions):
         report = coverage([ids], env)
-        visited.append(report.visited)
+        visited |= report.visited  # a running union, so no learner's set outlives its row
         rows.append(f"{learner}\t{len(report.visited)}\t{report.total}\t{report.ratio:.4f}\n")
-    overall = coverage(visited, env)
+    overall = coverage([visited], env)
     rows.append(f"*\t{len(overall.visited)}\t{overall.total}\t{overall.ratio:.4f}\n")
     _emit(args, *rows)
     return 0
@@ -198,8 +198,14 @@ def _cmd_export(args) -> int:
     walked = overlay in (Overlay.VISIT_ORDER, Overlay.COVERAGE)
     if walked and not (args.log and args.experience):
         raise _UsageError(f"--overlay {overlay.value} needs --log and --experience")
+    for flag, given in (("--log", args.log is not None), ("--experience", args.experience is not None),
+                        ("--skip-unknown", args.skip_unknown)):
+        if given and not walked:
+            raise _UsageError(f"{flag} needs --overlay visit_order or coverage")
     if overlay is Overlay.CLUSTERS and not args.clusters:
         raise _UsageError("--overlay clusters needs --clusters FILE")
+    if args.clusters is not None and overlay is not Overlay.CLUSTERS:
+        raise _UsageError("--clusters needs --overlay clusters")
     from .dot_export import ExportStyle, export_dot
 
     experience = found = None

@@ -118,20 +118,23 @@ def threshold(graph: CoOccurrenceGraph, min_count: int) -> CoOccurrenceGraph:
     return CoOccurrenceGraph(frozenset(nodes), weights)
 
 
-def _indexed(graph: CoOccurrenceGraph) -> tuple[list[str], dict[str, int], list[int]]:
-    """Nodes in sorted order, each node's position, and neighbour bitmasks by position.
+def _indexed(graph: CoOccurrenceGraph) -> tuple[list[str], list[int], list[dict[int, int]]]:
+    """Nodes in sorted order, and by position each node's neighbour bitmask and pair weights.
 
     Positions follow the sorted node order, so ascending positions are
     ascending node ids and sorted position tuples sort like sorted id tuples.
+    ``weight[i][j]`` is the weight of the pair at positions ``i`` and ``j``.
     """
     order = sorted(graph.nodes)
     index = {node: i for i, node in enumerate(order)}
     adj = [0] * len(order)
-    for a, b in graph.weights:
+    weight: list[dict[int, int]] = [{} for _ in order]
+    for (a, b), w in graph.weights.items():
         i, j = index[a], index[b]
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    return order, index, adj
+        weight[i][j] = weight[j][i] = w
+    return order, adj, weight
 
 
 def _positions(mask: int) -> Iterator[int]:
@@ -143,31 +146,27 @@ def _positions(mask: int) -> Iterator[int]:
 
 
 def connected_components(graph: CoOccurrenceGraph) -> list[Cluster]:
-    """Components over the surviving edges; singletons excluded."""
-    order, index, adj = _indexed(graph)
-    component_of = [-1] * len(order)
-    masks: list[int] = []
-    for start, neighbours in enumerate(adj):
-        if component_of[start] >= 0 or not neighbours:
-            continue
-        component = frontier = 1 << start
+    """Components over the surviving edges; singletons excluded.
+
+    A member's pairs all lie inside its component, so the members' weight rows give its support.
+    """
+    order, adj, weight = _indexed(graph)
+    clusters: list[Cluster] = []
+    unseen = sum(1 << i for i, neighbours in enumerate(adj) if neighbours)
+    while unseen:
+        component = frontier = unseen & -unseen
+        support = math.inf
         while frontier:
             low = frontier & -frontier
             frontier ^= low
             node = low.bit_length() - 1
-            component_of[node] = len(masks)
+            support = min(support, min(weight[node].values()))
             new = adj[node] & ~component
             component |= new
             frontier |= new
-        masks.append(component)
-    support = [math.inf] * len(masks)
-    for (a, _), w in graph.weights.items():
-        k = component_of[index[a]]
-        support[k] = min(support[k], w)
-    return [
-        Cluster(frozenset(order[i] for i in _positions(mask)), ClusterKind.COMPONENT, support[k])
-        for k, mask in enumerate(masks)
-    ]
+        unseen &= ~component
+        clusters.append(Cluster(frozenset(order[i] for i in _positions(component)), ClusterKind.COMPONENT, support))
+    return clusters
 
 
 def _branches(candidates: int, excluded: int, adj: list[int]) -> int:
@@ -196,11 +195,7 @@ def maximal_cliques(graph: CoOccurrenceGraph, max_nodes_guard: int = 2000) -> li
     """
     if len(graph.nodes) > max_nodes_guard:
         raise GraphTooLarge(len(graph.nodes), max_nodes_guard, "nodes")
-    order, index, adj = _indexed(graph)
-    weight: list[dict[int, int]] = [{} for _ in order]
-    for (a, b), w in graph.weights.items():
-        i, j = index[a], index[b]
-        weight[i][j] = weight[j][i] = w
+    order, adj, weight = _indexed(graph)
     found: list[tuple[tuple[int, ...], int]] = []
     # Each frame: clique, its support, candidates, excluded, branches left.
     everything = (1 << len(order)) - 1

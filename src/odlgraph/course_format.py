@@ -49,7 +49,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from pathlib import PurePath
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DanglingRef, ParseError, UnsupportedFormat
 from .model import (
@@ -171,37 +171,45 @@ def parse_tabular(text: str) -> LearningEnvironment:
 
 
 def _build_tabular(doc: CourseDocument) -> LearningEnvironment:
-    verbs = _resolve_verbs(doc.lines)
+    ids = [f"LA{i}" for i in range(1, len(doc.lines) + 1)]
+    nodes = (
+        (aid, line.object_text, verb, line.object_text, False, None)
+        for aid, line, verb in zip(ids, doc.lines, _resolve_verbs(doc.lines))
+    )
+    edges = (
+        (ids[src], ids[dst], DETOUR_LABEL, EdgeTag.INTEREST) if kind == "detour"
+        else (ids[src], ids[dst], "", EdgeTag.SEQUENCE)
+        for src, dst, kind in _outline_edges([ln.depth for ln in doc.lines])
+    )
+    return _build_course(nodes, edges)
 
+
+def _build_course(nodes: Iterable[tuple], edges: Iterable[tuple]) -> LearningEnvironment:
+    """The environment of checked records; both readers name objects, tasks and edges only here.
+
+    Nodes are ``(id, title, verb, locator, is_reference, duration)`` and
+    edges ``(from, to, label, tag)``, in file order.  Objects are ``O<n>``,
+    numbered by first ``(title, locator)``; each verb is its own task;
+    edges are ``e<n>``, in order.
+    """
     objects: dict[str, LearningObject] = {}
-    object_by_text: dict[str, str] = {}
+    object_ids: dict[tuple[str, str], str] = {}
     tasks: dict[str, LearningTask] = {}
     activities: dict[str, LearningActivity] = {}
-
-    for i, line in enumerate(doc.lines):
-        oid = object_by_text.get(line.object_text)
+    for aid, title, verb, locator, is_reference, duration in nodes:
+        key = (title, locator)
+        oid = object_ids.get(key)
         if oid is None:
             oid = f"O{len(objects) + 1}"
-            object_by_text[line.object_text] = oid
-            objects[oid] = LearningObject(oid, line.object_text, ObjectKind.ATOMIC, line.object_text)
-        verb = verbs[i]
+            object_ids[key] = oid
+            objects[oid] = LearningObject(oid, title, ObjectKind.ATOMIC, locator)
         if verb not in tasks:
             tasks[verb] = LearningTask(verb, verb)
-        aid = f"LA{i + 1}"
-        activities[aid] = LearningActivity(aid, oid, verb)
-
-    ids = list(activities)
-    edges = tuple(
-        PrecedentEdge(
-            f"e{k + 1}",
-            ids[src],
-            ids[dst],
-            DETOUR_LABEL if kind == "detour" else "",
-            EdgeTag.INTEREST if kind == "detour" else EdgeTag.SEQUENCE,
-        )
-        for k, (src, dst, kind) in enumerate(_outline_edges([ln.depth for ln in doc.lines]))
+        activities[aid] = LearningActivity(aid, oid, verb, is_reference, duration)
+    records = tuple(
+        PrecedentEdge(f"e{k}", from_id, to_id, label, tag) for k, (from_id, to_id, label, tag) in enumerate(edges, 1)
     )
-    return LearningEnvironment(activities, edges, objects, tasks)
+    return LearningEnvironment(activities, records, objects, tasks)
 
 
 def parse_course(text: str, path: str) -> tuple[LearningEnvironment, str]:
@@ -270,11 +278,8 @@ def parse_graph_file(text: str) -> LearningEnvironment:
     if not node_lines:
         raise ParseError(0, "no NODE records")
 
-    objects: dict[str, LearningObject] = {}
-    object_key: dict[tuple[str, str], str] = {}
-    tasks: dict[str, LearningTask] = {}
-    activities: dict[str, LearningActivity] = {}
-
+    ids: set[str] = set()
+    nodes: list[tuple[str, str, str, str, bool, float | None]] = []
     for line_no, body in node_lines:
         fields = _split_record(body)
         if not 4 <= len(fields) <= 6:
@@ -282,7 +287,7 @@ def parse_graph_file(text: str) -> LearningEnvironment:
         aid, title, verb, obj_text = fields[0].strip(), fields[1].strip(), fields[2].strip(), fields[3].strip()
         if not aid:
             raise ParseError(line_no, "empty node id")
-        if aid in activities:
+        if aid in ids:
             raise ParseError(line_no, f"duplicate node id {aid!r}")
         if not verb:
             raise ParseError(line_no, "empty task verb")
@@ -306,34 +311,26 @@ def parse_graph_file(text: str) -> LearningEnvironment:
                 raise ParseError(line_no, f"bad duration {fields[5]!r}")
             if duration < 0:
                 raise ParseError(line_no, "negative duration")
+        ids.add(aid)
+        nodes.append((aid, title, verb, obj_text, ref, duration))
 
-        key = (title, obj_text)
-        oid = object_key.get(key)
-        if oid is None:
-            oid = f"O{len(objects) + 1}"
-            object_key[key] = oid
-            objects[oid] = LearningObject(oid, title, ObjectKind.ATOMIC, obj_text)
-        if verb not in tasks:
-            tasks[verb] = LearningTask(verb, verb)
-        activities[aid] = LearningActivity(aid, oid, verb, ref, duration)
-
-    edges: list[PrecedentEdge] = []
+    edges: list[tuple[str, str, str, EdgeTag]] = []
     for line_no, body in edge_lines:
         fields = _split_record(body)
         if len(fields) != 4:
             raise ParseError(line_no, f"EDGE expects 4 fields, got {len(fields)}")
         from_id, to_id, tag_text = fields[0].strip(), fields[1].strip(), fields[2].strip()
         label = fields[3]
-        if from_id not in activities:
+        if from_id not in ids:
             raise DanglingRef(from_id, line_no=line_no)
-        if to_id not in activities:
+        if to_id not in ids:
             raise DanglingRef(to_id, line_no=line_no)
         tag = _EDGE_TAGS.get(tag_text)
         if tag is None:
             raise ParseError(line_no, f"unknown edge tag {tag_text!r}")
-        edges.append(PrecedentEdge(f"e{len(edges) + 1}", from_id, to_id, label, tag))
+        edges.append((from_id, to_id, label, tag))
 
-    return LearningEnvironment(activities, tuple(edges), objects, tasks)
+    return _build_course(nodes, edges)
 
 
 # --- serialization ----------------------------------------------------------

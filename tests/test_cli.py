@@ -235,6 +235,31 @@ def test_log_commands_hold_one_learners_experience_at_a_time(course, tmp_path, c
     assert built == [f"u{n:02}" for n in range(len(built))]
 
 
+class _Visited(frozenset):
+    """A visited set that a weak reference can follow, as a plain frozenset cannot."""
+
+
+def test_coverage_holds_one_learners_visited_set_at_a_time(course, tmp_path, capsys, monkeypatch):
+    log_path = tmp_path / "many.csv"
+    log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
+    refs: list[weakref.ref] = []
+    most_alive = []
+    coverage = paths.coverage
+
+    def tracked(*args):
+        report = coverage(*args)
+        visited = _Visited(report.visited)
+        refs.append(weakref.ref(visited))
+        most_alive.append(sum(ref() is not None for ref in refs))
+        return report._replace(visited=visited)
+
+    monkeypatch.setattr(paths, "coverage", tracked)
+    assert main(["coverage", "--log", str(log_path), "--course", course]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 26 and out[-1] == "*\t2\t4\t0.5000"
+    assert len(most_alive) == 26 and max(most_alive) <= 2
+
+
 def test_erase_lists_strategy_paths(course, log, capsys):
     assert main(["erase", "--log", log, "--course", course]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -314,6 +339,30 @@ def test_export_of_a_learner_without_sessions_is_one_error_line(course, log, tmp
 def test_export_needs_experience_inputs(course, capsys):
     assert main(["export", "--course", course, "--overlay", "visit_order"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--log", "{log}"], "--log needs --overlay visit_order or coverage"),
+        (["--log", "{log}", "--experience", "u1"], "--log needs --overlay visit_order or coverage"),
+        (["--experience", "u1"], "--experience needs --overlay visit_order or coverage"),
+        (["--skip-unknown"], "--skip-unknown needs --overlay visit_order or coverage"),
+        (["--overlay", "clusters", "--clusters", "{missing}", "--experience", "u1"],
+         "--experience needs --overlay visit_order or coverage"),
+        (["--clusters", "{missing}"], "--clusters needs --overlay clusters"),
+        (["--overlay", "visit_order", "--log", "{log}", "--experience", "u1", "--clusters", "{missing}"],
+         "--clusters needs --overlay clusters"),
+    ],
+    ids=["log", "log-experience", "experience", "skip-unknown", "clusters-overlay-experience", "clusters",
+         "visit-order-clusters"],
+)
+def test_export_refuses_flags_its_overlay_does_not_read(tmp_path, log, flags, message, capsys):
+    # Refused before any file is read: the course and the cluster file do not exist.
+    missing = str(tmp_path / "missing")
+    argv = ["export", "--course", missing + ".odlg", *flags]
+    assert main([a.format(log=log, missing=missing + ".tsv") for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 def test_export_clusters_overlay(course, log, tmp_path, capsys):

@@ -214,7 +214,9 @@ def random_graphs(draw) -> CoOccurrenceGraph:
     pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     weights = {pair: draw(st.integers(min_value=1, max_value=5)) for pair in chosen}
-    graph_nodes = frozenset(x for pair in weights for x in pair)
+    # Some drawn nodes may lie in no pair: a graph built by hand can hold such isolated nodes.
+    extra = draw(st.sets(st.sampled_from(nodes))) if nodes else set()
+    graph_nodes = frozenset(x for pair in weights for x in pair) | extra
     return CoOccurrenceGraph(graph_nodes, weights)
 
 

@@ -307,6 +307,9 @@ def test_tabular_round_trip_is_isomorphic(case):
     env = parse_tabular(text)
     assert isomorphic(env, parse_tabular(serialize(env, "odlc")))
     assert isomorphic(env, parse_graph_file(serialize(env, "odlg")))
+    # Both readers name objects, tasks and edges alike, so either gives back the very same records.
+    assert parse_tabular(serialize(env, "odlc")) == env
+    assert parse_graph_file(serialize(env, "odlg")) == env
 
 
 @given(outline_texts())
