@@ -17,14 +17,14 @@ from typing import TYPE_CHECKING, Iterator
 
 # Every command reads a course; the other modules load inside the commands that run them.
 from . import course_format
-from .errors import GraphTooLarge, OdlError
-from .model import LearningEnvironment, next_id_number
+from .errors import GraphTooLarge, NonAdjacentStep, OdlError
+from .model import LearningEnvironment, is_adjacent, next_id_number
 from .options import DEFAULT_MIN_COOCCURRENCE, DEFAULT_SESSION_TIMEOUT, NoteAccess, Overlay
 from .text import iter_lines, read_text
 
 if TYPE_CHECKING:
     from .notes import NoteStore
-    from .sessions import LearningExperience, Session
+    from .sessions import Session
 
 TIMEOUT_ENV_VAR = "ODL_TIMEOUT"
 _PIECES_PER_WRITE = 4096
@@ -41,10 +41,11 @@ def _load_course(path: str) -> tuple[LearningEnvironment, str]:
 def _course_and_sessions(args, learner: str | None = None) -> tuple[LearningEnvironment, list[Session]]:
     """The pipeline every log subcommand shares: load the course, stream the log's blocks into ``sessionize``.
 
-    With ``learner``, only that learner's blocks are kept; every line is still
-    checked.  Each skipped line is warned about once the whole log has been
-    read, so a bad line later in the log prints its error alone.
+    The timeout is resolved before any file is read.  With ``learner``, only that learner's blocks
+    are kept; every line is still checked.  Each skipped line is warned about once the whole log has
+    been read, so a bad line later in the log prints its error alone.
     """
+    timeout = _timeout(args)
     env, _ = _load_course(args.course)
     from .sessions import iter_blocks, sessionize
 
@@ -52,7 +53,7 @@ def _course_and_sessions(args, learner: str | None = None) -> tuple[LearningEnvi
     blocks = iter_blocks(iter_lines(read_text(args.log)), env, args.skip_unknown, skipped)
     if learner is not None:
         blocks = (block for block in blocks if block[0] == learner)
-    found = sessionize(blocks, args.timeout)
+    found = sessionize(blocks, timeout)
     for line_no, activity_id in skipped:
         print(f"warning: line {line_no}: unknown activity {activity_id!r} skipped", file=sys.stderr)
     return env, found
@@ -82,12 +83,10 @@ def _drained(sessions: list[Session]) -> Iterator[Session]:
     return (sessions.pop() for _ in range(len(sessions)))
 
 
-def _walks(sessions: list[Session], env=None, mode=None) -> Iterator[tuple[str, list[str] | LearningExperience]]:
-    """Each learner's id and walk in turn, from :func:`_drained`: its activity ids, or its experience in ``mode``."""
-    from .sessions import build_experience
-
+def _walks(sessions: list[Session]) -> Iterator[tuple[str, list[str]]]:
+    """Each learner's id and activity ids in visit order, in turn, from :func:`_drained`."""
     for learner, mine in groupby(_drained(sessions), key=itemgetter(0)):
-        yield learner, build_experience(mine, env, mode) if mode else [b[2] for s in mine for b in s[1]]
+        yield learner, [b[2] for s in mine for b in s[1]]
 
 
 def _emit(args, *pieces: str) -> None:
@@ -139,13 +138,17 @@ def _cmd_cycles(args) -> int:
 
     env, sessions = _course_and_sessions(args)
     texts = []
-    for learner, walk in _walks(sessions, env, "strict" if args.strict else None):
+    for learner, ids in _walks(sessions):
+        if args.strict:  # the first step between unconnected activities fails the command, by the model's rule
+            for position in range(1, len(ids)):
+                if not is_adjacent(env, ids[position - 1], ids[position]):
+                    raise NonAdjacentStep(position, ids[position - 1], ids[position])
         # One text per learner: every row is held until the last learner is read, and a string per
         # detour would cost an object each.
         texts.append("".join(
             f"{learner}\t{cycle.anchor_activity}\t{cycle.start_index}"
             f"\t{cycle.end_index}\t{classify_cycle(cycle, env).value}\t{','.join(cycle.interior)}\n"
-            for cycle in detect_cycles(walk) if len(cycle.interior) >= args.min_interior
+            for cycle in detect_cycles(ids) if len(cycle.interior) >= args.min_interior
         ))
     _emit(args, *texts)
     return 0
@@ -199,7 +202,7 @@ def _cmd_export(args) -> int:
     if walked and not (args.log and args.experience):
         raise _UsageError(f"--overlay {overlay.value} needs --log and --experience")
     for flag, given in (("--log", args.log is not None), ("--experience", args.experience is not None),
-                        ("--skip-unknown", args.skip_unknown)):
+                        ("--skip-unknown", args.skip_unknown), ("--timeout", args.timeout is not None)):
         if given and not walked:
             raise _UsageError(f"{flag} needs --overlay visit_order or coverage")
     if overlay is Overlay.CLUSTERS and not args.clusters:
@@ -208,13 +211,13 @@ def _cmd_export(args) -> int:
         raise _UsageError("--clusters needs --overlay clusters")
     from .dot_export import ExportStyle, export_dot
 
-    experience = found = None
+    ids = found = None
     if walked:
         # Sessions never span learners, so only the drawn learner's blocks are kept and sessionized.
         env, mine = _course_and_sessions(args, args.experience)
         if not mine:
             raise OdlError(f"no sessions for learner {args.experience!r}")
-        ((_, experience),) = _walks(mine, env, "lenient")
+        ((_, ids),) = _walks(mine)
     else:
         env, _ = _load_course(args.course)
     if overlay is Overlay.CLUSTERS:
@@ -223,7 +226,7 @@ def _cmd_export(args) -> int:
         found = read_clusters(read_text(args.clusters))
 
     style = ExportStyle(overlay, args.include_reference_edges)
-    _emit(args, export_dot(env, style, experience, found))
+    _emit(args, export_dot(env, style, ids, found))
     return 0
 
 
@@ -408,9 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "timeout" in vars(args):
-            # Resolved before any file is read, and whether or not a log is read.
-            args.timeout = _timeout(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ with ``include_reference_edges`` to get one dashed edge each way per
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import StyleMismatch
 from .options import Overlay
@@ -35,15 +35,15 @@ def _quote(text: str) -> str:
 def export_dot(
     env: LearningEnvironment,
     style: ExportStyle = ExportStyle(),
-    experience: LearningExperience | None = None,
+    experience: LearningExperience | Sequence[str] | None = None,
     clusters: Iterable[Cluster] | None = None,
 ) -> str:
     """Render the course as DOT text with the requested overlay.
 
-    ``visit_order`` numbers visited nodes by first visit ("LA5 (1)") and
-    fills them; ``coverage`` only fills visited nodes; ``clusters`` colors
-    cluster members (a node in several clusters takes its first cluster's
-    color in sorted order).
+    ``visit_order`` numbers the nodes of ``experience`` (an experience or its
+    activity ids) by first visit ("LA5 (1)") and fills them; ``coverage``
+    only fills them; ``clusters`` colors cluster members (a node in several
+    clusters takes its first cluster's color in sorted order).
     """
     overlay = Overlay(style.overlay)
     if overlay in (Overlay.VISIT_ORDER, Overlay.COVERAGE) and experience is None:

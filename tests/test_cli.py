@@ -205,7 +205,7 @@ WALK_COMMANDS = [
 
 @pytest.mark.parametrize("command", WALK_COMMANDS)
 def test_log_commands_hold_one_learners_experience_at_a_time(course, tmp_path, command, capsys, monkeypatch):
-    # Lenient commands walk each learner's activity ids; only the step check of --strict builds experiences.
+    # Every command walks each learner's activity ids; --strict checks their steps, and none builds an experience.
     log_path = tmp_path / "many.csv"
     log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
     refs: list[weakref.ref] = []
@@ -215,8 +215,7 @@ def test_log_commands_hold_one_learners_experience_at_a_time(course, tmp_path, c
 
     def tracked(*args):
         for learner, walk in walks(*args):
-            if type(walk) is list:
-                walk = _Walk(walk)
+            walk = _Walk(walk)
             refs.append(weakref.ref(walk))
             most_alive.append(sum(ref() is not None for ref in refs))
             yield learner, walk
@@ -231,8 +230,29 @@ def test_log_commands_hold_one_learners_experience_at_a_time(course, tmp_path, c
     assert main([*command, "--log", str(log_path), "--course", course]) == 0
     assert len(capsys.readouterr().out.splitlines()) >= 25
     assert len(most_alive) == 25 and max(most_alive) <= 2
-    assert len(built) == (25 if "--strict" in command else 0)
-    assert built == [f"u{n:02}" for n in range(len(built))]
+    assert built == []
+
+
+# u3 steps along edges and through the reference node only, with gaps over any short timeout.
+CONNECTED_LOG = "u3,0,LA2\nu3,5000,LA3\nu3,5001,Dict\nu3,9000,LA1\nu1,0,LA1\nu1,30,LA2\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["cycles"], ["cycles", "--strict"], ["erase"], ["coverage"],
+    ["export", "--overlay", "visit_order", "--experience", "u1"],
+], ids=" ".join)
+@pytest.mark.parametrize("rows", [LOG, CONNECTED_LOG], ids=["teleport", "connected"])
+def test_walk_commands_print_the_same_bytes_whatever_the_timeout(course, tmp_path, command, rows, capsys):
+    # A walk is the learner's activity ids in visit order, which no session split changes.
+    log_path = tmp_path / "walks.csv"
+    log_path.write_text(rows, encoding="utf-8")
+
+    def run(argv: list[str], *timeout: str) -> tuple[int, str, str]:
+        code = main([*argv, "--log", str(log_path), "--course", course, *timeout])
+        return (code, *capsys.readouterr())
+
+    assert run(["sessions"], "--timeout", "1") != run(["sessions"])
+    assert run(command, "--timeout", "1") == run(command)
 
 
 class _Visited(frozenset):
@@ -353,9 +373,11 @@ def test_export_needs_experience_inputs(course, capsys):
         (["--clusters", "{missing}"], "--clusters needs --overlay clusters"),
         (["--overlay", "visit_order", "--log", "{log}", "--experience", "u1", "--clusters", "{missing}"],
          "--clusters needs --overlay clusters"),
+        (["--overlay", "clusters"], "--overlay clusters needs --clusters FILE"),
+        (["--timeout", "60"], "--timeout needs --overlay visit_order or coverage"),
     ],
     ids=["log", "log-experience", "experience", "skip-unknown", "clusters-overlay-experience", "clusters",
-         "visit-order-clusters"],
+         "visit-order-clusters", "clusters-overlay-no-clusters", "timeout"],
 )
 def test_export_refuses_flags_its_overlay_does_not_read(tmp_path, log, flags, message, capsys):
     # Refused before any file is read: the course and the cluster file do not exist.
@@ -403,7 +425,6 @@ def test_timeout_env_var_and_flag_priority(course, log, capsys, monkeypatch):
         pytest.param(["export", "--timeout", "0"], id="export-without-overlay--timeout=0"),
         pytest.param(["export", "--timeout", "-5"], id="export-without-overlay--timeout=-5"),
         pytest.param(["sessions", "--timeout", "-1"], id="sessions--timeout=-1"),
-        pytest.param(["export", "--overlay", "clusters"], id="export-clusters-overlay-without--clusters"),
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
@@ -818,6 +839,17 @@ def test_notes_workflow(course, tmp_path, capsys):
 
     records = [json.loads(l) for l in open(store, encoding="utf-8")]
     assert [r["kind"] for r in records] == ["note", "message"]
+
+
+def test_notes_send_stores_explicit_recipients_sorted_once_each(course, tmp_path, capsys):
+    store = tmp_path / "notes.jsonl"
+    shared = ["--store", str(store), "--course", course]
+    assert main(["notes", "add", *shared, "--node", "LA1", "--learner", "u1", "--access", "all"]) == 0
+    assert main(["notes", "send", *shared, "--sender", "u1", "--to", "u3,,u2,u3", "--refs", "n1"]) == 0
+    assert capsys.readouterr().out == "n1\nm1\n"
+    assert '"recipients":["u2","u3"]' in store.read_text(encoding="utf-8").splitlines()[-1]
+    assert main(["notes", "inbox", *shared, "--user", "u2"]) == 0
+    assert capsys.readouterr().out == "m1\t0\tu1\tu2,u3\tn1\n"
 
 
 def test_notes_private_note_hidden_and_unsendable(course, tmp_path, capsys):

@@ -272,6 +272,16 @@ def test_tabular_cannot_express_arbitrary_graphs():
         serialize(env, "odlc")
 
 
+@pytest.mark.parametrize("graph,message", [
+    ("NODE A|T|read|T|ref\n", "activity 'A' carries graph-only attributes"),
+    ("NODE A|T|read|loc\n", "object 'O1' is not plain text content"),
+], ids=["reference-node", "locator-not-title"])
+def test_tabular_refuses_a_node_an_outline_line_cannot_hold(graph, message):
+    with pytest.raises(UnsupportedFormat) as err:
+        serialize(parse_graph_file(graph), "odlc")
+    assert str(err.value) == message
+
+
 # --- randomized round-trips ---------------------------------------------------
 
 _WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta theta", "iota kappa"]

@@ -258,6 +258,33 @@ def test_isomorphic_ignores_edge_ids_only():
     assert not isomorphic(env1, extra)
 
 
+ISO_COURSE = "NODE A|Intro|read|ch1||5\nNODE B|Dictionary|read|dict|ref|\nEDGE A|B|sequence|\n"
+ISO_ENV = parse_graph_file(ISO_COURSE)
+
+
+def _iso_parts(**changed) -> LearningEnvironment:
+    """The isomorphism base course with some of its fields swapped out."""
+    parts = dict(activities=ISO_ENV.activities, edges=ISO_ENV.edges, objects=ISO_ENV.objects, tasks=ISO_ENV.tasks)
+    return LearningEnvironment(**{**parts, **changed})
+
+
+@pytest.mark.parametrize("other", [
+    pytest.param(lambda: parse_graph_file(ISO_COURSE + "NODE C|Extra|read|x||\n"), id="another-activity"),
+    pytest.param(lambda: parse_graph_file(ISO_COURSE.replace("ch1||5", "ch1|ref|5")), id="is-reference"),
+    pytest.param(lambda: parse_graph_file(ISO_COURSE.replace("ch1||5", "ch1||6")), id="duration"),
+    pytest.param(lambda: _iso_parts(objects={}), id="missing-object"),
+    pytest.param(lambda: parse_graph_file(ISO_COURSE.replace("Intro", "Preface")), id="title"),
+    pytest.param(lambda: _iso_parts(objects={"O1": ISO_ENV.objects["O1"]._replace(kind=ObjectKind.COMPOSITE),
+                                              "O2": ISO_ENV.objects["O2"]}), id="kind"),
+    pytest.param(lambda: parse_graph_file(ISO_COURSE.replace("ch1||5", "ch2||5")), id="locator"),
+    pytest.param(lambda: _iso_parts(tasks={}), id="missing-task"),
+    pytest.param(lambda: parse_graph_file(ISO_COURSE.replace("Intro|read", "Intro|write")), id="verb"),
+])
+def test_isomorphic_tells_apart_courses_that_differ_in_one_node(other):
+    assert isomorphic(ISO_ENV, parse_graph_file(ISO_COURSE))
+    assert not isomorphic(ISO_ENV, other())
+
+
 def test_add_edge_continues_after_parsed_edges():
     env = parse_graph_file("NODE a|A|read|a||\nNODE b|B|read|b||\nEDGE a|b|sequence|\nEDGE b|a|failure|again\n")
     env = add_edge(env, "a", "b")

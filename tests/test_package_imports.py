@@ -246,3 +246,12 @@ def test_only_the_data_writer_writes_to_stdout():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert DATA_WRITER in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert _stdout_writes(tree) == []
+
+
+def test_the_cli_walks_activity_ids_only():
+    # Every log command passes each learner's ids in visit order; none builds a learning experience.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert names & {"build_experience", "LearningExperience"} == set()
