@@ -7,6 +7,7 @@ Diagnostics go to stderr; data goes to stdout or to ``-o`` files.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import nullcontext
@@ -96,6 +97,8 @@ def _emit(args, *pieces: str) -> None:
     output of many rows is never held a second time as one text.
     """
     output = getattr(args, "output", None)
+    if not output and sys.stdout is None:  # as when the shell closed it: ``odlgraph validate c.odlg >&-``
+        raise OdlError("standard output is closed")
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as out:
         for start in range(0, len(pieces), _PIECES_PER_WRITE):
             out.write("".join(pieces[start:start + _PIECES_PER_WRITE]))
@@ -411,6 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "output", None) == "":
+            raise _UsageError("-o/--output needs a file name")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -421,6 +426,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:  # console-script entry point
+    # A command makes no cyclic garbage that grows with its input (only its parser), so reference counting frees
+    # what it drops.  Freezing what import made also spares the collection at exit from walking it.
+    gc.freeze()
+    gc.disable()
     raise SystemExit(main())
 
 

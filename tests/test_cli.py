@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -869,6 +870,119 @@ def test_output_to_file(course, log, tmp_path):
     out = tmp_path / "sessions.tsv"
     assert main(["sessions", "--log", log, "--course", course, "--timeout", "1800", "-o", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("u1\t1\t0\t240\t5")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "{missing}.odlg", "--to", "odlg", "-o", ""],
+    ["sessions", "--log", "{missing}.csv", "--course", "{missing}.odlg", "--output", ""],
+    ["export", "--course", "{missing}.odlg", "-o", ""],
+], ids=lambda argv: argv[0])
+def test_an_empty_output_name_is_a_usage_error_before_any_file_is_read(tmp_path, argv, capsys):
+    assert main([a.format(missing=tmp_path / "missing") for a in argv]) == 2
+    assert capsys.readouterr() == ("", "usage error: -o/--output needs a file name\n")
+
+
+def test_a_closed_stdout_is_one_error_line(course, tmp_path, capsys, monkeypatch):
+    # A shell that runs `odlgraph validate course.odlg >&-` starts Python with sys.stdout set to None.
+    out = tmp_path / "course.odlg"
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["validate", course]) == 1
+    assert capsys.readouterr().err == "error: standard output is closed\n"
+    assert main(["parse", course, "--to", "odlg", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == "" and "NODE LA1|Intro|" in out.read_text(encoding="utf-8")
+
+
+def test_the_entry_point_runs_without_the_cyclic_collector():
+    # run() freezes what import made and turns the collector off; main() called from Python leaves it alone.
+    src = str(Path(odlgraph.__file__).resolve().parents[1])
+    program = ("import gc, sys; sys.path.insert(0, sys.argv.pop(1)); from odlgraph import cli; "
+               "cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0) or 3; cli.run()")
+    done = subprocess.run([sys.executable, "-c", program, src], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (3, "False True\n", "")
+
+
+def _scaled_inputs(directory: Path, scale: int) -> dict[str, str]:
+    """A chain course of 20·scale activities, a 300·scale-line log, a cluster file and a 30·scale-note store.
+
+    The chain has a step back at every third activity and a reference node; learners step on, step back,
+    look the reference up and jump, with gaps that start new sessions.
+    """
+    directory.mkdir()
+    size = 20 * scale
+    course = ["NODE R|Glossary|read|glossary|ref|"]
+    course += [f"NODE A{i}|Unit {i}|{'exerc' if i % 2 else 'read'}|u{i}||{i}" for i in range(size)]
+    course += [f"EDGE A{i}|A{i + 1}|sequence|" for i in range(size - 1)]
+    course += [f"EDGE A{i}|A{i - 1}|failure|try again" for i in range(3, size, 3)]
+    rng = random.Random(scale)
+    log = []
+    for learner in range(15 * scale):
+        at, clock = rng.randrange(size), 0
+        for _ in range(20):
+            log.append(f"u{learner},{clock},{'R' if rng.random() < 0.1 else f'A{at}'}")
+            clock += rng.choice([30, 60, 4000])
+            step = rng.choice([1, 1, 1, -1, 0]) if rng.random() < 0.95 else rng.randrange(size) - at
+            at = max(0, min(size - 1, at + step))
+    notes = [
+        f'{{"access":"all","attachments":[],"body":"b{n}","kind":"note","learner_id":"u{n % 7}",'
+        f'"node_id":"A{n % size}","note_id":"n{n}","timestamp":{n}}}' for n in range(1, 30 * scale + 1)
+    ]
+    notes += [
+        f'{{"kind":"message","message_id":"m{n}","note_refs":["n{n}"],"recipients":["u1"],"sender_id":"u2",'
+        f'"sent_at":{n}}}' for n in range(1, 10 * scale + 1)
+    ]
+    files = {"course": "c.odlg", "log": "access.csv", "store": "notes.jsonl", "clusters": "clusters.tsv"}
+    files = {name: str(directory / file) for name, file in files.items()}
+    for name, lines in (("course", course), ("log", log), ("store", notes)):
+        Path(files[name]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["mine", "--log", files["log"], "--course", files["course"], "--cliques", "-o", files["clusters"]]) == 0
+    return files
+
+
+LOGGED = ["--log", "{log}", "--course", "{course}"]
+STORED = ["--store", "{store}", "--course", "{course}"]
+GARBAGE_COMMANDS = [
+    pytest.param(["validate", "{course}"], 0, id="validate"),
+    pytest.param(["parse", "{course}", "--to", "odlg"], 0, id="parse-odlg"),
+    pytest.param(["parse", "{course}", "--to", "dot"], 0, id="parse-dot"),
+    pytest.param(["sessions", *LOGGED], 0, id="sessions"),
+    pytest.param(["cycles", *LOGGED], 0, id="cycles"),
+    pytest.param(["cycles", "--strict", *LOGGED], 1, id="cycles-strict-failing"),
+    pytest.param(["erase", *LOGGED], 0, id="erase"),
+    pytest.param(["coverage", *LOGGED], 0, id="coverage"),
+    pytest.param(["mine", *LOGGED], 0, id="mine"),
+    pytest.param(["mine", "--cliques", *LOGGED], 0, id="mine-cliques"),
+    pytest.param(["mine", "--on-strategy-paths", *LOGGED], 0, id="mine-on-strategy-paths"),
+    pytest.param(["export", "--course", "{course}", "--include-reference-edges"], 0, id="export"),
+    pytest.param(["export", *LOGGED, "--overlay", "visit_order", "--experience", "u1"], 0, id="export-visit-order"),
+    pytest.param(["export", *LOGGED, "--overlay", "coverage", "--experience", "u1"], 0, id="export-coverage"),
+    pytest.param(["export", "--course", "{course}", "--overlay", "clusters", "--clusters", "{clusters}"], 0,
+                 id="export-clusters"),
+    pytest.param(["notes", "add", *STORED, "--node", "A1", "--learner", "u1", "--access", "all"], 0, id="notes-add"),
+    pytest.param(["notes", "list", *STORED, "--node", "A1", "--requester", "u2"], 0, id="notes-list"),
+    pytest.param(["notes", "send", *STORED, "--sender", "u1", "--to", "u2", "--refs", "n1"], 0, id="notes-send"),
+    pytest.param(["notes", "inbox", *STORED, "--user", "u1"], 0, id="notes-inbox"),
+]
+
+
+@pytest.mark.parametrize("argv,code", GARBAGE_COMMANDS)
+def test_no_command_makes_cyclic_garbage_that_grows_with_its_input(tmp_path, argv, code, capsys):
+    # The entry point runs every command with the collector off, so reference counting alone must free
+    # what a command drops: whatever cyclic garbage is left (the parser) is the same on a 10x larger input.
+    found = []
+    try:
+        for scale in (1, 10):
+            files = _scaled_inputs(tmp_path / f"x{scale}", scale)
+            command = [a.format(**files) for a in argv]
+            assert main(command) == code and gc.isenabled()  # once to import and fill caches
+            gc.collect()
+            gc.disable()
+            assert main(command) == code and not gc.isenabled()
+            gc.enable()
+            found.append(gc.collect())
+            capsys.readouterr()
+    finally:
+        gc.enable()
+    assert found[0] == found[1]
 
 
 def test_parse_of_a_title_only_outline_is_one_error_line(tmp_path, capsys):
