@@ -10,18 +10,17 @@ import argparse
 import gc
 import os
 import sys
-from contextlib import nullcontext
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 # Every command reads a course; the other modules load inside the commands that run them.
 from . import course_format
 from .errors import GraphTooLarge, NonAdjacentStep, OdlError
 from .model import LearningEnvironment, is_adjacent, next_id_number
 from .options import DEFAULT_MIN_COOCCURRENCE, DEFAULT_SESSION_TIMEOUT, NoteAccess, Overlay
-from .text import iter_lines, read_text
+from .text import iter_lines, read_text, write_text
 
 if TYPE_CHECKING:
     from .notes import NoteStore
@@ -90,18 +89,23 @@ def _walks(sessions: list[Session]) -> Iterator[tuple[str, list[str]]]:
         yield learner, [b[2] for s in mine for b in s[1]]
 
 
-def _emit(args, *pieces: str) -> None:
+def _emit(args, *pieces: str, commit: Callable[[], None] | None = None) -> None:
     """The one writer of data; commands build all their text first, so a failure writes nothing.
 
     The pieces are joined a batch at a time as they are written, so a long
-    output of many rows is never held a second time as one text.
+    output of many rows is never held a second time as one text.  ``commit``, a
+    command's stored change, runs once the output is known to be open, before any byte is written.
     """
     output = getattr(args, "output", None)
     if not output and sys.stdout is None:  # as when the shell closed it: ``odlgraph validate c.odlg >&-``
         raise OdlError("standard output is closed")
-    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as out:
-        for start in range(0, len(pieces), _PIECES_PER_WRITE):
-            out.write("".join(pieces[start:start + _PIECES_PER_WRITE]))
+    if commit is not None:
+        commit()
+    batches = ("".join(pieces[start:start + _PIECES_PER_WRITE]) for start in range(0, len(pieces), _PIECES_PER_WRITE))
+    if output:
+        write_text(output, batches)
+    else:
+        sys.stdout.writelines(batches)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -259,8 +263,8 @@ def _cmd_notes_add(args) -> int:
         args.body,
         tuple(args.attach or ()),
     )
-    flush(attach_note(store, note), args.store)
-    _emit(args, note_id + "\n")
+    new_store = attach_note(store, note)
+    _emit(args, note_id + "\n", commit=lambda: flush(new_store, args.store))
     return 0
 
 
@@ -292,8 +296,8 @@ def _cmd_notes_send(args) -> int:
         tuple(r for r in args.refs.split(",") if r),
         args.sent_at,
     )
-    flush(send_message(store, message, args.role), args.store)
-    _emit(args, message_id + "\n")
+    new_store = send_message(store, message, args.role)
+    _emit(args, message_id + "\n", commit=lambda: flush(new_store, args.store))
     return 0
 
 

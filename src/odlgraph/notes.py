@@ -25,15 +25,13 @@ re-checks every field against the same table, every note as
 :func:`send_message` does, and that every message points at stored notes; a
 malformed record is a :class:`ParseError` naming its line.  A flush replaces
 the file atomically, and refuses with :class:`UnsupportedFormat`, before it
-writes anything, a store holding text UTF-8 cannot encode or an over-long
+changes the file, a store holding text UTF-8 cannot encode or an over-long
 integer.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import sys
 from itertools import chain, product
 from json.encoder import encode_basestring
@@ -44,7 +42,7 @@ from typing import Callable, NamedTuple
 from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError, UnsupportedFormat
 from .model import LearningEnvironment
 from .options import NoteAccess
-from .text import lines, read_text
+from .text import lines, read_text, write_text
 
 BROADCAST = "*"
 
@@ -372,34 +370,14 @@ def loads(text: str, env: LearningEnvironment) -> NoteStore:
 
 
 def flush(store: NoteStore, path: str | Path) -> None:
-    """Write the store to ``path`` atomically: a reader sees the old file or the new one, never a part.
-
-    Text that UTF-8 cannot encode (a lone surrogate) raises :class:`UnsupportedFormat` before any file
-    is touched.  An :class:`OSError` that names a file names ``path``.
-    """
-    path = Path(path)
+    """Replace ``path`` atomically with the store; text UTF-8 cannot encode is an :class:`UnsupportedFormat`."""
     text = dumps(store)
     try:
-        data = text.encode("utf-8")
+        write_text(path, (text,))  # one chunk, so the error's offsets are offsets in ``text``
     except UnicodeEncodeError as exc:
         line_no = text.count("\n", 0, exc.start) + 1
         raise UnsupportedFormat(f"cannot write the store as UTF-8: line {line_no} holds "
                                 f"{text[exc.start:exc.end]!r} ({exc.reason})") from None
-    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(temp, "xb") as out:
-            out.write(data)
-            out.flush()
-            os.fsync(out.fileno())
-        if path.exists():
-            shutil.copymode(path, temp)
-        os.replace(temp, path)
-    except BaseException as exc:
-        temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename is not None:
-            # Name the store the caller gave, not the temporary file's random name.
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
-        raise
 
 
 def reload(path: str | Path, env: LearningEnvironment) -> NoteStore:

@@ -1,19 +1,20 @@
-"""Where a line ends and how a file's bytes become text, for every file format.
+"""Where a line ends and how a file's bytes become text and text a file, for every file format.
 
-Every reader in the package (course files, access logs, cluster files and
-the note store) splits its text with :func:`lines`, or, for a log,
-:func:`iter_lines`, and reads its files with :func:`read_text`.  A line ends at
-``"\\r\\n"``, ``"\\r"`` or ``"\\n"`` and nowhere else, as when a file is
-opened as text: U+2028, U+0085, ``"\\x0c"`` and the other characters
-:meth:`str.splitlines` also breaks at stay inside their field.  Files are
+Every reader in the package (course files, access logs, cluster files and the note store) splits its
+text with :func:`lines`, or, for a log, :func:`iter_lines`, and reads its files with :func:`read_text`;
+:func:`write_text` writes every file (``-o`` and the note store).  A line ends at ``"\\r\\n"``,
+``"\\r"`` or ``"\\n"`` and nowhere else, as when a file is opened as text: U+2028, U+0085, ``"\\x0c"``
+and the other characters :meth:`str.splitlines` also breaks at stay inside their field.  Files are
 UTF-8; one leading byte-order mark (U+FEFF) is not part of the text.
 """
 
 from __future__ import annotations
 
+import os
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from stat import S_IMODE
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 
@@ -69,3 +70,33 @@ def read_text(path: str | Path) -> str:
         # The bad byte sits on the last line of the text before it plus one stand-in character.
         line_no = len(lines(data[:exc.start].decode("utf-8") + "?"))
         raise ParseError(line_no, f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` as UTF-8, so that a reader sees the old file or the new one, never a part.
+
+    The chunks go to a temporary file beside the target (a symlink's target), which is fsynced, takes the
+    target's mode and replaces it; on any failure it is removed, and an :class:`OSError` names ``path``.
+    An existing ``path`` that is not a regular file (a FIFO, or ``/dev/stdout`` on a pipe) is written in place.
+    """
+    temp = None
+    try:
+        if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or a device, which a rename would replace
+            with open(path, "wb") as out:
+                out.writelines(chunk.encode("utf-8") for chunk in chunks)
+            return
+        target = Path(os.path.realpath(path))
+        temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+        with open(temp, "xb") as out:
+            out.writelines(chunk.encode("utf-8") for chunk in chunks)
+            out.flush()
+            os.fsync(out.fileno())
+        if target.exists():
+            os.chmod(temp, S_IMODE(target.stat().st_mode))
+        os.replace(temp, target)
+    except BaseException as exc:
+        if temp is not None:
+            temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:  # the caller's name, not the temporary file's
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise

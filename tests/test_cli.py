@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -890,6 +893,99 @@ def test_a_closed_stdout_is_one_error_line(course, tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == "error: standard output is closed\n"
     assert main(["parse", course, "--to", "odlg", "-o", str(out)]) == 0
     assert capsys.readouterr().err == "" and "NODE LA1|Intro|" in out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["notes", "add", "--node", "LA2", "--learner", "u2"],
+    ["notes", "send", "--sender", "u1", "--to", "u2", "--refs", "n1"],
+], ids=["add", "send"])
+def test_notes_add_and_send_with_stdout_closed_store_nothing(course, tmp_path, argv, capsys, monkeypatch):
+    # The new id has nowhere to go, so the record is not stored: a retry once stdout is open stores it once.
+    store = tmp_path / "notes.jsonl"
+    store.write_text(NOTE, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main([*argv, "--store", str(store), "--course", course]) == 1
+    assert capsys.readouterr().err == "error: standard output is closed\n"
+    assert store.read_bytes() == NOTE.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["course.odlg", "notes.jsonl"]
+
+
+# A course whose DOT text is well over 4 kB, and the old -o file it must not damage.
+WIDE_COURSE = GRAPH_COURSE + "".join(f"NODE W{i}|Wide unit {i}|read|w{i}||\n" for i in range(1000))
+OLD_OUTPUT = b"digraph old {}\n"
+
+
+def _dot_output(tmp_path: Path, capsys) -> tuple[str, str, Path]:
+    """The wide course's path, its DOT text on stdout, and an old -o file beside it."""
+    course = tmp_path / "wide.odlg"
+    course.write_text(WIDE_COURSE, encoding="utf-8")
+    assert main(["parse", str(course), "--to", "dot"]) == 0
+    dot = capsys.readouterr().out
+    assert len(dot.encode()) > 4 * 4096
+    out = tmp_path / "out.dot"
+    out.write_bytes(OLD_OUTPUT)
+    return str(course), dot, out
+
+
+def test_a_write_past_the_file_size_limit_keeps_the_old_output(tmp_path, capsys):
+    resource = pytest.importorskip("resource")
+    course, _, out = _dot_output(tmp_path, capsys)
+    src = str(Path(odlgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "odlgraph.cli", "parse", course, "--to", "dot", "-o", str(out)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)),  # this child only
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out)!r}\n"
+    assert out.read_bytes() == OLD_OUTPUT
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dot", "wide.odlg"]
+
+
+def test_a_failing_fsync_keeps_the_old_output(tmp_path, capsys, monkeypatch):
+    course, _, out = _dot_output(tmp_path, capsys)
+
+    def fail(fd):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "fsync", fail)
+    assert main(["parse", course, "--to", "dot", "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: {str(out)!r}\n")
+    assert out.read_bytes() == OLD_OUTPUT
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dot", "wide.odlg"]
+
+
+def test_output_through_a_symlink_updates_the_file_it_points_to(tmp_path, capsys):
+    course, dot, out = _dot_output(tmp_path, capsys)
+    link = tmp_path / "link.dot"
+    link.symlink_to(out.name)
+    assert main(["parse", course, "--to", "dot", "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == out.name
+    assert out.read_text(encoding="utf-8") == dot
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.dot", "out.dot", "wide.odlg"]
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    course, dot, _ = _dot_output(tmp_path, capsys)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["parse", course, "--to", "dot", "-o", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [dot.encode()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_output_to_dev_stdout_on_a_pipe_is_written_in_place(tmp_path, capsys):
+    # /dev/stdout resolves to a name like "/proc/<pid>/fd/pipe:[<inode>]", where no temporary file can go.
+    course, dot, _ = _dot_output(tmp_path, capsys)
+    src = str(Path(odlgraph.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "odlgraph.cli", "parse", course, "--to", "dot", "-o", "/dev/stdout"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, dot, "")
 
 
 def test_the_entry_point_runs_without_the_cyclic_collector():

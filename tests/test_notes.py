@@ -379,6 +379,15 @@ def test_flush_keeps_the_store_file_mode(tmp_path):
     assert list(reload(path, ENV).notes) == ["n1", "n2"]
 
 
+def test_flush_through_a_symlink_updates_the_store_it_points_to(tmp_path):
+    path, link = tmp_path / "store.jsonl", tmp_path / "link.jsonl"
+    flush(store_with(note("n1", NoteAccess.ALL)), path)
+    link.symlink_to(path.name)
+    flush(store_with(note("n1", NoteAccess.ALL), note("n2", NoteAccess.ALL)), link)
+    assert link.is_symlink()
+    assert list(reload(path, ENV).notes) == ["n1", "n2"]
+
+
 def test_loads_rejects_a_message_pointing_at_a_missing_note():
     text = _store_line(note_id="n0") + _message_line() + _message_line(message_id="m2", note_refs=["n0", "n9"])
     with pytest.raises(DanglingRef) as err:

@@ -3,7 +3,7 @@
 Imports: stdlib only, no private names across modules, no ``dataclasses``,
 and a command loads only the modules it runs.  Text: only the line-rule owner splits lines or
 turns a file's bytes into text.  Output: only the CLI's data writer writes
-to stdout.
+to stdout, and only the file writer writes, syncs or replaces a file.
 """
 
 from __future__ import annotations
@@ -246,6 +246,40 @@ def test_only_the_data_writer_writes_to_stdout():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert DATA_WRITER in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert _stdout_writes(tree) == []
+
+
+# --- one writer of files -----------------------------------------------------------
+
+FILE_WRITER = ("text.py", "write_text")
+
+
+def _file_writes(tree: ast.Module, writer: str | None = None) -> list[str]:
+    """Each call outside the function ``writer`` that opens a file for writing, or syncs or replaces one."""
+    inside = {id(node) for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+              and function.name == writer for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside or not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name in ("os.fsync", "os.replace") or name.endswith((".write_text", ".write_bytes")):  # Path methods
+            found.append(f"line {node.lineno}: {name}")
+        elif name == "open" or name.endswith(".open"):  # open(path, mode) or path.open(mode)
+            first = 1 if name == "open" else 0
+            modes = node.args[first:first + 1] + [keyword.value for keyword in node.keywords if keyword.arg == "mode"]
+            if any(not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wxa+") for mode in modes):
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_file_writer_writes_files(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.name == FILE_WRITER[0]:
+        assert _file_writes(tree)  # the writer lives here, so the check has something to find
+        assert _file_writes(tree, FILE_WRITER[1]) == []
+    else:
+        assert _file_writes(tree) == []
 
 
 def test_the_cli_walks_activity_ids_only():

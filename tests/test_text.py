@@ -12,7 +12,7 @@ from odlgraph.course_format import parse_graph_file, parse_tabular
 from odlgraph.errors import OdlError, ParseError
 from odlgraph.notes import loads
 from odlgraph import text as text_module
-from odlgraph.text import holds_line_end, iter_lines, lines, read_text
+from odlgraph.text import holds_line_end, iter_lines, lines, read_text, write_text
 
 from conftest import quick_env
 
@@ -104,6 +104,26 @@ def test_read_text_names_the_bad_byte_line_by_the_line_rule(tmp_path, data, line
         read_text(path)
     assert err.value.line_no == line_no
     assert "is not UTF-8 text" in err.value.reason
+
+
+def _failing_chunks():
+    yield "new text\n"
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("chunks,error", [
+    (_failing_chunks, KeyboardInterrupt),
+    (lambda: ["new\n", "a\udcffb\n"], UnicodeEncodeError),
+], ids=["interrupted", "lone-surrogate"])
+def test_write_text_failing_after_a_chunk_keeps_the_old_file(tmp_path, chunks, error):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(error) as err:
+        write_text(path, chunks())
+    if error is UnicodeEncodeError:
+        assert (err.value.object, err.value.start) == ("a\udcffb\n", 1)  # the chunk that failed
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
 
 # --- every reader raises only OdlError on random text ---------------------------
