@@ -95,8 +95,16 @@ def _emit(args, *pieces: str, commit: Callable[[], None] | None = None) -> None:
     The pieces are joined a batch at a time as they are written, so a long
     output of many rows is never held a second time as one text.  ``commit``, a
     command's stored change, runs once the output is known to be open, before any byte is written.
+    An ``-o`` naming the file stdout writes to, as ``/dev/stdout`` does, writes through stdout, where
+    a rename would replace that file under whatever else writes to it.
     """
     output = getattr(args, "output", None)
+    if output:
+        try:
+            if os.path.samestat(os.stat(output), os.fstat(sys.stdout.fileno())):
+                output = None
+        except (AttributeError, OSError, ValueError):  # no stdout, one without a descriptor, or no such path
+            pass
     if not output and sys.stdout is None:  # as when the shell closed it: ``odlgraph validate c.odlg >&-``
         raise OdlError("standard output is closed")
     if commit is not None:

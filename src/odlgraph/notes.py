@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import chain, product
+from itertools import chain
 from json.encoder import encode_basestring
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -138,11 +137,13 @@ def list_notes(store: NoteStore, node_id: str, requester_id: str, requester_role
 
 
 def send_message(store: NoteStore, message: Message, sender_role: str = "learner") -> NoteStore:
-    """Store a message after checking the sender can see every referenced note."""
+    """Store a message with at least one recipient and one note reference, each note one the sender can see."""
     _check_fields("message", [message])
     _check_message(store.messages, message)
     if not message.note_refs:
         raise EmptyContent("a message must reference at least one note")
+    if not message.recipients:
+        raise EmptyContent("a message must name at least one recipient")
     for ref in message.note_refs:
         note = store.notes.get(ref)
         if note is None:
@@ -195,16 +196,15 @@ class _Form(NamedTuple):
 
     name: str  # as an error names it
     held: frozenset[type]  # the types a field of this form may hold
-    decoded: tuple[type, ...]  # the types its value may have as JSON decodes it
     read: Callable  # checks a decoded value and returns the field value; a bad one raises ValueError
 
 
 _FORMS = {
-    str: _Form("a string", _STR, (str,), _exactly(str, "a string")),
-    int: _Form("an integer", frozenset((int,)), (int,), _exactly(int, "an integer")),
-    NoteAccess: _Form("a NoteAccess member", frozenset((NoteAccess,)), (str,), _access),
-    tuple: _Form("a tuple of strings", frozenset((tuple,)), (list,), _str_tuple),
-    BROADCAST: _Form(f"{BROADCAST!r} or a tuple of strings", frozenset((str, tuple)), (str, list),
+    str: _Form("a string", _STR, _exactly(str, "a string")),
+    int: _Form("an integer", frozenset((int,)), _exactly(int, "an integer")),
+    NoteAccess: _Form("a NoteAccess member", frozenset((NoteAccess,)), _access),
+    tuple: _Form("a tuple of strings", frozenset((tuple,)), _str_tuple),
+    BROADCAST: _Form(f"{BROADCAST!r} or a tuple of strings", frozenset((str, tuple)),
                      lambda value: value if value == BROADCAST else _str_tuple(value)),
 }
 
@@ -285,38 +285,27 @@ def dumps(store: NoteStore) -> str:
     return "".join(chain(note_lines, message_lines))
 
 
-def _reader(kind: str) -> tuple:
-    """How :func:`loads` reads a record of ``kind``, as the five values :func:`_from_record` unpacks."""
-    cls, types = _TYPES[kind]
-    forms = [_FORMS[form] for form in types.values()]
-    decoded = frozenset(product(*(form.decoded for form in forms)))  # every field-type tuple a decoded record may hold
-    readers = [(i, name, forms[i].read) for i, name in enumerate(types)]
-    # The fields whose decoded value still needs reading once its type is right: a NoteAccess value and the lists.
-    converters = [(i, name, read) for i, name, read in readers if types[name] not in (str, int)]
-    return cls, itemgetter(*types), decoded, readers, converters
-
-
-_READERS = {kind: _reader(kind) for kind in _TYPES}
+# For each record kind, its named tuple and, in ``_fields`` order, each field's name and reader.
+_READERS = {kind: (cls, [(name, _FORMS[form].read) for name, form in types.items()])
+            for kind, (cls, types) in _TYPES.items()}
 
 
 def _from_record(record) -> LearnerNote | Message:
-    """The note or message a decoded line holds; a bad record raises ``ValueError`` or ``KeyError``."""
+    """The note or message a decoded line holds; a bad record raises ``ValueError`` or ``KeyError``.
+
+    Each field is read once, in ``_fields`` order, so the first field missing or refused is the one named.
+    """
     if not isinstance(record, dict):
         raise ValueError("a record must be a JSON object")
     kind = record.get("kind")
     reader = _READERS.get(kind) if type(kind) is str else None
     if reader is None:
         raise ValueError(f"unknown record kind {kind!r}")
-    cls, get_values, decoded, readers, converters = reader
-    try:
-        values = list(get_values(record))
-    except KeyError:
-        values = [None] * len(readers)  # the readers name the first missing field
-    else:
-        readers = converters if tuple(map(type, values)) in decoded else readers
-    for i, name, read in readers:
+    cls, readers = reader
+    values = []
+    for name, read in readers:
         try:
-            values[i] = read(record[name])
+            values.append(read(record[name]))
         except ValueError as exc:
             raise ValueError(f"field {name!r}: {exc}") from None
     return cls(*values)

@@ -18,6 +18,7 @@ compares by value and refuses assignment, and it hashes by value too.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -148,13 +149,9 @@ def sessionize(blocks: Iterable[ControlBlock], timeout_seconds: int = DEFAULT_SE
     """
     if timeout_seconds <= 0:
         raise ValueError("timeout_seconds must be positive")
-    per_learner: dict[str, list[ControlBlock]] = {}
+    per_learner: defaultdict[str, list[ControlBlock]] = defaultdict(list)
     for block in blocks:
-        mine = per_learner.get(block[0])
-        if mine is None:
-            per_learner[block[0]] = [block]
-        else:
-            mine.append(block)
+        per_learner[block[0]].append(block)
 
     new, timestamp = tuple.__new__, itemgetter(1)
     sessions: list[Session] = []

@@ -856,6 +856,18 @@ def test_notes_send_stores_explicit_recipients_sorted_once_each(course, tmp_path
     assert capsys.readouterr().out == "m1\t0\tu1\tu2,u3\tn1\n"
 
 
+def test_notes_send_to_no_recipient_is_one_error_line_and_stores_nothing(course, tmp_path, capsys):
+    store = tmp_path / "notes.jsonl"
+    shared = ["--store", str(store), "--course", course]
+    assert main(["notes", "add", *shared, "--node", "LA1", "--learner", "u1", "--access", "all"]) == 0
+    capsys.readouterr()
+    before = store.read_bytes()
+    assert main(["notes", "send", *shared, "--sender", "u1", "--to", ",", "--refs", "n1"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: a message must name at least one recipient\n")
+    assert store.read_bytes() == before
+
+
 def test_notes_private_note_hidden_and_unsendable(course, tmp_path, capsys):
     store = str(tmp_path / "notes.jsonl")
     main(["notes", "add", "--store", store, "--course", course, "--node", "LA1",
@@ -986,6 +998,25 @@ def test_output_to_dev_stdout_on_a_pipe_is_written_in_place(tmp_path, capsys):
     done = subprocess.run([sys.executable, "-m", "odlgraph.cli", "parse", course, "--to", "dot", "-o", "/dev/stdout"],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, dot, "")
+
+
+@pytest.mark.parametrize("name", ["/dev/stdout", "/dev/fd/1"])
+def test_output_naming_stdout_on_a_file_writes_through_stdout(tmp_path, capsys, name):
+    # As in `{ echo header; odlgraph parse ... -o /dev/stdout; echo trailer; } > shared.txt`: the name resolves
+    # to shared.txt, which a rename would replace under the descriptor the header and trailer go through.
+    course, dot, _ = _dot_output(tmp_path, capsys)
+    src = str(Path(odlgraph.__file__).resolve().parents[1])
+    shared = tmp_path / "shared.txt"
+    with open(shared, "w", encoding="utf-8") as out:
+        out.write("header\n")
+        out.flush()
+        done = subprocess.run([sys.executable, "-m", "odlgraph.cli", "parse", course, "--to", "dot", "-o", name],
+                              stdout=out, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        out.write("trailer\n")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert shared.read_text(encoding="utf-8") == "header\n" + dot + "trailer\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dot", "shared.txt", "wide.odlg"]
 
 
 def test_the_entry_point_runs_without_the_cyclic_collector():

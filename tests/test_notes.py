@@ -133,6 +133,15 @@ def test_message_without_refs_rejected():
         send_message(store, Message("m1", "u1", BROADCAST, (), 0))
 
 
+def test_message_without_recipients_rejected_but_read_back_from_a_store():
+    store = store_with(note("n1", NoteAccess.ALL))
+    with pytest.raises(EmptyContent, match="at least one recipient"):
+        send_message(store, Message("m1", "u1", (), ("n1",), 0))
+    line = '{"kind":"message","message_id":"m1","note_refs":["n1"],"recipients":[],"sender_id":"u1","sent_at":0}\n'
+    loaded = loads(dumps(store) + line, ENV)
+    assert loaded.messages["m1"].recipients == () and dumps(loaded) == dumps(store) + line
+
+
 def test_message_referencing_foreign_private_note_rejected():
     store = store_with(note("n1", NoteAccess.PRIVATE, author="u1"))
     with pytest.raises(AccessDenied):
@@ -425,6 +434,56 @@ def test_a_missing_field_is_named_in_field_order():
         loads(line, ENV)
 
 
+# A valid store of two notes and two messages, and the JSON values a record's field may be given in its place.
+_VALID_RECORDS = [
+    {"kind": "note", "note_id": "n1", "node_id": "LA5", "learner_id": "u1", "timestamp": 1, "access": "all",
+     "body": "", "attachments": []},
+    {"kind": "note", "note_id": "n2", "node_id": "LA12", "learner_id": "u2", "timestamp": 2, "access": "tutors",
+     "body": "b", "attachments": ["a"]},
+    {"kind": "message", "message_id": "m1", "sender_id": "u1", "recipients": ["u2"], "note_refs": ["n1"], "sent_at": 3},
+    {"kind": "message", "message_id": "m2", "sender_id": "u2", "recipients": "*", "note_refs": ["n2"], "sent_at": 4},
+]
+_POOL = [None, True, 1.5, 7, "x", [], [1], {}]
+# The pool values each field takes; every other one is refused.  A string field takes "x".
+_TAKEN = {"timestamp": [7], "sent_at": [7], "access": [], "attachments": [[]], "note_refs": [[]], "recipients": [[]]}
+_DELETED = object()
+
+
+@st.composite
+def corrupted_stores(draw):
+    """A valid store's text with one or two fields of one record deleted or refused; its line and first field."""
+    index = draw(st.integers(0, len(_VALID_RECORDS) - 1))
+    record = dict(_VALID_RECORDS[index])
+    fields = (LearnerNote if record["kind"] == "note" else Message)._fields
+    changed = draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True))
+    for name in changed:
+        taken = [repr(value) for value in _TAKEN.get(name, ["x"])]
+        value = draw(st.sampled_from([_DELETED, *(v for v in _POOL if repr(v) not in taken)]))
+        if value is _DELETED:
+            del record[name]
+        else:
+            record[name] = value
+    first = min(changed, key=fields.index)
+    named = f"missing field {first!r}" if first not in record else f"field {first!r}: "
+    records = [*_VALID_RECORDS[:index], record, *_VALID_RECORDS[index + 1:]]
+    return "".join(json.dumps(r) + "\n" for r in records), index + 1, named
+
+
+def test_the_valid_store_the_corruptions_start_from_loads():
+    text = "".join(json.dumps(r) + "\n" for r in _VALID_RECORDS)
+    assert list(loads(text, ENV).messages) == ["m1", "m2"]
+
+
+@given(corrupted_stores())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_loads_names_the_first_bad_field_in_field_order(corrupted):
+    text, line_no, named = corrupted
+    with pytest.raises(ParseError) as err:
+        loads(text, ENV)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: {named}")
+
+
 # Notes and messages the type table refuses; each one used to be stored, written, and then refused by loads.
 BAD_NOTES = {
     "timestamp-bool": (LearnerNote("n2", "LA5", "u1", True), "'timestamp' must be an integer, not True"),
@@ -566,8 +625,11 @@ def stores(draw):
     for i in range(draw(st.integers(0, 4)) if shared else 0):
         recipients = draw(st.one_of(st.just(BROADCAST), st.lists(_TEXT, max_size=3)))
         refs = draw(st.lists(st.sampled_from(shared), min_size=1, max_size=3))
-        store = send_message(store, Message(f"m{i}:{draw(_TEXT)}", draw(_TEXT), recipients, refs,
-                                            draw(st.integers(0, 2 ** 40))), "tutor")
+        message = Message(f"m{i}:{draw(_TEXT)}", draw(_TEXT), recipients, refs, draw(st.integers(0, 2 ** 40)))
+        if recipients:
+            store = send_message(store, message, "tutor")
+        else:  # send_message refuses it, but loads keeps reading such a record from an older store
+            store = NoteStore(ENV, store.notes, {**store.messages, message.message_id: message})
     return store
 
 

@@ -1,15 +1,17 @@
 """Rules for the package, checked on its source and in fresh interpreters.
 
-Imports: stdlib only, no private names across modules, no ``dataclasses``,
-and a command loads only the modules it runs.  Text: only the line-rule owner splits lines or
-turns a file's bytes into text.  Output: only the CLI's data writer writes
-to stdout, and only the file writer writes, syncs or replaces a file.
+Imports: stdlib only, no private names across modules, no ``dataclasses``, no
+name imported and never used, and a command loads only the modules it runs.
+Text: only the line-rule owner splits lines or turns a file's bytes into text.
+Output: only the CLI's data writer writes to stdout, and only the file writer
+writes, syncs or replaces a file.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +91,41 @@ def test_no_module_imports_dataclasses(path):
     # Importing dataclasses (and the inspect it pulls in) would cost every command about 10 ms at start.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert "dataclasses" not in {top for _, top, _ in _imports(tree)}
+
+
+# Names a module imports only for others to take from it, as ``options.py``'s docstring lists them.
+RE_EXPORTS = set(re.findall(r"``(\w+)\.(\w+)``", ast.get_docstring(ast.parse((PACKAGE / "options.py").read_text(
+    encoding="utf-8")))))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Each name an import binds that the module never reads; a name in an annotation, quoted or not, is read."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    quoted = [ast.parse(sub.value, mode="eval") for annotation in filter(None, annotations)
+              for sub in ast.walk(annotation) if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
+    used = {node.id for root in [tree, *quoted] for node in ast.walk(root) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # No linter runs here; every command pays to import and compile a dead import.
+    unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert [name for name in unused if (path.stem, name) not in RE_EXPORTS] == []
+
+
+def test_the_unused_import_check_finds_one():
+    tree = ast.parse("from itertools import chain, product\nfrom typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+                     "    from .model import Course\nimport os.path\nx: 'Course' = chain()\n")
+    assert _unused_imports(tree) == ["product", "os"]
+    assert RE_EXPORTS >= {("clusters", "DEFAULT_MIN_COOCCURRENCE"), ("notes", "NoteAccess")}
 
 
 LINE_RULE_OWNER = "text.py"
