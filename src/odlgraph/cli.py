@@ -288,15 +288,15 @@ def _cmd_notes_list(args) -> int:
 
 
 def _cmd_notes_send(args) -> int:
-    if args.sent_at < 0:
-        raise _UsageError("--sent-at must be non-negative")
     from .notes import BROADCAST, Message, flush, send_message
 
+    if args.sent_at < 0:
+        raise _UsageError("--sent-at must be non-negative")
+    recipients = BROADCAST if args.to == BROADCAST else tuple(r for r in args.to.split(",") if r)
+    if args.to != BROADCAST and BROADCAST in recipients:
+        raise _UsageError(f"--to is {BROADCAST!r} alone or learner ids, none of them {BROADCAST!r}")
     store = _load_store(args)
     message_id = args.message_id or f"m{next_id_number(store.messages, 'm')}"
-    recipients = BROADCAST if args.to == BROADCAST else tuple(
-        r for r in args.to.split(",") if r
-    )
     message = Message(
         message_id,
         args.sender,

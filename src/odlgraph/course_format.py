@@ -35,8 +35,9 @@ or a form feed inside a field stays in it.
 Each reader checks a course once, line by line, as it reads it: every
 course it returns already passes :func:`odlgraph.model.validate`.
 :func:`serialize` writes either format and refuses, with
-:class:`UnsupportedFormat`, any value its reader would not give back; the
-tabular writer leaves the outline rule to :func:`_outline_edges` alone.
+:class:`UnsupportedFormat`, any value its reader would not give back.  The
+graph writer checks each field as it writes it; the tabular writer keeps
+no rule of its own and re-reads its text with the tabular reader.
 
 :class:`TabularLine` and :class:`CourseDocument` are immutable named tuples:
 each equals the plain tuple of its values and sorts like it, and a changed
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from pathlib import PurePath
 from typing import Callable, Iterable, NamedTuple
 
@@ -60,6 +60,7 @@ from .model import (
     LearningTask,
     ObjectKind,
     PrecedentEdge,
+    isomorphic,
     validate,
 )
 from .text import holds_line_end, lines
@@ -341,11 +342,12 @@ def serialize(env: LearningEnvironment, format: str, title: str = "Course") -> s
 
     Re-parsing the output yields an environment isomorphic to ``env`` (edge
     ids are renamed).  What the reader would not give back raises
-    :class:`UnsupportedFormat`: an environment without activities, a line end
-    in any field, whitespace at an end the reader strips, a non-finite
-    duration or a composite object.  The tabular format can only express
-    outline-shaped environments; anything else raises
-    :class:`UnsupportedFormat` too.
+    :class:`UnsupportedFormat`.  For ``odlg`` that is an environment without
+    activities, a line end in any field, whitespace at an end the reader
+    strips, a non-finite duration or a composite object.  ``odlc`` text is
+    re-read and returned only when it gives back ``title`` and an environment
+    isomorphic to ``env``: an outline of plain activities ``LA1..LAn`` in
+    file order, each object's locator its title.
     """
     problems = validate(env)
     if problems:
@@ -398,48 +400,30 @@ def _serialize_graph(env: LearningEnvironment, title: str) -> str:
 
 
 def _serialize_tabular(env: LearningEnvironment, title: str) -> str:
+    """The outline text of ``env``, returned only when the tabular reader gives back ``title`` and ``env``."""
     acts = list(env.activities.values())
     index = {a.id: i for i, a in enumerate(acts)}
-
-    bag: Counter[tuple[int, int, str]] = Counter()
-    into: dict[int, tuple[int, str]] = {}  # a forward edge into each line that has one
+    into: dict[int, tuple[int, EdgeTag]] = {}  # a forward edge into each line that has one
     for edge in env.edges:
-        if edge.tag is EdgeTag.SEQUENCE and edge.label == "":
-            kind = "sequence"
-        elif edge.tag is EdgeTag.INTEREST and edge.label == DETOUR_LABEL:
-            kind = "detour"
-        else:
-            raise UnsupportedFormat(f"edge {edge.edge_id!r} does not fit the outline rules")
         src, dst = index[edge.from_id], index[edge.to_id]
-        bag[src, dst, kind] += 1
         if src < dst:
-            into[dst] = (src, kind)
-
-    # A detour goes one deeper than its source, a sequence edge stays level.  The outline rule gives
-    # every later line exactly one edge, and a detour only from the line before, so a bag equal to
-    # its edges is an outline whose depths the reader accepts.
+            into[dst] = (src, edge.tag)
+    # A detour goes one deeper than its source, a sequence edge stays level.
     depths = [0] * len(acts)
-    for dst, (src, kind) in sorted(into.items()):
-        depths[dst] = depths[src] + (kind == "detour")
-    if Counter(_outline_edges(depths)) != bag:
-        raise UnsupportedFormat("edge bag does not match any outline")
+    for dst, (src, tag) in sorted(into.items()):
+        depths[dst] = depths[src] + (tag is EdgeTag.INTEREST)
 
-    if not title:
-        raise UnsupportedFormat("empty title does not read back")
-    _check_field("title", title)
     out = [title]
     for act, depth in zip(acts, depths):
-        if act.is_reference or act.expected_duration_minutes is not None:
-            raise UnsupportedFormat(f"activity {act.id!r} carries graph-only attributes")
-        obj = env.objects[act.object_id]
-        if obj.title != obj.locator or obj.kind is not ObjectKind.ATOMIC:
-            raise UnsupportedFormat(f"object {obj.id!r} is not plain text content")
-        verb = env.tasks[act.task_id].verb
-        if " " in verb or "\t" in verb:
-            raise UnsupportedFormat(f"verb {verb!r} is not a single token")
-        _check_field("verb", verb, strip=None)
-        if "\t" in obj.title or not obj.title.strip():
-            raise UnsupportedFormat(f"object text {obj.title!r} is not representable")
-        _check_field("object text", obj.title)
-        out.append("\t" * depth + verb + "\t" + obj.title)
-    return "\n".join(out) + "\n"
+        out.append("\t" * depth + env.tasks[act.task_id].verb + "\t" + env.objects[act.object_id].title)
+    text = "\n".join(out) + "\n"
+    try:
+        doc = read_document(text)
+    except ParseError as err:
+        raise UnsupportedFormat(f"the tabular text does not read back: {err}") from None
+    if doc.title != title or not isomorphic(env, _build_tabular(doc)):
+        raise UnsupportedFormat(
+            "a tabular file holds only a one-line title and an outline of plain activities LA1..LAn in file"
+            " order, with no reference flag, duration, separate locator or composite object"
+        )
+    return text

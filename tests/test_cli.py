@@ -6,6 +6,8 @@ import gc
 import json
 import os
 import random
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -107,6 +109,31 @@ def test_parse_tabular_to_dot(tmp_path, capsys):
 def test_parse_graph_to_tabular_reports_unsupported(course, capsys):
     assert main(["parse", course, "--to", "odlc"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_the_readme_worked_example_prints_its_line(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Worked example:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    inputs = [re.fullmatch(r"printf '([^']*)' > (\S+)", line).groups() for line in block if line.startswith("printf ")]
+    assert [name for _, name in inputs] == ["unit.odlc", "access.csv"]
+    for text, name in inputs:
+        (tmp_path / name).write_text(text.encode().decode("unicode_escape"), encoding="utf-8")
+    [command] = [shlex.split(line)[1:] for line in block if line.startswith("odlgraph ")]
+    [printed] = [line[len("# "):] for line in block if line.startswith("# ")]
+    monkeypatch.chdir(tmp_path)
+    assert command[0] == "cycles" and main(command) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+def test_parse_to_tabular_refuses_ids_a_tabular_line_cannot_hold(tmp_path, capsys):
+    src = tmp_path / "course.odlg"
+    src.write_text("NODE A|Intro|read|Intro\nNODE B|Essay|write|Essay\nEDGE A|B|sequence|\n", encoding="utf-8")
+    out = tmp_path / "out.odlc"
+    out.write_bytes(b"Old\nread\tkept\n")
+    assert main(["parse", str(src), "--to", "odlc", "-o", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_bytes() == b"Old\nread\tkept\n"
 
 
 def test_sessions_listing(course, log, capsys):
@@ -865,6 +892,18 @@ def test_notes_send_to_no_recipient_is_one_error_line_and_stores_nothing(course,
     assert main(["notes", "send", *shared, "--sender", "u1", "--to", ",", "--refs", "n1"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: a message must name at least one recipient\n")
+    assert store.read_bytes() == before
+
+
+def test_notes_send_to_mixing_broadcast_and_ids_is_a_usage_error_and_stores_nothing(course, tmp_path, capsys):
+    store = tmp_path / "notes.jsonl"
+    shared = ["--store", str(store), "--course", course]
+    assert main(["notes", "add", *shared, "--node", "LA1", "--learner", "u1", "--access", "all"]) == 0
+    capsys.readouterr()
+    before = store.read_bytes()
+    assert main(["notes", "send", *shared, "--sender", "u1", "--to", "*,u2", "--refs", "n1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
     assert store.read_bytes() == before
 
 

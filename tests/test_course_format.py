@@ -272,10 +272,16 @@ def test_tabular_cannot_express_arbitrary_graphs():
         serialize(env, "odlc")
 
 
+_NOT_AN_OUTLINE = ("a tabular file holds only a one-line title and an outline of plain activities LA1..LAn in file"
+                   " order, with no reference flag, duration, separate locator or composite object")
+
+
 @pytest.mark.parametrize("graph,message", [
-    ("NODE A|T|read|T|ref\n", "activity 'A' carries graph-only attributes"),
-    ("NODE A|T|read|loc\n", "object 'O1' is not plain text content"),
-], ids=["reference-node", "locator-not-title"])
+    ("NODE LA1|T|read|T|ref\n", _NOT_AN_OUTLINE),
+    ("NODE LA1|T|read|loc\n", _NOT_AN_OUTLINE),
+    ("NODE A|T|read|T\n", _NOT_AN_OUTLINE),
+    ("NODE LA1|T|re ad|T\n", "the tabular text does not read back: line 2: space in verb column: 're ad'"),
+], ids=["reference-node", "locator-not-title", "id-not-LA1", "space-in-verb"])
 def test_tabular_refuses_a_node_an_outline_line_cannot_hold(graph, message):
     with pytest.raises(UnsupportedFormat) as err:
         serialize(parse_graph_file(graph), "odlc")
@@ -504,26 +510,36 @@ def test_graph_serialize_refuses_or_round_trips(nodes, edges, title):
     assert isomorphic(env, parse_graph_file(text))
 
 
-@given(st.lists(st.tuples(st.integers(0, 1), _nonempty_field, _nonempty_field), min_size=1, max_size=4), _field)
+def _activity_ids(n: int):
+    """Mostly ``LA1..LAn`` in file order, the only ids tabular lines read back as; sometimes other ids."""
+    in_order = list(range(1, n + 1))
+    numbers = st.sampled_from([st.just(in_order)] * 3 + [st.permutations(in_order)]).flatmap(lambda order: order)
+    forms = st.sampled_from(["LA{}"] * 3 + ["LA0{}", "A{}", "LA{} "])
+    return st.builds(lambda form, order: [form.format(k) for k in order], forms, numbers)
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), _nonempty_field, _nonempty_field), min_size=1, max_size=4).flatmap(
+    lambda rows: st.tuples(st.just(rows), _activity_ids(len(rows)))), _field)
 @settings(max_examples=300)
-def test_tabular_serialize_refuses_or_round_trips(rows, title):
+def test_tabular_serialize_refuses_or_round_trips(rows_and_ids, title):
+    rows, ids = rows_and_ids
     depths = [0]
     for step, _, _ in rows[1:]:
         depths.append(depths[-1] + step if step else 0)
     env = empty_environment()
-    for i, (_, verb, text) in enumerate(rows, 1):
+    for i, (aid, (_, verb, text)) in enumerate(zip(ids, rows), 1):
         env = add_object(env, LearningObject(f"O{i}", text, ObjectKind.ATOMIC, text))
         env = add_task(env, LearningTask(f"T{i}", verb))
-        env = add_activity(env, LearningActivity(f"LA{i}", f"O{i}", f"T{i}"))
+        env = add_activity(env, LearningActivity(aid, f"O{i}", f"T{i}"))
     for src, dst, kind in oracles.outline_edges(depths):
         detour = kind == "detour"
-        env = add_edge(env, f"LA{src + 1}", f"LA{dst + 1}", DETOUR_LABEL if detour else "",
+        env = add_edge(env, ids[src], ids[dst], DETOUR_LABEL if detour else "",
                        EdgeTag.INTEREST if detour else EdgeTag.SEQUENCE)
     try:
         text = serialize(env, "odlc", title=title)
     except UnsupportedFormat:
         return
-    assert isomorphic(env, parse_tabular(text))
+    assert isomorphic(env, parse_tabular(text)) and read_document(text).title == title
 
 
 # --- a course is checked once, by the reader that lets it in --------------------

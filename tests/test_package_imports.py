@@ -2,6 +2,8 @@
 
 Imports: stdlib only, no private names across modules, no ``dataclasses``, no
 name imported and never used, and a command loads only the modules it runs.
+Names: every private name a module's top level defines is read somewhere in
+the package.
 Text: only the line-rule owner splits lines or turns a file's bytes into text.
 Output: only the CLI's data writer writes to stdout, and only the file writer
 writes, syncs or replaces a file.
@@ -106,12 +108,17 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for root in [tree, *_quoted_annotations(tree)] for node in ast.walk(root)
+            if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def _quoted_annotations(tree: ast.Module) -> list[ast.Expression]:
+    """The parsed text of each string in an annotation."""
     annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
     annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    quoted = [ast.parse(sub.value, mode="eval") for annotation in filter(None, annotations)
-              for sub in ast.walk(annotation) if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
-    used = {node.id for root in [tree, *quoted] for node in ast.walk(root) if isinstance(node, ast.Name)}
-    return [name for name in bound if name not in used]
+    return [ast.parse(sub.value, mode="eval") for annotation in filter(None, annotations)
+            for sub in ast.walk(annotation) if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -126,6 +133,40 @@ def test_the_unused_import_check_finds_one():
                      "    from .model import Course\nimport os.path\nx: 'Course' = chain()\n")
     assert _unused_imports(tree) == ["product", "os"]
     assert RE_EXPORTS >= {("clusters", "DEFAULT_MIN_COOCCURRENCE"), ("notes", "NoteAccess")}
+
+
+def _private_top_level_names(tree: ast.Module) -> list[str]:
+    """Each private name a module's top level defines, by ``def``, ``class`` or assignment."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+    return [name for name in defined if _private(name)]
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Each name a module reads, as a variable, an attribute or inside a quoted annotation."""
+    nodes = [node for root in [tree, *_quoted_annotations(tree)] for node in ast.walk(root)]
+    return ({node.id for node in nodes if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_defines_a_private_name_no_code_reads(path):
+    # A helper or constant left behind by a change costs every command that imports it a compile.
+    read = set().union(*(_names_read(ast.parse(module.read_text(encoding="utf-8"))) for module in MODULES))
+    assert [name for name in _private_top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+            if name not in read] == []
+
+
+def test_the_unread_private_name_check_finds_one():
+    tree = ast.parse("_USED = 1\n_LEFT, public = 2, 3\ndef _helper(): return _USED\nclass _Kept: pass\n"
+                     "def f(x: '_Kept') -> None: pass\n_STORED = 4\n_STORED = 5\n")
+    assert [name for name in _private_top_level_names(tree) if name not in _names_read(tree)] == [
+        "_LEFT", "_helper", "_STORED", "_STORED"]
 
 
 LINE_RULE_OWNER = "text.py"
