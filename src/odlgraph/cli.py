@@ -10,10 +10,10 @@ import argparse
 import gc
 import os
 import sys
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 # Every command reads a course; the other modules load inside the commands that run them.
 from . import course_format
@@ -89,27 +89,31 @@ def _walks(sessions: list[Session]) -> Iterator[tuple[str, list[str]]]:
         yield learner, [b[2] for s in mine for b in s[1]]
 
 
-def _emit(args, *pieces: str, commit: Callable[[], None] | None = None) -> None:
-    """The one writer of data; commands build all their text first, so a failure writes nothing.
+def _emit(args, pieces: Iterable[str], commit: Callable[[], None] | None = None) -> None:
+    """The one writer of data; commands first do all that can fail, so a failure writes nothing.
 
-    The pieces are joined a batch at a time as they are written, so a long
-    output of many rows is never held a second time as one text.  ``commit``, a
-    command's stored change, runs once the output is known to be open, before any byte is written.
-    An ``-o`` naming the file stdout writes to, as ``/dev/stdout`` does, writes through stdout, where
-    a rename would replace that file under whatever else writes to it.
+    The pieces are read and joined ``_PIECES_PER_WRITE`` at a time as they are
+    written, so a long output of many rows is never held as one text.  ``commit``, a command's stored change,
+    runs once the output is known to be open, before any byte is written.  An ``-o`` naming the file stdout
+    writes to, as ``/dev/stdout`` does, writes through stdout, where a rename would replace that file under
+    whatever else writes to it; with stdout closed, such a name leads to no file, so it is refused as stdout is.
     """
     output = getattr(args, "output", None)
     if output:
         try:
-            if os.path.samestat(os.stat(output), os.fstat(sys.stdout.fileno())):
+            if sys.stdout is None:  # as when the shell closed it: ``odlgraph validate c.odlg >&-``
+                if os.path.realpath(output) == os.path.realpath("/dev/stdout"):
+                    output = None
+            elif os.path.samestat(os.stat(output), os.fstat(sys.stdout.fileno())):
                 output = None
-        except (AttributeError, OSError, ValueError):  # no stdout, one without a descriptor, or no such path
+        except (AttributeError, OSError, ValueError):  # a stdout without a descriptor, or no such path
             pass
-    if not output and sys.stdout is None:  # as when the shell closed it: ``odlgraph validate c.odlg >&-``
+    if not output and sys.stdout is None:
         raise OdlError("standard output is closed")
     if commit is not None:
         commit()
-    batches = ("".join(pieces[start:start + _PIECES_PER_WRITE]) for start in range(0, len(pieces), _PIECES_PER_WRITE))
+    pieces = iter(pieces)
+    batches = ("".join(batch) for batch in iter(lambda: list(islice(pieces, _PIECES_PER_WRITE)), []))
     if output:
         write_text(output, batches)
     else:
@@ -121,7 +125,7 @@ def _emit(args, *pieces: str, commit: Callable[[], None] | None = None) -> None:
 
 def _cmd_validate(args) -> int:
     _load_course(args.course)  # the readers refuse, on its line, every rule the course breaks
-    _emit(args, "OK\n")
+    _emit(args, ["OK\n"])
     return 0
 
 
@@ -130,19 +134,19 @@ def _cmd_parse(args) -> int:
     if args.to == "dot":
         from .dot_export import export_dot
 
-        _emit(args, export_dot(env))
+        _emit(args, [export_dot(env)])
     else:
-        _emit(args, course_format.serialize(env, args.to, title=title))
+        _emit(args, [course_format.serialize(env, args.to, title=title)])
     return 0
 
 
 def _cmd_sessions(args) -> int:
     _, sessions = _course_and_sessions(args)
-    _emit(args, *(
+    _emit(args, [
         f"{s.learner_id}\t{s.session_index}\t{s.blocks[0].timestamp}"
         f"\t{s.blocks[-1].timestamp}\t{len(s.blocks)}\t{','.join(b.activity_id for b in s.blocks)}\n"
         for s in sessions
-    ))
+    ])
     return 0
 
 
@@ -165,7 +169,7 @@ def _cmd_cycles(args) -> int:
             f"\t{cycle.end_index}\t{classify_cycle(cycle, env).value}\t{','.join(cycle.interior)}\n"
             for cycle in detect_cycles(ids) if len(cycle.interior) >= args.min_interior
         ))
-    _emit(args, *texts)
+    _emit(args, texts)
     return 0
 
 
@@ -173,7 +177,7 @@ def _cmd_erase(args) -> int:
     from .paths import erase_cycles
 
     _, sessions = _course_and_sessions(args)
-    _emit(args, *(f"{learner}\t{','.join(erase_cycles(ids))}\n" for learner, ids in _walks(sessions)))
+    _emit(args, [f"{learner}\t{','.join(erase_cycles(ids))}\n" for learner, ids in _walks(sessions)])
     return 0
 
 
@@ -188,7 +192,7 @@ def _cmd_coverage(args) -> int:
         rows.append(f"{learner}\t{len(report.visited)}\t{report.total}\t{report.ratio:.4f}\n")
     overall = coverage([visited], env)
     rows.append(f"*\t{len(overall.visited)}\t{overall.total}\t{overall.ratio:.4f}\n")
-    _emit(args, *rows)
+    _emit(args, rows)
     return 0
 
 
@@ -202,12 +206,12 @@ def _cmd_mine(args) -> int:
     graph = cl.threshold(cl.cooccurrence(visit_sets), args.min_count)
     if args.cliques:
         try:
-            found = cl.maximal_cliques(graph)
+            rows = cl.clique_rows(graph)  # searched, sorted and checked here; each row is made as it is written
         except GraphTooLarge as exc:
             raise OdlError(f"{exc}; drop --cliques to list connected components, which have no guard") from None
     else:
-        found = cl.connected_components(graph)
-    _emit(args, cl.format_clusters(found))
+        rows = [cl.format_clusters(cl.connected_components(graph))]
+    _emit(args, rows)
     return 0
 
 
@@ -241,7 +245,7 @@ def _cmd_export(args) -> int:
         found = read_clusters(read_text(args.clusters))
 
     style = ExportStyle(overlay, args.include_reference_edges)
-    _emit(args, export_dot(env, style, ids, found))
+    _emit(args, [export_dot(env, style, ids, found)])
     return 0
 
 
@@ -272,7 +276,7 @@ def _cmd_notes_add(args) -> int:
         tuple(args.attach or ()),
     )
     new_store = attach_note(store, note)
-    _emit(args, note_id + "\n", commit=lambda: flush(new_store, args.store))
+    _emit(args, [note_id + "\n"], commit=lambda: flush(new_store, args.store))
     return 0
 
 
@@ -280,10 +284,10 @@ def _cmd_notes_list(args) -> int:
     from .notes import list_notes
 
     store = _load_store(args)
-    _emit(args, *(
+    _emit(args, [
         f"{n.note_id}\t{n.timestamp}\t{n.learner_id}\t{n.access.value}\t{n.body}\t{','.join(n.attachments)}\n"
         for n in list_notes(store, args.node, args.requester, args.role)
-    ))
+    ])
     return 0
 
 
@@ -305,7 +309,7 @@ def _cmd_notes_send(args) -> int:
         args.sent_at,
     )
     new_store = send_message(store, message, args.role)
-    _emit(args, message_id + "\n", commit=lambda: flush(new_store, args.store))
+    _emit(args, [message_id + "\n"], commit=lambda: flush(new_store, args.store))
     return 0
 
 
@@ -318,7 +322,7 @@ def _cmd_notes_inbox(args) -> int:
         to = message.recipients if message.recipients == BROADCAST else ",".join(message.recipients)
         refs = ",".join(message.note_refs)
         rows.append(f"{message.message_id}\t{message.sent_at}\t{message.sender_id}\t{to}\t{refs}\n")
-    _emit(args, *rows)
+    _emit(args, rows)
     return 0
 
 

@@ -10,15 +10,25 @@ maximal cliques (coherent, enumerated behind a size guard by an iterative
 Bron-Kerbosch search with Tomita pivoting that carries each clique's
 support down the search and meets no recursion limit).  All outputs are
 deterministically ordered so cluster files diff cleanly between runs.
+
+The search keeps each maximal clique as one compact record: its node
+positions in sorted-id order as fixed-width big-endian bytes, and its
+support.  Fixed-width bytes sort as the sorted member lists do, so one sort
+of the records gives file order.  :func:`maximal_cliques` builds its
+clusters from the records; :func:`clique_rows` makes the text rows from
+them one at a time, for a writer that writes them in batches, so neither
+the clusters nor the whole text is held.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from enum import Enum
 from itertools import compress, islice, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from struct import calcsize, pack, unpack
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import GraphTooLarge, ParseError, UnsupportedFormat
 from .options import DEFAULT_MIN_COOCCURRENCE  # re-exported: the cut the command line applies by default
@@ -174,58 +184,163 @@ def _branches(candidates: int, excluded: int, adj: list[int]) -> int:
 
     The pivot is the lowest node of ``candidates | excluded`` with the most
     neighbours in ``candidates``; only candidates outside its neighbourhood
-    can start a clique the pivot's branches do not already reach.
+    can start a clique the pivot's branches do not already reach.  The walk
+    stops at the first node that neighbours every candidate: no later node
+    has more.
     """
-    pivot, most = -1, -1
-    for u in _positions(candidates | excluded):
+    pivot, most, every = -1, -1, candidates.bit_count()
+    rest = candidates | excluded
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
         count = (adj[u] & candidates).bit_count()
         if count > most:
             pivot, most = u, count
+            if count == every:
+                break
+        rest ^= low
     return candidates & ~adj[pivot]
 
 
-def maximal_cliques(graph: CoOccurrenceGraph, max_nodes_guard: int = 2000) -> list[Cluster]:
-    """All maximal cliques of size >= 2, via iterative pivoting branch and bound.
+# A clique of at least this many members first looks a joining node up in the node's weight levels (see
+# :func:`_weight_levels`); a shorter one loops over its members at once, which costs less than the look-up.
+_LEVELS_FROM = 8
+# The most distinct pair weights one node's levels keep, which bounds the masks a node holds at 65.
+_MOST_LEVELS = 64
+
+
+def _weight_levels(row: dict[int, int], neighbours: int) -> tuple[list[int], list[int]]:
+    """A node's lowest distinct pair weights ``cuts``, ascending, and by each the mask of its neighbours below it.
+
+    ``below[bisect_left(cuts, s)]`` holds every neighbour whose pair weight
+    is below ``s``: exactly those while ``s`` is at most the last cut, and all
+    ``neighbours`` past it.  So a clique of members none of which is in
+    that mask keeps its support ``s`` when the node joins.
+    """
+    cuts: list[int] = []
+    below: list[int] = []
+    mask = 0
+    for u in sorted(row, key=row.__getitem__):
+        w = row[u]
+        if not cuts or w != cuts[-1]:
+            if len(cuts) == _MOST_LEVELS:
+                break
+            cuts.append(w)
+            below.append(mask)
+        mask |= 1 << u
+    below.append(neighbours)
+    return cuts, below
+
+
+def _codec(nodes: int) -> tuple[Callable[[list[int]], bytes], Callable[[bytes], Iterable[int]]]:
+    """How ascending node positions become one record's bytes, and back, for a graph of ``nodes`` nodes.
+
+    Each position takes the same number of bytes, the fewest that hold the
+    largest: one up to 256 nodes, two up to 65,536, then four.  Wider
+    positions are big-endian, so records compare as their position tuples do.
+    """
+    if nodes <= 1 << 8:
+        return bytes, bytes.__iter__
+    code = "H" if nodes <= 1 << 16 else "I"
+    width = calcsize(code)
+    return (lambda positions: pack(f">{len(positions)}{code}", *positions),
+            lambda record: unpack(f">{len(record) // width}{code}", record))
+
+
+def _clique_records(
+    graph: CoOccurrenceGraph, max_nodes_guard: int
+) -> tuple[list[str], Callable[[bytes], Iterable[int]], list[tuple[bytes, int]]]:
+    """Every maximal clique of size >= 2 as a compact record, in the order files list them.
+
+    Returns the nodes in sorted order, the decoder of a record's positions
+    (see :func:`_codec`) and the records ``(positions, support)``, sorted
+    once.  No maximal clique's positions are a prefix of another's, so the
+    record bytes alone decide the order, which is sorted-member order.
 
     The search keeps its own stack, so no clique size meets the recursion
-    limit, and carries each clique's support down as members join.
-
-    Raises :class:`GraphTooLarge` when the node count exceeds the guard or
-    more than ``MAX_REPORTED_CLIQUES`` cliques come out.
+    limit, and carries each clique's support down as members join.  A long
+    clique keeps its support on most joins, which the joining node's weight
+    levels tell without a loop over the members.
     """
     if len(graph.nodes) > max_nodes_guard:
         raise GraphTooLarge(len(graph.nodes), max_nodes_guard, "nodes")
     order, adj, weight = _indexed(graph)
-    found: list[tuple[tuple[int, ...], int]] = []
-    # Each frame: clique, its support, candidates, excluded, branches left.
-    everything = (1 << len(order)) - 1
-    stack = [[(), math.inf, everything, 0, _branches(everything, 0, adj)]] if order else []
-    while stack:
-        frame = stack[-1]
-        clique, support, candidates, excluded, branches = frame
+    encode, decode = _codec(len(order))
+    levels: list[tuple[list[int], list[int]] | None] = [None] * len(order)  # each built on first use
+    found: list[tuple[bytes, int]] = []
+    # The state searched: the clique, its members as a mask, its support, candidates, excluded, branches left.
+    # The stack holds, outermost first, each state with branches left that a deeper one interrupted.
+    stack: list[tuple[tuple[int, ...], int, float, int, int, int]] = []
+    clique, members, support, candidates, excluded = (), 0, math.inf, (1 << len(order)) - 1, 0
+    branches = _branches(candidates, excluded, adj) if order else 0
+    while branches or stack:
         if not branches:
-            stack.pop()
+            clique, members, support, candidates, excluded, branches = stack.pop()
             continue
         low = branches & -branches
         v = low.bit_length() - 1
-        frame[2], frame[3], frame[4] = candidates ^ low, excluded | low, branches ^ low
-        to_v = weight[v]
-        for u in clique:
-            if to_v[u] < support:
-                support = to_v[u]
-        clique += (v,)
-        candidates &= adj[v]
-        excluded &= adj[v]
-        if candidates:
-            stack.append([clique, support, candidates, excluded, _branches(candidates, excluded, adj)])
-        elif not excluded and len(clique) >= 2:
-            found.append((tuple(sorted(clique)), support))
+        branches ^= low
+        near = adj[v]
+        inner, outer = candidates & near, excluded & near
+        candidates ^= low
+        excluded |= low
+        joined = support  # the support once v joins
+        lower = True
+        if len(clique) >= _LEVELS_FROM:
+            if levels[v] is None:
+                levels[v] = _weight_levels(weight[v], near)
+            cuts, below = levels[v]
+            lower = members & below[bisect_left(cuts, support)]
+        if lower:
+            to_v = weight[v]
+            for u in clique:
+                if to_v[u] < joined:
+                    joined = to_v[u]
+        if inner:
+            if branches:
+                stack.append((clique, members, support, candidates, excluded, branches))
+            clique, members, support = clique + (v,), members | low, joined
+            candidates, excluded, branches = inner, outer, _branches(inner, outer, adj)
+        elif not outer and clique:
+            found.append((encode(sorted(clique + (v,))), joined))
             if len(found) > MAX_REPORTED_CLIQUES:
                 raise GraphTooLarge(len(found), MAX_REPORTED_CLIQUES, "cliques")
+    found.sort()
+    return order, decode, found
+
+
+def maximal_cliques(graph: CoOccurrenceGraph, max_nodes_guard: int = 2000) -> list[Cluster]:
+    """All maximal cliques of size >= 2, via iterative pivoting branch and bound, in the order files list them.
+
+    Raises :class:`GraphTooLarge` when the node count exceeds the guard or
+    more than ``MAX_REPORTED_CLIQUES`` cliques come out.
+    """
+    order, decode, records = _clique_records(graph, max_nodes_guard)
     return [
-        Cluster(frozenset(map(order.__getitem__, members)), ClusterKind.CLIQUE, support)
-        for members, support in sorted(found)
+        Cluster(frozenset(map(order.__getitem__, decode(record))), ClusterKind.CLIQUE, support)
+        for record, support in records
     ]
+
+
+def clique_rows(graph: CoOccurrenceGraph, max_nodes_guard: int = 2000) -> Iterator[str]:
+    """The lines of ``format_clusters(maximal_cliques(graph))``, one at a time, each with its line end.
+
+    The search, the sort and the check that every member reads back run on
+    the call, so a tripped guard or an unreadable member raises before the
+    first line; the lines are then made from the records as they are read,
+    and no cluster or whole text is held.  The errors are
+    :func:`maximal_cliques`'s and :func:`format_clusters`'s.
+    """
+    order, decode, records = _clique_records(graph, max_nodes_guard)
+    kind = ClusterKind.CLIQUE
+    if records:
+        try:
+            format_clusters([Cluster(frozenset(order), kind, 0)])  # every id can sit in a row
+        except UnsupportedFormat:  # refuse the first clique, in file order, that holds one that cannot
+            for record, support in records:
+                format_clusters([Cluster(frozenset(map(order.__getitem__, decode(record))), kind, support)])
+    return (f"{kind.value}\t{support}\t{','.join(map(order.__getitem__, decode(record)))}\n"
+            for record, support in records)
 
 
 def _keyed(clusters: Iterable[Cluster]) -> list[tuple[tuple[str, tuple[str, ...]], Cluster]]:

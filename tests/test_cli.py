@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -359,6 +360,79 @@ def test_mine_refuses_a_cluster_file_that_export_could_not_read(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and "does not read back" in captured.err
     assert not out.exists()
+
+
+# Two cliques hold the id with a tab; ('b', 'm\tx') comes first in the file, after the good ('b', 'c').
+TAB_ID_COURSE = "NODE b|B|read|b\nNODE c|C|read|c\nNODE d|D|read|d\nNODE m\tx|M|read|m\n"
+TAB_ID_LOG = "u1,0,b\nu1,60,c\nu2,0,d\nu2,60,m\tx\nu3,0,m\tx\nu3,60,b\n"
+
+
+@pytest.mark.parametrize("course_text, log_text, guard, error", [
+    (TAB_ID_COURSE, TAB_ID_LOG, None, "error: cluster ('b', 'm\\tx') does not read back\n"),
+    (GRAPH_COURSE, "u1,0,LA1\nu1,60,LA2\nu2,0,LA2\nu2,60,LA3\n", 1,
+     "error: cliques: 2 exceeds guard of 1; drop --cliques to list connected components, which have no guard\n"),
+], ids=["tab-in-id", "clique-guard"])
+def test_a_refused_clique_listing_leaves_the_old_output(tmp_path, course_text, log_text, guard, error, capsys,
+                                                        monkeypatch):
+    course = tmp_path / "course.odlg"
+    course.write_text(course_text, encoding="utf-8")
+    log = tmp_path / "log.csv"
+    log.write_text(log_text, encoding="utf-8")
+    prev = tmp_path / "prev.tsv"
+    prev.write_bytes(b"clique\t1\told,row\n")
+    if guard is not None:
+        monkeypatch.setattr(clusters, "MAX_REPORTED_CLIQUES", guard)
+    argv = ["mine", "--log", str(log), "--course", str(course), "--min-count", "1", "--cliques", "-o", str(prev)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", error)
+    assert prev.read_bytes() == b"clique\t1\told,row\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["course.odlg", "log.csv", "prev.tsv"]
+
+
+def test_mine_cliques_sorts_members_and_rows_as_text(tmp_path, capsys, monkeypatch):
+    # Ids LA1..LA12, so "LA10" sorts before "LA9" in a row and across rows.
+    course = tmp_path / "unit.odlc"
+    course.write_text("Unit\n" + "".join(f"read\tPart {i}\n" for i in range(1, 13)), encoding="utf-8")
+    groups = [(9, 10, 11), (1, 9), (2, 10, 12), (9, 10, 12), (3, 11), (10, 11, 12), (1, 2, 3)]
+    log = tmp_path / "log.csv"
+    log.write_text("".join(f"u{s},{60 * i},LA{n}\n" for s, group in enumerate(groups) for i, n in enumerate(group)),
+                   encoding="utf-8")
+    env = course_format.parse_tabular(course.read_text(encoding="utf-8"))
+    found = sessions.sessionize(sessions.parse_log(log.read_text(encoding="utf-8").splitlines(), env), 1800)
+    cut = clusters.threshold(clusters.cooccurrence(clusters.session_visit_sets(found)), 1)
+    expected = clusters.format_clusters(clusters.maximal_cliques(cut))
+    assert "clique\t1\tLA10,LA11,LA12,LA9\n" in expected
+    monkeypatch.setattr(cli, "_PIECES_PER_WRITE", 2)
+    assert main(["mine", "--log", str(log), "--course", str(course), "--min-count", "1", "--cliques"]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+def test_mine_cliques_holds_neither_its_rows_nor_its_clusters(tmp_path, capsys, monkeypatch):
+    # The cut is K(2, ..., 2) with 12 parts: 4,096 maximal cliques, one member from each part, of long ids.
+    parts = 12
+    ids = [[f"unit-{part:02d}-{side}-" + "x" * 200 for side in (0, 1)] for part in range(parts)]
+    course = tmp_path / "course.odlg"
+    course.write_text("".join(f"NODE {i}|T|read|t\n" for pair in ids for i in pair), encoding="utf-8")
+    # Each pair across parts meets in one of these sessions, and no pair within a part does.
+    sides = [[0] * parts, [1] * parts]
+    sides += [[part >> bit & 1 ^ flip for part in range(parts)] for bit in range(4) for flip in (0, 1)]
+    log = tmp_path / "log.csv"
+    log.write_text("".join(f"u{s},{60 * part},{ids[part][side]}\n" for s, row in enumerate(sides)
+                           for part, side in enumerate(row)), encoding="utf-8")
+    out = tmp_path / "cliques.tsv"
+    # A batch of rows is held by design; at 256 rows it is 1/16 of this output.
+    monkeypatch.setattr(cli, "_PIECES_PER_WRITE", 256)
+    tracemalloc.start()
+    try:
+        code = main(["mine", "--log", str(log), "--course", str(course), "--min-count", "1", "--cliques",
+                     "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr() == ("", "")
+    text = out.read_text(encoding="utf-8")
+    assert text.count("\n") == 2 ** parts
+    assert peak < len(text)
 
 
 def test_mine_on_strategy_paths_drops_detour_nodes(course, log, capsys):
@@ -1056,6 +1130,19 @@ def test_output_naming_stdout_on_a_file_writes_through_stdout(tmp_path, capsys, 
     assert (done.returncode, done.stderr) == (0, "")
     assert shared.read_text(encoding="utf-8") == "header\n" + dot + "trailer\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dot", "shared.txt", "wide.odlg"]
+
+
+@pytest.mark.parametrize("name", ["/dev/stdout", "/dev/fd/1"])
+def test_output_naming_a_closed_stdout_is_one_error_line(tmp_path, capsys, name):
+    # As in `odlgraph parse wide.odlg --to dot -o /dev/stdout >&-`: with stdout closed, the name leads to no file.
+    course, _, out = _dot_output(tmp_path, capsys)
+    src = str(Path(odlgraph.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "odlgraph.cli", "parse", course, "--to", "dot", "-o", name],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "error: standard output is closed\n")
+    assert out.read_bytes() == OLD_OUTPUT
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dot", "wide.odlg"]
 
 
 def test_the_entry_point_runs_without_the_cyclic_collector():

@@ -6,13 +6,14 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from odlgraph.clusters import (
     Cluster,
     ClusterKind,
     CoOccurrenceGraph,
     SessionVisitSet,
+    clique_rows,
     connected_components,
     cooccurrence,
     format_clusters,
@@ -143,6 +144,41 @@ def test_clique_search_is_not_bounded_by_the_recursion_limit():
     assert found == [Cluster(frozenset(nodes), ClusterKind.CLIQUE, 2)]
 
 
+@given(st.dictionaries(st.integers(0, 120), st.integers(1, 90), max_size=100), st.integers(0, 92))
+@example({u: 90 - u % 89 for u in range(100)}, 70)  # 89 distinct weights, past the kept levels
+@example({u: 90 - u % 89 for u in range(100)}, 20)
+@settings(max_examples=200)
+def test_weight_levels_hold_every_neighbour_below_a_support(row, support):
+    from bisect import bisect_left
+
+    from odlgraph.clusters import _MOST_LEVELS, _weight_levels
+
+    neighbours = sum(1 << u for u in row)
+    cuts, below = _weight_levels(row, neighbours)
+    assert cuts == sorted(set(row.values()))[:_MOST_LEVELS]
+    lighter = sum(1 << u for u, w in row.items() if w < support)
+    found = below[bisect_left(cuts, support)]
+    if cuts and support <= cuts[-1]:
+        assert found == lighter
+    else:
+        assert found == neighbours
+
+
+@given(st.lists(st.integers(1_000, 9_000), min_size=120, max_size=120), st.integers(9, 16), st.randoms())
+@settings(max_examples=25, deadline=None)
+def test_long_clique_supports_match_the_oracle(heavy, size, rng):
+    # Each member of one long clique also meets more leaves, in lighter pairs, than the search keeps as levels.
+    members = [f"m{i:02d}" for i in range(size)]
+    weights = dict(zip(combinations(members, 2), heavy))
+    for member in members:
+        for i, w in enumerate(rng.sample(range(1, 1_000), 70)):
+            weights[(member, f"{member}l{i:02d}")] = w
+    graph = CoOccurrenceGraph(frozenset(x for pair in weights for x in pair), weights)
+    found = maximal_cliques(graph)
+    assert len(found) == 1 + 70 * size
+    assert [c.support for c in found] == [oracles.min_pair_weight(weights, c.members) for c in found]
+
+
 def test_read_clusters_rejects_malformed_lines():
     from odlgraph.errors import ParseError
 
@@ -260,7 +296,9 @@ def random_weighted_graph(seed: int, n: int, edges: int) -> CoOccurrenceGraph:
     return CoOccurrenceGraph(frozenset(x for pair in weights for x in pair), weights)
 
 
-def topic_blocks_graph(seed: int, topics: int = 5, core: int = 26, versioned: int = 9) -> CoOccurrenceGraph:
+def topic_blocks_graph(
+    seed: int, topics: int = 5, core: int = 26, versioned: int = 9, heaviest: int = 60
+) -> CoOccurrenceGraph:
     """Dense topics of core units plus two-version units whose versions never meet.
 
     Every maximal clique is one topic's core with one version of each unit:
@@ -273,19 +311,20 @@ def topic_blocks_graph(seed: int, topics: int = 5, core: int = 26, versioned: in
         nodes = [f"t{t}c{i}" for i in range(core)] + [v for pair in versions for v in pair]
         for pair in combinations(sorted(nodes), 2):
             if pair not in versions:
-                weights[pair] = rng.randint(10, 60)
+                weights[pair] = rng.randint(10, heaviest)
     return CoOccurrenceGraph(frozenset(x for pair in weights for x in pair), weights)
 
 
-@pytest.mark.parametrize(
-    "graph",
-    [
-        random_weighted_graph(11, 400, 350),
-        random_weighted_graph(12, 300, 4500),
-        topic_blocks_graph(13),
-    ],
-    ids=["sparse-400", "medium-300", "topic-blocks-220"],
-)
+# Node counts past 256 take two bytes a position in the search's records.
+AT_SCALE = {
+    "sparse-400": random_weighted_graph(11, 400, 350),
+    "medium-300": random_weighted_graph(12, 300, 4500),
+    "topic-blocks-220": topic_blocks_graph(13),
+    "wide-weights-176": topic_blocks_graph(14, topics=4, core=40, versioned=2, heaviest=5_000),
+}
+
+
+@pytest.mark.parametrize("graph", AT_SCALE.values(), ids=AT_SCALE.keys())
 def test_clusters_match_networkx_at_scale(graph):
     nx = pytest.importorskip("networkx")
     reference = nx.Graph()
@@ -300,6 +339,41 @@ def test_clusters_match_networkx_at_scale(graph):
             (frozenset(c) for c in expected if len(c) >= 2), key=sorted
         )
         assert [c.support for c in found] == [oracles.min_pair_weight(graph.weights, c.members) for c in found]
+
+
+@pytest.mark.parametrize("name", ["sparse-400", "topic-blocks-220"])
+def test_mine_cliques_writes_the_text_the_library_formats(name, tmp_path, capsys, monkeypatch):
+    from odlgraph import cli, clusters
+
+    cut = AT_SCALE[name]
+    expected = format_clusters(maximal_cliques(cut))
+    course = tmp_path / "course.odlg"
+    course.write_text("NODE LA1|A|read|a||\nNODE LA2|B|read|b||\n", encoding="utf-8")
+    log = tmp_path / "log.csv"
+    log.write_text("u1,0,LA1\nu1,60,LA2\n", encoding="utf-8")
+    monkeypatch.setattr(clusters, "threshold", lambda graph, min_count: cut)  # the command mines this cut
+    monkeypatch.setattr(cli, "_PIECES_PER_WRITE", 7)  # many batches, the last one short
+    argv = ["mine", "--log", str(log), "--course", str(course), "--cliques"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    out = tmp_path / "cliques.tsv"
+    assert cli.main([*argv, "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+
+
+def test_clique_records_widen_past_65536_nodes():
+    # Six linked nodes at positions 65,534-65,539, the others alone: two bytes cannot hold the last positions.
+    ids = [f"n{i:05d}" for i in range(65_540)]
+    linked = ids[-6:]
+    weights = {pair: 3 + i for i, pair in enumerate(combinations(linked, 2)) if pair != (linked[0], linked[1])}
+    graph = CoOccurrenceGraph(frozenset(ids), weights)
+    with pytest.raises(GraphTooLarge):
+        maximal_cliques(graph)
+    found = maximal_cliques(graph, max_nodes_guard=70_000)
+    expected = [frozenset(linked[:1] + linked[2:]), frozenset(linked[1:])]
+    assert found == [Cluster(members, ClusterKind.CLIQUE, oracles.min_pair_weight(weights, members))
+                     for members in expected]
+    assert "".join(clique_rows(graph, max_nodes_guard=70_000)) == format_clusters(found)
 
 
 # Listed out of sorted order, and "LA10" sorts before "LA9", so first-seen order is rarely sorted order.
