@@ -10,7 +10,7 @@ import argparse
 import gc
 import os
 import sys
-from itertools import groupby, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -24,10 +24,11 @@ from .text import iter_lines, read_text, write_text
 
 if TYPE_CHECKING:
     from .notes import NoteStore
-    from .sessions import Session
+    from .sessions import Row
 
 TIMEOUT_ENV_VAR = "ODL_TIMEOUT"
-_PIECES_PER_WRITE = 4096
+# A batch is held twice while it is written, as text and encoded; a piece can be a learner's whole detour list.
+_PIECES_PER_WRITE = 1024
 
 
 class _UsageError(Exception):
@@ -38,25 +39,26 @@ def _load_course(path: str) -> tuple[LearningEnvironment, str]:
     return course_format.parse_course(read_text(path), path)
 
 
-def _course_and_sessions(args, learner: str | None = None) -> tuple[LearningEnvironment, list[Session]]:
-    """The pipeline every log subcommand shares: load the course, stream the log's blocks into ``sessionize``.
+def _course_and_learners(args, learner: str | None = None) -> tuple[LearningEnvironment, int, Iterator[list[Row]]]:
+    """The pipeline every log subcommand shares: the course, the session timeout and the log's rows per learner.
 
-    The timeout is resolved before any file is read.  With ``learner``, only that learner's blocks
-    are kept; every line is still checked.  Each skipped line is warned about once the whole log has
-    been read, so a bad line later in the log prints its error alone.
+    The timeout is resolved before any file is read.  The log's rows are read and grouped, each learner's
+    in timestamp order (see :func:`~odlgraph.sessions.group_by_learner`); with ``learner``, only that
+    learner's rows are kept, and every line is still checked.  Each skipped line is warned about once the
+    whole log has been read, so a bad line later in the log prints its error alone.
     """
     timeout = _timeout(args)
     env, _ = _load_course(args.course)
-    from .sessions import iter_blocks, sessionize
+    from .sessions import group_by_learner, iter_rows
 
     skipped: list[tuple[int, str]] = []
-    blocks = iter_blocks(iter_lines(read_text(args.log)), env, args.skip_unknown, skipped)
+    rows = iter_rows(iter_lines(read_text(args.log)), env, args.skip_unknown, skipped)
     if learner is not None:
-        blocks = (block for block in blocks if block[0] == learner)
-    found = sessionize(blocks, timeout)
+        rows = (row for row in rows if row[0] == learner)
+    learners = group_by_learner(rows)
     for line_no, activity_id in skipped:
         print(f"warning: line {line_no}: unknown activity {activity_id!r} skipped", file=sys.stderr)
-    return env, found
+    return env, timeout, learners
 
 
 def _timeout(args) -> int:
@@ -77,16 +79,11 @@ def _timeout(args) -> int:
     return DEFAULT_SESSION_TIMEOUT
 
 
-def _drained(sessions: list[Session]) -> Iterator[Session]:
-    """The sessions in order, each taken out of the list as it is read, so its blocks go once it is used."""
-    sessions.reverse()
-    return (sessions.pop() for _ in range(len(sessions)))
-
-
-def _walks(sessions: list[Session]) -> Iterator[tuple[str, list[str]]]:
-    """Each learner's id and activity ids in visit order, in turn, from :func:`_drained`."""
-    for learner, mine in groupby(_drained(sessions), key=itemgetter(0)):
-        yield learner, [b[2] for s in mine for b in s[1]]
+def _walks(learners: Iterator[list[Row]]) -> Iterator[tuple[str, list[str]]]:
+    """Each learner's id and activity ids in visit order, in turn: a walk runs across all of its learner's sessions."""
+    activity = itemgetter(2)
+    for rows in learners:
+        yield rows[0][0], list(map(activity, rows))
 
 
 def _emit(args, pieces: Iterable[str], commit: Callable[[], None] | None = None) -> None:
@@ -141,11 +138,14 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_sessions(args) -> int:
-    _, sessions = _course_and_sessions(args)
+    from .sessions import split_sessions
+
+    _, timeout, learners = _course_and_learners(args)
+    activity = itemgetter(2)
     _emit(args, [
-        f"{s.learner_id}\t{s.session_index}\t{s.blocks[0].timestamp}"
-        f"\t{s.blocks[-1].timestamp}\t{len(s.blocks)}\t{','.join(b.activity_id for b in s.blocks)}\n"
-        for s in sessions
+        f"{rows[0][0]}\t{index}\t{session[0][1]}\t{session[-1][1]}"
+        f"\t{len(session)}\t{','.join(map(activity, session))}\n"
+        for rows in learners for index, session in enumerate(split_sessions(rows, timeout), 1)
     ])
     return 0
 
@@ -155,9 +155,9 @@ def _cmd_cycles(args) -> int:
         raise _UsageError("--min-interior must be non-negative")
     from .paths import classify_cycle, detect_cycles
 
-    env, sessions = _course_and_sessions(args)
+    env, _, learners = _course_and_learners(args)
     texts = []
-    for learner, ids in _walks(sessions):
+    for learner, ids in _walks(learners):
         if args.strict:  # the first step between unconnected activities fails the command, by the model's rule
             for position in range(1, len(ids)):
                 if not is_adjacent(env, ids[position - 1], ids[position]):
@@ -176,17 +176,17 @@ def _cmd_cycles(args) -> int:
 def _cmd_erase(args) -> int:
     from .paths import erase_cycles
 
-    _, sessions = _course_and_sessions(args)
-    _emit(args, [f"{learner}\t{','.join(erase_cycles(ids))}\n" for learner, ids in _walks(sessions)])
+    _, _, learners = _course_and_learners(args)
+    _emit(args, [f"{learner}\t{','.join(erase_cycles(ids))}\n" for learner, ids in _walks(learners)])
     return 0
 
 
 def _cmd_coverage(args) -> int:
     from .paths import coverage
 
-    env, sessions = _course_and_sessions(args)
+    env, _, learners = _course_and_learners(args)
     rows, visited = [], set()
-    for learner, ids in _walks(sessions):
+    for learner, ids in _walks(learners):
         report = coverage([ids], env)
         visited |= report.visited  # a running union, so no learner's set outlives its row
         rows.append(f"{learner}\t{len(report.visited)}\t{report.total}\t{report.ratio:.4f}\n")
@@ -200,9 +200,15 @@ def _cmd_mine(args) -> int:
     if args.min_count < 1:
         raise _UsageError("--min-count must be at least 1")
     from . import clusters as cl
+    from .sessions import split_sessions
 
-    _, sessions = _course_and_sessions(args)
-    visit_sets = cl.session_visit_sets(_drained(sessions), strategy_paths=args.on_strategy_paths)
+    _, timeout, learners = _course_and_learners(args)
+    activity = itemgetter(2)
+    walks = (
+        ((rows[0][0], index), map(activity, session))
+        for rows in learners for index, session in enumerate(split_sessions(rows, timeout), 1)
+    )
+    visit_sets = cl.visit_sets(walks, strategy_paths=args.on_strategy_paths)
     graph = cl.threshold(cl.cooccurrence(visit_sets), args.min_count)
     if args.cliques:
         try:
@@ -232,11 +238,12 @@ def _cmd_export(args) -> int:
 
     ids = found = None
     if walked:
-        # Sessions never span learners, so only the drawn learner's blocks are kept and sessionized.
-        env, mine = _course_and_sessions(args, args.experience)
-        if not mine:
+        # Only the drawn learner's rows are kept and grouped.
+        env, _, mine = _course_and_learners(args, args.experience)
+        walks = list(_walks(mine))
+        if not walks:
             raise OdlError(f"no sessions for learner {args.experience!r}")
-        ((_, ids),) = _walks(mine)
+        ((_, ids),) = walks
     else:
         env, _ = _load_course(args.course)
     if overlay is Overlay.CLUSTERS:

@@ -72,15 +72,24 @@ def session_visit_sets(sessions: Iterable[Session], strategy_paths: bool = False
     With ``strategy_paths`` the per-session walk is loop-erased first, so
     nodes visited only inside detours drop out.
     """
+    return visit_sets(
+        (((s.learner_id, s.session_index), [b.activity_id for b in s.blocks]) for s in sessions), strategy_paths
+    )
+
+
+def visit_sets(
+    walks: Iterable[tuple[tuple[str, int], Iterable[str]]], strategy_paths: bool = False
+) -> list[SessionVisitSet]:
+    """One visit set per ``(session_key, activity ids)`` walk, as :func:`session_visit_sets` makes them.
+
+    Each walk is read once, in turn, so a caller that gives them one at a
+    time holds one session's ids at a time.
+    """
     if strategy_paths:
         from .paths import erase_cycles
-    out: list[SessionVisitSet] = []
-    for session in sessions:
-        ids: list[str] = [b.activity_id for b in session.blocks]
-        if strategy_paths:
-            ids = erase_cycles(ids)
-        out.append(SessionVisitSet((session.learner_id, session.session_index), frozenset(ids)))
-    return out
+
+        return [SessionVisitSet(key, frozenset(erase_cycles(list(ids)))) for key, ids in walks]
+    return [SessionVisitSet(key, frozenset(ids)) for key, ids in walks]
 
 
 def cooccurrence(session_sets: Iterable[SessionVisitSet]) -> CoOccurrenceGraph:
@@ -271,8 +280,11 @@ def _clique_records(
     # The state searched: the clique, its members as a mask, its support, candidates, excluded, branches left.
     # The stack holds, outermost first, each state with branches left that a deeper one interrupted.
     stack: list[tuple[tuple[int, ...], int, float, int, int, int]] = []
-    clique, members, support, candidates, excluded = (), 0, math.inf, (1 << len(order)) - 1, 0
-    branches = _branches(candidates, excluded, adj) if order else 0
+    # A node without neighbours is in no clique of two, so the search starts from the others, as
+    # connected_components does; otherwise each lone node would cost a copy of every n-bit mask.
+    candidates = sum(1 << i for i, neighbours in enumerate(adj) if neighbours)
+    clique, members, support, excluded = (), 0, math.inf, 0
+    branches = _branches(candidates, excluded, adj) if candidates else 0
     while branches or stack:
         if not branches:
             clique, members, support, candidates, excluded, branches = stack.pop()

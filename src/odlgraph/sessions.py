@@ -1,12 +1,20 @@
 """From flat access logs to sessions and learning experiences.
 
 Logs are CSV lines ``learner_id,timestamp,activity_id[,note_id]`` with
-integer epoch-second timestamps (header line optional).  Blocks are split
-into sessions per learner by an inactivity timeout, and sessions concatenate
-into one learning experience: a timestamped walk over the course graph.
-Learners resume after breaks wherever they like, so the default experience
-mode is lenient and merely flags steps between unconnected activities as
-teleports; strict mode raises instead.
+integer epoch-second timestamps (header line optional).  :func:`iter_rows`
+is the one reader of those lines: it gives each kept line's fields as one
+plain tuple, a row.  :func:`group_by_learner` gathers the rows per learner
+in time order, and :func:`split_sessions` cuts one learner's rows into
+sessions at gaps over an inactivity timeout.  The command line works on
+the rows alone; :func:`iter_blocks`, :func:`parse_log` and
+:func:`sessionize` build their records over the same three functions, so a
+record is made only for a caller that asks for one (late materialization,
+as in column stores: Abadi, Madden and Hachem, SIGMOD 2008).
+
+Sessions concatenate into one learning experience: a timestamped walk over
+the course graph.  Learners resume after breaks wherever they like, so the
+default experience mode is lenient and merely flags steps between
+unconnected activities as teleports; strict mode raises instead.
 
 The per-line, per-session and per-step records, :class:`ControlBlock`,
 :class:`Session` and :class:`Visit`, are immutable named tuples (build a
@@ -19,13 +27,17 @@ compares by value and refuses assignment, and it hashes by value too.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DanglingRef, LearnerMismatch, NonAdjacentStep, ParseError
 from .model import FrozenValue, LearningEnvironment
 from .options import DEFAULT_SESSION_TIMEOUT
+
+
+# A log line's fields, ``(learner_id, timestamp, activity_id, note_id)``, as :func:`iter_rows` gives them.
+Row = tuple[str, int, str, str | None]
 
 
 class ControlBlock(NamedTuple):
@@ -61,18 +73,19 @@ class LearningExperience(FrozenValue):
         return hash(self._values())
 
 
-def iter_blocks(
+def iter_rows(
     lines: Iterable[str],
     env: LearningEnvironment,
     skip_unknown: bool = False,
     skipped: list[tuple[int, str]] | None = None,
-) -> Iterator[ControlBlock]:
-    """The control blocks of log lines, one at a time, as :func:`parse_log` lists them.
+) -> Iterator[Row]:
+    """The one reader of log lines: each kept line's ``(learner_id, timestamp, activity_id, note_id)``, in turn.
 
+    The rows are plain tuples with a :class:`ControlBlock`'s fields, for a
+    caller that only takes them apart; :func:`iter_blocks` makes them blocks.
     A bad line raises when the iteration reaches it, and a skipped line's
     (line_no, activity_id) is appended to ``skipped`` as it is passed.
     """
-    new = tuple.__new__  # the block's fields in one tuple, without the named tuple's ``__new__``
     # Each raw learner field, as split off a line, mapped on first sight to the learner's one shared id
     # string (a stripped id maps to itself).
     learners: dict[str, str] = {}
@@ -119,7 +132,22 @@ def iter_blocks(
                         skipped.append((line_no, activity_id))
                     continue
                 raise DanglingRef(activity_id, line_no=line_no)
-        yield new(ControlBlock, (learner_id, timestamp, record.id, note_id))
+        yield learner_id, timestamp, record.id, note_id
+
+
+def iter_blocks(
+    lines: Iterable[str],
+    env: LearningEnvironment,
+    skip_unknown: bool = False,
+    skipped: list[tuple[int, str]] | None = None,
+) -> Iterator[ControlBlock]:
+    """The control blocks of log lines, one at a time, as :func:`parse_log` lists them.
+
+    Each is a row of :func:`iter_rows` made a block, so a bad line raises
+    when the iteration reaches it, and skipped lines are noted as there.
+    """
+    # The row is the block's fields in one tuple, so no named tuple ``__new__`` runs.
+    return map(tuple.__new__, repeat(ControlBlock), iter_rows(lines, env, skip_unknown, skipped))
 
 
 def parse_log(
@@ -140,6 +168,40 @@ def parse_log(
     return list(iter_blocks(lines, env, skip_unknown, skipped))
 
 
+def group_by_learner(rows: Iterable[Row]) -> Iterator[list[Row]]:
+    """Rows (or blocks) per learner, in sorted learner order, each learner's list in timestamp order.
+
+    Equal timestamps keep input order.  Every row is read on the call, so a
+    bad log line raises here, before any list is given; the lists then come
+    one at a time, and each is let go once the next is taken.
+    """
+    per_learner: defaultdict[str, list[Row]] = defaultdict(list)
+    for row in rows:
+        per_learner[row[0]].append(row)
+    return _drained(per_learner)
+
+
+def _drained(per_learner: dict[str, list[Row]]) -> Iterator[list[Row]]:
+    timestamp = itemgetter(1)
+    for learner in sorted(per_learner):
+        rows = per_learner.pop(learner)
+        rows.sort(key=timestamp)
+        yield rows
+
+
+def split_sessions(rows: Sequence[Row], timeout_seconds: int) -> list[Sequence[Row]]:
+    """One learner's time-ordered rows cut at each gap over the timeout: each session's rows, as slices, in order."""
+    parts: list[Sequence[Row]] = []
+    start, last = 0, rows[0][1]
+    for end, row in enumerate(rows):
+        if row[1] - last > timeout_seconds:
+            parts.append(rows[start:end])
+            start = end
+        last = row[1]
+    parts.append(rows[start:])
+    return parts
+
+
 def sessionize(blocks: Iterable[ControlBlock], timeout_seconds: int = DEFAULT_SESSION_TIMEOUT) -> list[Session]:
     """Partition blocks into per-learner sessions split at gaps over the timeout.
 
@@ -149,22 +211,13 @@ def sessionize(blocks: Iterable[ControlBlock], timeout_seconds: int = DEFAULT_SE
     """
     if timeout_seconds <= 0:
         raise ValueError("timeout_seconds must be positive")
-    per_learner: defaultdict[str, list[ControlBlock]] = defaultdict(list)
-    for block in blocks:
-        per_learner[block[0]].append(block)
-
-    new, timestamp = tuple.__new__, itemgetter(1)
+    new = tuple.__new__
     sessions: list[Session] = []
     append = sessions.append
-    for learner in sorted(per_learner):
-        ordered = tuple(sorted(per_learner[learner], key=timestamp))
-        start, index, last = 0, 1, ordered[0][1]
-        for end, block in enumerate(ordered):
-            if block[1] - last > timeout_seconds:
-                append(new(Session, (learner, ordered[start:end], index)))
-                start, index = end, index + 1
-            last = block[1]
-        append(new(Session, (learner, ordered[start:], index)))
+    for mine in group_by_learner(blocks):
+        learner = mine[0][0]
+        for index, part in enumerate(split_sessions(tuple(mine), timeout_seconds), 1):
+            append(new(Session, (learner, part, index)))
     return sessions
 
 

@@ -724,32 +724,68 @@ def test_output_written_in_batches_is_the_whole_output(course, tmp_path, command
     assert out.read_text(encoding="utf-8") == whole
 
 
+class _Marker:
+    """Stands in a log row's note field, so that a weak reference tells whether the row is still held."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _mark_rows(monkeypatch) -> dict[str, list[weakref.ref]]:
+    """Make the log reader put a marker in each row; by learner, weak references to the markers of its rows."""
+    refs: dict[str, list[weakref.ref]] = {}
+    iter_rows = sessions.iter_rows
+
+    def marked(*args):
+        for learner, stamp, activity, _ in iter_rows(*args):
+            marker = _Marker()
+            refs.setdefault(learner, []).append(weakref.ref(marker))
+            yield learner, stamp, activity, marker
+
+    monkeypatch.setattr(sessions, "iter_rows", marked)
+    return refs
+
+
+def _held(refs: dict[str, list[weakref.ref]]) -> list[str]:
+    """The learners some of whose rows are still held."""
+    return sorted(learner for learner, marks in refs.items() if any(mark() is not None for mark in marks))
+
+
+@pytest.mark.parametrize("command", [
+    ["sessions"], ["cycles"], ["cycles", "--strict"], ["erase"], ["coverage"], ["mine", "--min-count", "1"],
+    ["mine", "--min-count", "1", "--on-strategy-paths"], ["export", "--overlay", "coverage", "--experience", "u00"],
+], ids=" ".join)
+def test_log_commands_build_no_block_or_session(course, tmp_path, command, capsys, monkeypatch):
+    log_path = tmp_path / "many.csv"
+    log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a log command built blocks or sessions")
+
+    for name in ("iter_blocks", "parse_log", "sessionize"):
+        monkeypatch.setattr(sessions, name, refused)
+    monkeypatch.setattr(sessions, "ControlBlock", refused)
+    monkeypatch.setattr(sessions, "Session", refused)
+    assert main([*command, "--log", str(log_path), "--course", course]) == 0
+
+
 @pytest.mark.parametrize("command", WALK_COMMANDS)
 def test_log_commands_let_go_of_each_learners_sessions_once_used(course, tmp_path, command, capsys, monkeypatch):
     log_path = tmp_path / "many.csv"
     log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
-    held: list[list] = []
-    course_and_sessions = cli._course_and_sessions
-
-    def kept(args):
-        env, found = course_and_sessions(args)
-        held.append(found)
-        return env, found
-
-    learners_left = []
+    refs = _mark_rows(monkeypatch)
+    held_at_walk = []
     walks = cli._walks
 
     def tracked(*args):
         for learner, walk in walks(*args):
-            learners_left.append({s.learner_id for s in held[0]})
-            assert learner not in learners_left[-1]
+            held_at_walk.append(_held(refs))
             yield learner, walk
 
-    monkeypatch.setattr(cli, "_course_and_sessions", kept)
     monkeypatch.setattr(cli, "_walks", tracked)
     assert main([*command, "--log", str(log_path), "--course", course]) == 0
-    # Each learner has one session; the grouping has read the next learner's session when a walk is given.
-    assert [len(left) for left in learners_left] == [*range(23, -1, -1), 0]
+    # When a learner is walked, the rows of every learner before it are gone.
+    learners = [f"u{n:02}" for n in range(25)]
+    assert held_at_walk == [learners[k:] for k in range(25)]
 
 
 @pytest.mark.parametrize(
@@ -760,31 +796,25 @@ def test_mine_lets_go_of_each_session_once_its_visit_set_is_read(
 ):
     log_path = tmp_path / "many.csv"
     log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")
-    held: list[list] = []
-    course_and_sessions = cli._course_and_sessions
+    refs = _mark_rows(monkeypatch)
+    held_at_session = []
+    visit_sets = clusters.visit_sets
 
-    def kept(args):
-        env, found = course_and_sessions(args)
-        held.append(found)
-        return env, found
-
-    sessions_left = []
-    session_visit_sets = clusters.session_visit_sets
-
-    def tracked(found, strategy_paths=False):
+    def tracked(walks, strategy_paths=False):
         def read():
-            for session in found:
-                sessions_left.append(len(held[0]))
-                yield session
+            for key, ids in walks:
+                held_at_session.append(_held(refs))
+                yield key, ids
 
-        return session_visit_sets(read(), strategy_paths)
+        return visit_sets(read(), strategy_paths)
 
-    monkeypatch.setattr(cli, "_course_and_sessions", kept)
-    monkeypatch.setattr(clusters, "session_visit_sets", tracked)
+    monkeypatch.setattr(clusters, "visit_sets", tracked)
     argv = ["mine", "--log", str(log_path), "--course", course, "--min-count", "25"]
     assert main(argv + ["--on-strategy-paths"] * strategy_paths) == 0
     assert capsys.readouterr().out == clusters_out  # each walk LA1,LA2,LA1 erases to LA1
-    assert sessions_left == list(range(24, -1, -1))
+    # Each learner has one session; when it is read, the rows of every learner before it are gone.
+    learners = [f"u{n:02}" for n in range(25)]
+    assert held_at_session == [learners[k:] for k in range(25)]
 
 
 def test_mine_components_flag_is_gone(course, log, capsys):
@@ -820,15 +850,15 @@ def test_export_sessionizes_only_the_drawn_learner_and_draws_what_the_whole_log_
     warnings = "".join(
         f"warning: line {n}: unknown activity 'GHOST' skipped\n" for n, row in enumerate(rows, 1) if "GHOST" in row
     )
-    learners_sessionized: list[set[str]] = []
-    sessionize = sessions.sessionize
+    learners_grouped: list[set[str]] = []
+    group_by_learner = sessions.group_by_learner
 
-    def tracked(blocks, timeout_seconds):
-        blocks = list(blocks)
-        learners_sessionized.append({b.learner_id for b in blocks})
-        return sessionize(blocks, timeout_seconds)
+    def tracked(rows):
+        rows = list(rows)
+        learners_grouped.append({row[0] for row in rows})
+        return group_by_learner(rows)
 
-    monkeypatch.setattr(sessions, "sessionize", tracked)
+    monkeypatch.setattr(sessions, "group_by_learner", tracked)
     for learner in sorted({s.learner_id for s in every_session}):
         experience = sessions.build_experience([s for s in every_session if s.learner_id == learner], env)
         argv = ["export", "--course", course, "--log", str(log_path), "--experience", learner,
@@ -837,7 +867,7 @@ def test_export_sessionizes_only_the_drawn_learner_and_draws_what_the_whole_log_
         captured = capsys.readouterr()
         assert captured.out == export_dot(env, ExportStyle(Overlay(overlay)), experience)
         assert captured.err == warnings
-        assert learners_sessionized.pop() == {learner}
+        assert learners_grouped.pop() == {learner}
 
 
 def test_a_course_is_parsed_once_and_found_without_its_suffix(tmp_path, capsys, monkeypatch):

@@ -315,9 +315,15 @@ def topic_blocks_graph(
     return CoOccurrenceGraph(frozenset(x for pair in weights for x in pair), weights)
 
 
+def with_lone_nodes(graph: CoOccurrenceGraph, lone: int) -> CoOccurrenceGraph:
+    """The graph and ``lone`` more nodes that no pair names, whose ids sort among the linked ones."""
+    return CoOccurrenceGraph(graph.nodes | {f"n{i}+" for i in range(lone)}, graph.weights)
+
+
 # Node counts past 256 take two bytes a position in the search's records.
 AT_SCALE = {
     "sparse-400": random_weighted_graph(11, 400, 350),
+    "sparse-400-lone-900": with_lone_nodes(random_weighted_graph(11, 400, 350), 900),
     "medium-300": random_weighted_graph(12, 300, 4500),
     "topic-blocks-220": topic_blocks_graph(13),
     "wide-weights-176": topic_blocks_graph(14, topics=4, core=40, versioned=2, heaviest=5_000),
