@@ -156,20 +156,21 @@ def _cmd_cycles(args) -> int:
     from .paths import classify_cycle, detect_cycles
 
     env, _, learners = _course_and_learners(args)
-    texts = []
-    for learner, ids in _walks(learners):
+
+    def detours(learner: str, ids: list[str]) -> str:
+        """The learner's rows as one text: a string per detour would cost an object each in a batch."""
         if args.strict:  # the first step between unconnected activities fails the command, by the model's rule
             for position in range(1, len(ids)):
                 if not is_adjacent(env, ids[position - 1], ids[position]):
                     raise NonAdjacentStep(position, ids[position - 1], ids[position])
-        # One text per learner: every row is held until the last learner is read, and a string per
-        # detour would cost an object each.
-        texts.append("".join(
+        return "".join(
             f"{learner}\t{cycle.anchor_activity}\t{cycle.start_index}"
             f"\t{cycle.end_index}\t{classify_cycle(cycle, env).value}\t{','.join(cycle.interior)}\n"
             for cycle in detect_cycles(ids) if len(cycle.interior) >= args.min_interior
-        ))
-    _emit(args, texts)
+        )
+
+    texts = (detours(learner, ids) for learner, ids in _walks(learners))
+    _emit(args, list(texts) if args.strict else texts)  # --strict can fail at any learner, so all are made first
     return 0
 
 

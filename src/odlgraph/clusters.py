@@ -23,7 +23,6 @@ the clusters nor the whole text is held.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from enum import Enum
 from itertools import compress, islice, repeat
 from operator import itemgetter
@@ -211,36 +210,6 @@ def _branches(candidates: int, excluded: int, adj: list[int]) -> int:
     return candidates & ~adj[pivot]
 
 
-# A clique of at least this many members first looks a joining node up in the node's weight levels (see
-# :func:`_weight_levels`); a shorter one loops over its members at once, which costs less than the look-up.
-_LEVELS_FROM = 8
-# The most distinct pair weights one node's levels keep, which bounds the masks a node holds at 65.
-_MOST_LEVELS = 64
-
-
-def _weight_levels(row: dict[int, int], neighbours: int) -> tuple[list[int], list[int]]:
-    """A node's lowest distinct pair weights ``cuts``, ascending, and by each the mask of its neighbours below it.
-
-    ``below[bisect_left(cuts, s)]`` holds every neighbour whose pair weight
-    is below ``s``: exactly those while ``s`` is at most the last cut, and all
-    ``neighbours`` past it.  So a clique of members none of which is in
-    that mask keeps its support ``s`` when the node joins.
-    """
-    cuts: list[int] = []
-    below: list[int] = []
-    mask = 0
-    for u in sorted(row, key=row.__getitem__):
-        w = row[u]
-        if not cuts or w != cuts[-1]:
-            if len(cuts) == _MOST_LEVELS:
-                break
-            cuts.append(w)
-            below.append(mask)
-        mask |= 1 << u
-    below.append(neighbours)
-    return cuts, below
-
-
 def _codec(nodes: int) -> tuple[Callable[[list[int]], bytes], Callable[[bytes], Iterable[int]]]:
     """How ascending node positions become one record's bytes, and back, for a graph of ``nodes`` nodes.
 
@@ -267,27 +236,27 @@ def _clique_records(
     record bytes alone decide the order, which is sorted-member order.
 
     The search keeps its own stack, so no clique size meets the recursion
-    limit, and carries each clique's support down as members join.  A long
-    clique keeps its support on most joins, which the joining node's weight
-    levels tell without a loop over the members.
+    limit, and carries each clique's support down as members join.  A node
+    whose lightest pair is no lighter than the support cannot lower it, so
+    only a node with a lighter pair somewhere loops over the members.
     """
     if len(graph.nodes) > max_nodes_guard:
         raise GraphTooLarge(len(graph.nodes), max_nodes_guard, "nodes")
     order, adj, weight = _indexed(graph)
     encode, decode = _codec(len(order))
-    levels: list[tuple[list[int], list[int]] | None] = [None] * len(order)  # each built on first use
+    lightest = [min(row.values(), default=0) for row in weight]
     found: list[tuple[bytes, int]] = []
-    # The state searched: the clique, its members as a mask, its support, candidates, excluded, branches left.
+    # The state searched: the clique, its support, candidates, excluded, branches left.
     # The stack holds, outermost first, each state with branches left that a deeper one interrupted.
-    stack: list[tuple[tuple[int, ...], int, float, int, int, int]] = []
+    stack: list[tuple[tuple[int, ...], float, int, int, int]] = []
     # A node without neighbours is in no clique of two, so the search starts from the others, as
     # connected_components does; otherwise each lone node would cost a copy of every n-bit mask.
     candidates = sum(1 << i for i, neighbours in enumerate(adj) if neighbours)
-    clique, members, support, excluded = (), 0, math.inf, 0
+    clique, support, excluded = (), math.inf, 0
     branches = _branches(candidates, excluded, adj) if candidates else 0
     while branches or stack:
         if not branches:
-            clique, members, support, candidates, excluded, branches = stack.pop()
+            clique, support, candidates, excluded, branches = stack.pop()
             continue
         low = branches & -branches
         v = low.bit_length() - 1
@@ -297,21 +266,15 @@ def _clique_records(
         candidates ^= low
         excluded |= low
         joined = support  # the support once v joins
-        lower = True
-        if len(clique) >= _LEVELS_FROM:
-            if levels[v] is None:
-                levels[v] = _weight_levels(weight[v], near)
-            cuts, below = levels[v]
-            lower = members & below[bisect_left(cuts, support)]
-        if lower:
+        if lightest[v] < support:
             to_v = weight[v]
             for u in clique:
                 if to_v[u] < joined:
                     joined = to_v[u]
         if inner:
             if branches:
-                stack.append((clique, members, support, candidates, excluded, branches))
-            clique, members, support = clique + (v,), members | low, joined
+                stack.append((clique, support, candidates, excluded, branches))
+            clique, support = clique + (v,), joined
             candidates, excluded, branches = inner, outer, _branches(inner, outer, adj)
         elif not outer and clique:
             found.append((encode(sorted(clique + (v,))), joined))

@@ -265,6 +265,47 @@ def test_log_commands_hold_one_learners_experience_at_a_time(course, tmp_path, c
     assert built == []
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_cycles_writes_a_batch_before_the_last_learner_is_walked_unless_strict(
+    course, tmp_path, capsys, monkeypatch, strict, to_file
+):
+    # Without --strict no learner can fail the command, so its batches go out as they are made; with it, any
+    # learner's step can still fail the command, so every learner is walked before the first byte.
+    log_path = tmp_path / "many.csv"
+    log_path.write_text(MANY_LEARNERS_LOG, encoding="utf-8")  # 25 learners, one detour each, every step connected
+    argv = ["cycles", *(["--strict"] if strict else []), "--log", str(log_path), "--course", course]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    events: list[str | None] = []  # None for a learner walked, else the text of a batch written
+    detect_cycles, write_text, writelines = paths.detect_cycles, cli.write_text, sys.stdout.writelines
+
+    def walked(ids):
+        events.append(None)
+        return detect_cycles(ids)
+
+    def logged(batches):
+        for batch in batches:
+            events.append(batch)
+            yield batch
+
+    monkeypatch.setattr(paths, "detect_cycles", walked)
+    monkeypatch.setattr(cli, "_PIECES_PER_WRITE", 2)  # 13 batches, the last one short
+    if to_file:
+        out = tmp_path / "cycles.tsv"
+        monkeypatch.setattr(cli, "write_text", lambda path, batches: write_text(path, logged(batches)))
+        assert main([*argv, "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == expected
+    else:
+        monkeypatch.setattr(sys.stdout, "writelines", lambda batches: writelines(logged(batches)))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+    assert events.count(None) == 25 and "".join(filter(None, events)) == expected
+    first_write = next(i for i, event in enumerate(events) if event is not None)
+    last_walk = max(i for i, event in enumerate(events) if event is None)
+    assert (first_write < last_walk) is not strict
+
+
 # u3 steps along edges and through the reference node only, with gaps over any short timeout.
 CONNECTED_LOG = "u3,0,LA2\nu3,5000,LA3\nu3,5001,Dict\nu3,9000,LA1\nu1,0,LA1\nu1,30,LA2\n"
 

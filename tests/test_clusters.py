@@ -144,30 +144,10 @@ def test_clique_search_is_not_bounded_by_the_recursion_limit():
     assert found == [Cluster(frozenset(nodes), ClusterKind.CLIQUE, 2)]
 
 
-@given(st.dictionaries(st.integers(0, 120), st.integers(1, 90), max_size=100), st.integers(0, 92))
-@example({u: 90 - u % 89 for u in range(100)}, 70)  # 89 distinct weights, past the kept levels
-@example({u: 90 - u % 89 for u in range(100)}, 20)
-@settings(max_examples=200)
-def test_weight_levels_hold_every_neighbour_below_a_support(row, support):
-    from bisect import bisect_left
-
-    from odlgraph.clusters import _MOST_LEVELS, _weight_levels
-
-    neighbours = sum(1 << u for u in row)
-    cuts, below = _weight_levels(row, neighbours)
-    assert cuts == sorted(set(row.values()))[:_MOST_LEVELS]
-    lighter = sum(1 << u for u, w in row.items() if w < support)
-    found = below[bisect_left(cuts, support)]
-    if cuts and support <= cuts[-1]:
-        assert found == lighter
-    else:
-        assert found == neighbours
-
-
 @given(st.lists(st.integers(1_000, 9_000), min_size=120, max_size=120), st.integers(9, 16), st.randoms())
 @settings(max_examples=25, deadline=None)
 def test_long_clique_supports_match_the_oracle(heavy, size, rng):
-    # Each member of one long clique also meets more leaves, in lighter pairs, than the search keeps as levels.
+    # Each member of one long clique also meets 70 leaves in lighter pairs, so no member's lightest pair is inside it.
     members = [f"m{i:02d}" for i in range(size)]
     weights = dict(zip(combinations(members, 2), heavy))
     for member in members:
@@ -267,6 +247,10 @@ def test_components_match_transitive_closure_oracle(graph):
 
 
 @given(random_graphs())
+# c joins a,b at support 3, and its lightest pair is 3: the support stays without a look at a and b.
+@example(graph_of(("a", "b", 3), ("a", "c", 3), ("b", "c", 4)))
+# c joins a,b at support 5; its lightest pair, c-d, is outside the clique, and c-a lowers the support to 2.
+@example(graph_of(("a", "b", 5), ("a", "c", 2), ("b", "c", 9), ("c", "d", 1), ("a", "e", 1), ("b", "f", 1)))
 @settings(max_examples=150)
 def test_cliques_match_subset_oracle(graph):
     found = maximal_cliques(graph)
