@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import attrgetter, is_
 from pathlib import PurePath
 from typing import Callable, Iterable, NamedTuple
 
@@ -67,6 +69,7 @@ from .text import holds_line_end, lines
 
 DETOUR_LABEL = "optional detour"
 IMPLICIT_VERB = "read"
+_STR = frozenset((str,))
 
 
 class TabularLine(NamedTuple):
@@ -377,7 +380,55 @@ def _format_duration(minutes: float) -> str:
 
 def _serialize_graph(env: LearningEnvironment, title: str) -> str:
     _check_field("title", title, strip=None)
-    out = [f"# {title}"]
+    records = _graph_columns(env)
+    if records is None:
+        records = _graph_records(env)
+    return f"# {title}\n{records}"
+
+
+def _text_column(column: tuple, strip: Callable[[str], str] = str.strip) -> tuple | list | None:
+    """``column`` escaped for a record, or None when a field is not text its reader gives back.
+
+    The tests run on the whole column: every field a ``str``, no line end in the joined text, and no field
+    that ``strip`` changes.  Only a column holding a ``\\`` or a ``|`` is escaped.
+    """
+    if not _STR.issuperset(map(type, column)):
+        return None
+    joined = "".join(column)
+    if holds_line_end(joined) or tuple(map(strip, column)) != column:
+        return None
+    return list(map(_escape, column)) if "\\" in joined or "|" in joined else column
+
+
+def _graph_columns(env: LearningEnvironment) -> str | None:
+    """The NODE and EDGE lines of ``env``, tested and written a column at a time.
+
+    None when a column test refuses a field: :func:`_graph_records` then names the first record it refuses.
+    ``env`` has activities and passes :func:`validate`, so each activity's object and task exist and each
+    edge's tag is an :class:`EdgeTag`, which is the ``str`` of its value.
+    """
+    ids, object_ids, task_ids, is_reference, durations = zip(*env.activities.values())
+    _, titles, kinds, locators, _ = zip(*map(env.objects.__getitem__, object_ids))
+    verbs = tuple(map(attrgetter("verb"), map(env.tasks.__getitem__, task_ids)))
+    _, from_ids, to_ids, labels, tags = tuple(zip(*env.edges)) or ((),) * 5
+    if not all(ids) or not all(map(is_, kinds, repeat(ObjectKind.ATOMIC))):
+        return None
+    # The fields :func:`_graph_records` checks, and the edges' endpoints: activity ids, which pass the same tests.
+    columns = [*map(_text_column, (ids, titles, verbs, locators, from_ids, to_ids)), _text_column(labels, str.rstrip)]
+    if None in columns:
+        return None
+    ids, titles, verbs, locators, from_ids, to_ids, labels = columns
+    flags = map(("", "ref").__getitem__, map(bool, is_reference))
+    minutes = ["" if m is None else _format_duration(m) for m in durations]
+    out = ["NODE " + "\nNODE ".join(map("|".join, zip(ids, titles, verbs, locators, flags, minutes)))]
+    if labels:
+        out.append("EDGE " + "\nEDGE ".join(map("|".join, zip(from_ids, to_ids, tags, labels))))
+    return "\n".join(out) + "\n"
+
+
+def _graph_records(env: LearningEnvironment) -> str:
+    """The NODE and EDGE lines of ``env`` a record at a time, naming the first field its reader would not give back."""
+    out = []
     for act in env.activities.values():
         obj = env.objects[act.object_id]
         verb = env.tasks[act.task_id].verb

@@ -10,15 +10,21 @@ with ``include_reference_edges`` to get one dashed edge each way per
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import StyleMismatch
+from .model import EdgeTag
 from .options import Overlay
 
 if TYPE_CHECKING:
     from .clusters import Cluster
     from .model import LearningEnvironment
     from .sessions import LearningExperience
+
+_STR = frozenset((str,))
+_EDGE_TAG = frozenset((EdgeTag,))
 
 CLUSTER_PALETTE = ("lightblue", "lightgreen", "lightyellow", "lightpink", "lightgray", "lightcyan")
 
@@ -67,32 +73,59 @@ def export_dot(
             for member in cluster.members:
                 color_of.setdefault(member, color)
 
-    lines = ["digraph course {"]
-    for aid in sorted(env.activities):
-        label = aid
-        attrs = []
-        if overlay is Overlay.VISIT_ORDER and aid in ordinals:
-            label = f"{aid} ({ordinals[aid]})"
-        attrs.append(f"label={_quote(label)}")
-        if aid in ordinals:
-            attrs.append("style=filled")
-        if aid in color_of:
-            attrs.append("style=filled")
-            attrs.append(f"fillcolor={_quote(color_of[aid])}")
-        lines.append(f"  {_quote(aid)} [{', '.join(attrs)}];")
+    ids = sorted(env.activities)
+    node_quotes = [f'"{aid}"' for aid in ids] if _plain(ids) else list(map(_quote, ids))
+    quoted = _Quoted(zip(ids, node_quotes))  # each id quoted once, for its node and every edge line
+    lines = ["digraph course {", *[f"  {q} [label={q}];" for q in node_quotes]]
+    if ordinals or color_of:
+        line_of = dict(zip(ids, range(1, len(ids) + 1)))
+        for aid in line_of.keys() & (ordinals.keys() | color_of.keys()):  # the nodes the overlay marks
+            label = aid
+            attrs = []
+            if overlay is Overlay.VISIT_ORDER and aid in ordinals:
+                label = f"{aid} ({ordinals[aid]})"
+            attrs.append(f"label={_quote(label)}")
+            if aid in ordinals:
+                attrs.append("style=filled")
+            if aid in color_of:
+                attrs.append("style=filled")
+                attrs.append(f"fillcolor={_quote(color_of[aid])}")
+            lines[line_of[aid]] = f"  {quoted[aid]} [{', '.join(attrs)}];"
 
-    for edge in sorted(env.edges, key=lambda e: (e.from_id, e.to_id, e.label, e.tag.value, e.edge_id)):
-        attr = f" [label={_quote(edge.label)}]" if edge.label else ""
-        lines.append(f"  {_quote(edge.from_id)} -> {_quote(edge.to_id)}{attr};")
+    if env.edges:
+        _, from_ids, to_ids, labels, tags = zip(*env.edges)
+        if not _EDGE_TAG.issuperset(map(type, tags)):
+            list(map(attrgetter("value"), tags))  # the tag text a sort key once read: a tag without one raises
+        # Edges that tie on these keys write the same line, so the tag and the edge id need not order them.
+        from_ids, to_ids, labels = zip(*sorted(zip(from_ids, to_ids, labels)))
+        if _plain(labels):
+            label_attrs = [f' [label="{label}"]' if label else "" for label in labels]
+        else:
+            label_attrs = [f" [label={_quote(label)}]" if label else "" for label in labels]
+        lines += [f"  {quoted[from_id]} -> {quoted[to_id]}{attr};"
+                  for from_id, to_id, attr in zip(from_ids, to_ids, label_attrs)]
 
     if style.include_reference_edges:
-        everyone = sorted(env.activities)
         for ref in sorted(env.reference_ids):
-            for other in everyone:
-                if other == ref:
-                    continue
-                lines.append(f"  {_quote(ref)} -> {_quote(other)} [style=dashed];")
-                lines.append(f"  {_quote(other)} -> {_quote(ref)} [style=dashed];")
+            at = bisect_left(ids, ref)
+            others = node_quotes[:at] + node_quotes[at + 1:] if at < len(ids) and ids[at] == ref else node_quotes
+            q = _quote(ref)
+            lines += [f"  {q} -> {other} [style=dashed];\n  {other} -> {q} [style=dashed];" for other in others]
 
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+class _Quoted(dict):
+    """Quoted ids by id; an id missing, such as the endpoint of an edge that touches no activity, is quoted on use."""
+
+    def __missing__(self, text: str) -> str:
+        return _quote(text)
+
+
+def _plain(texts) -> bool:
+    """Whether every text is a ``str`` with no ``\\`` or ``"``, so that :func:`_quote` only wraps it in quotes."""
+    if not _STR.issuperset(map(type, texts)):
+        return False
+    joined = "".join(texts)
+    return "\\" not in joined and '"' not in joined

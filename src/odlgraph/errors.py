@@ -10,10 +10,12 @@ class OdlError(Exception):
 class DuplicateId(OdlError):
     """An id is already taken within its namespace."""
 
-    def __init__(self, entity_id: str, kind: str = "entity"):
-        super().__init__(f"duplicate {kind} id: {entity_id!r}")
+    def __init__(self, entity_id: str, kind: str = "entity", line_no: int | None = None):
+        where = f" (line {line_no})" if line_no is not None else ""
+        super().__init__(f"duplicate {kind} id: {entity_id!r}{where}")
         self.entity_id = entity_id
         self.kind = kind
+        self.line_no = line_no
 
 
 class DanglingRef(OdlError):

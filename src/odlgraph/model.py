@@ -25,7 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
+from operator import attrgetter, is_, is_not, lt
 from typing import NamedTuple
 
 from .errors import DanglingRef, DuplicateId
@@ -234,7 +236,13 @@ def is_adjacent(env: LearningEnvironment, u_id: str, v_id: str) -> bool:
 
 
 def validate(env: LearningEnvironment) -> list[Violation]:
-    """Check every structural invariant; returns violations instead of raising."""
+    """Check every structural invariant; returns violations instead of raising.
+
+    The invariants are tested a column at a time first; only an environment that fails a column test, or
+    holds a composite object, is walked a record at a time, to list its violations in order.
+    """
+    if _passes(env):
+        return []
     report: list[Violation] = []
 
     for tid in sorted(env.tasks):
@@ -296,6 +304,37 @@ def validate(env: LearningEnvironment) -> list[Violation]:
             report.append(Violation("bad_tag", edge.edge_id, f"edge {edge.edge_id!r} has unknown tag {edge.tag!r}"))
 
     return report
+
+
+_STR = frozenset((str,))
+_EDGE_TAG = frozenset((EdgeTag,))  # an enum with members has no subclass, so its type is the isinstance test
+
+
+def _passes(env: LearningEnvironment) -> bool:
+    """Whether :func:`validate` finds nothing, from tests that each read one column of records."""
+    objects, activities = env.objects, env.activities
+    # Every id a str, so that the record walk's sorts cannot fail; other ids are left to the walk.
+    if not all(_STR.issuperset(map(type, ids)) for ids in (env.tasks, objects, activities)):
+        return False
+    if not all(map(attrgetter("verb"), env.tasks.values())):
+        return False
+    if objects:  # a composite object, which no reader makes, is left to the record walk
+        _, _, kinds, locators, children = zip(*objects.values())
+        if not (all(map(is_, kinds, repeat(ObjectKind.ATOMIC))) and all(locators) and not any(children)):
+            return False
+    if activities:
+        _, object_ids, task_ids, _, durations = zip(*activities.values())
+        if not (objects.keys() >= set(object_ids) and env.tasks.keys() >= set(task_ids)):
+            return False
+        if any(map(lt, filter(partial(is_not, None), durations), repeat(0))):
+            return False
+    if env.edges:
+        edge_ids, from_ids, to_ids, _, tags = zip(*env.edges)
+        if len(set(edge_ids)) != len(edge_ids) or not activities.keys() >= {*from_ids, *to_ids}:
+            return False
+        if not _EDGE_TAG.issuperset(map(type, tags)):
+            return False
+    return True
 
 
 def _containment_cycles(env: LearningEnvironment) -> list[Violation]:

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import chain
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -99,17 +100,17 @@ def _check_note(notes: dict[str, LearnerNote], env: LearningEnvironment, note: L
                 line_no: int | None = None) -> None:
     """The rules every stored note keeps beyond its field types, whether attached or loaded."""
     if note.note_id in notes:
-        raise DuplicateId(note.note_id, "note")
+        raise DuplicateId(note.note_id, "note", line_no)
     if note.node_id not in env.activities:
         raise DanglingRef(note.node_id, line_no)
     if note.timestamp < 0:
         raise ValueError("note timestamp must be non-negative")
 
 
-def _check_message(messages: dict[str, Message], message: Message) -> None:
+def _check_message(messages: dict[str, Message], message: Message, line_no: int | None = None) -> None:
     """The rules every stored message keeps on its own beyond its field types, whether sent or loaded."""
     if message.message_id in messages:
-        raise DuplicateId(message.message_id, "message")
+        raise DuplicateId(message.message_id, "message", line_no)
     if message.sent_at < 0:
         raise ValueError("message sent_at must be non-negative")
 
@@ -168,6 +169,8 @@ _ENCODE = encode_basestring  # what JSONEncoder(ensure_ascii=False) writes a str
 _DECODER = json.JSONDecoder()
 _ACCESS = {access.value: access for access in NoteAccess}
 _STR = frozenset((str,))
+_DICT = frozenset((dict,))
+_PIECE_LINES = 256  # how many decoded store lines :func:`_store_columns` holds at once
 
 
 def _exactly(json_type: type, name: str):
@@ -197,15 +200,22 @@ class _Form(NamedTuple):
     name: str  # as an error names it
     held: frozenset[type]  # the types a field of this form may hold
     read: Callable  # checks a decoded value and returns the field value; a bad one raises ValueError
+    decoded: frozenset[type]  # the types a decoded value of a field of this form may have
+    column: Callable  # a list of decoded values of those types as a tuple of field values, for _holds to test
 
 
+_INT = frozenset((int,))
+_LIST = frozenset((list,))
 _FORMS = {
-    str: _Form("a string", _STR, _exactly(str, "a string")),
-    int: _Form("an integer", frozenset((int,)), _exactly(int, "an integer")),
-    NoteAccess: _Form("a NoteAccess member", frozenset((NoteAccess,)), _access),
-    tuple: _Form("a tuple of strings", frozenset((tuple,)), _str_tuple),
+    str: _Form("a string", _STR, _exactly(str, "a string"), _STR, tuple),
+    int: _Form("an integer", _INT, _exactly(int, "an integer"), _INT, tuple),
+    NoteAccess: _Form("a NoteAccess member", frozenset((NoteAccess,)), _access, _STR,
+                      lambda column: tuple(map(_ACCESS.get, column))),  # unknown text: None, which _holds refuses
+    tuple: _Form("a tuple of strings", frozenset((tuple,)), _str_tuple, _LIST,
+                 lambda column: tuple(map(tuple, column))),
     BROADCAST: _Form(f"{BROADCAST!r} or a tuple of strings", frozenset((str, tuple)),
-                     lambda value: value if value == BROADCAST else _str_tuple(value)),
+                     lambda value: value if value == BROADCAST else _str_tuple(value), _STR | _LIST,
+                     lambda column: tuple(value if type(value) is str else tuple(value) for value in column)),
 }
 
 # The type table: for each record kind, its named tuple and, in ``_fields`` order, the exact type each
@@ -314,15 +324,89 @@ def _from_record(record) -> LearnerNote | Message:
 def loads(text: str, env: LearningEnvironment) -> NoteStore:
     """Read a store in one pass, re-checking each note against ``env``.
 
-    Lines of only whitespace are skipped.  A line that is not a JSON object,
+    The store is tested a column at a time; only a store that fails a column
+    test is read again a line at a time, to name the line it refuses.  Lines
+    of only whitespace are skipped.  A line that is not a JSON object,
     names an unknown ``kind``, lacks a field, holds a field of a type the type
     table refuses or a bad value raises :class:`ParseError` with its line
     number, as does a note with a negative timestamp or a message with a
     negative ``sent_at``.  A duplicate note or message id raises
     :class:`DuplicateId`, and a note on an unknown activity or a message
-    pointing at a note the store does not hold raises :class:`DanglingRef`
-    naming the line.
+    pointing at a note the store does not hold raises :class:`DanglingRef`,
+    each naming the line.
     """
+    store = _store_columns(text, env)
+    return _store_by_line(text, env) if store is None else store
+
+
+def _store_columns(text: str, env: LearningEnvironment) -> NoteStore | None:
+    """The store ``text`` holds, with every rule of :func:`_store_by_line` tested on whole columns.
+
+    None when a test refuses a line, a record, a field or a store rule.  The records are built only once
+    every test has passed.
+    """
+    decoded = _decoded_columns(text)
+    if decoded is None:
+        return None
+    fields: dict[str, dict[str, tuple]] = {}  # kind -> field name -> column of field values
+    for kind, (_, types) in _TYPES.items():
+        fields[kind] = {}
+        for name, form in types.items():
+            spec, column = _FORMS[form], decoded[kind].pop(name)
+            if not spec.decoded.issuperset(map(type, column)):
+                return None
+            fields[kind][name] = column = spec.column(column)
+            if not _holds(form, column):
+                return None
+    notes, messages = fields["note"], fields["message"]
+    note_ids, message_ids = notes["note_id"], messages["message_id"]
+    known = set(note_ids)
+    if (len(known) < len(note_ids) or not env.activities.keys() >= set(notes["node_id"])
+            or min(notes["timestamp"], default=0) < 0 or len(set(message_ids)) < len(message_ids)
+            or min(messages["sent_at"], default=0) < 0 or not known >= set(chain.from_iterable(messages["note_refs"]))):
+        return None
+    return NoteStore(env, dict(zip(note_ids, map(tuple.__new__, repeat(LearnerNote), zip(*notes.values())))),
+                     dict(zip(message_ids, map(Message, *messages.values()))))
+
+
+def _decoded_columns(text: str) -> dict[str, dict[str, list]] | None:
+    """For each record kind, each field's column of decoded values, in line order.
+
+    None when a line is neither blank nor one bare JSON object, or a record's ``kind`` or one of its fields is
+    missing or unknown.  The lines are decoded a piece at a time, so that the dicts and keys of only one
+    piece are alive at once; the lines themselves are freed on return, before any record is built.
+    """
+    scan = _DECODER.scan_once
+    every_line = lines(text)
+    decoded = {kind: {name: [] for name in types} for kind, (_, types) in _TYPES.items()}
+    for start in range(0, len(every_line), _PIECE_LINES):
+        records = []
+        for line in every_line[start:start + _PIECE_LINES]:
+            try:
+                record, end = scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):  # the last so that an earlier line is named first
+                end = -1
+            if end == len(line):
+                records.append(record)
+            elif line.strip():  # whitespace around a record, or no record
+                return None
+        if not _DICT.issuperset(map(type, records)):
+            return None
+        kinds = list(map(dict.get, records, repeat("kind")))
+        if not (_STR.issuperset(map(type, kinds)) and _TYPES.keys() >= set(kinds)):
+            return None
+        for kind, columns in decoded.items():
+            chosen = list(compress(records, map(eq, kinds, repeat(kind))))
+            try:
+                for name, column in columns.items():
+                    column += map(itemgetter(name), chosen)
+            except KeyError:
+                return None
+    return decoded
+
+
+def _store_by_line(text: str, env: LearningEnvironment) -> NoteStore:
+    """The store ``text`` holds, read a line at a time; the first line a rule refuses is named."""
     notes: dict[str, LearnerNote] = {}
     messages: dict[str, Message] = {}
     message_lines: dict[str, int] = {}
@@ -342,7 +426,7 @@ def loads(text: str, env: LearningEnvironment) -> NoteStore:
                 _check_note(notes, env, item, line_no)
                 notes[item.note_id] = item
             else:
-                _check_message(messages, item)
+                _check_message(messages, item, line_no)
                 messages[item.message_id] = item
                 message_lines[item.message_id] = line_no
         except json.JSONDecodeError as exc:

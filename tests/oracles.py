@@ -258,3 +258,54 @@ def naive_parse_log(lines: list[str], activities: Collection[str], skip_unknown:
         note = parts[3] if len(parts) == 4 and parts[3] != "" else None
         rows.append((parts[0], stamp, parts[2], note))
     return ("ok", rows, skipped)
+
+
+def naive_graph_text(env, title: str) -> str:
+    """The ``.odlg`` text of a course whose every field reads back, one record and one character at a time."""
+
+    def field(text: str) -> str:
+        return "".join("\\" + ch if ch in "\\|" else ch for ch in text)
+
+    def minutes(value) -> str:
+        if value is None:
+            return ""
+        short = "%g" % value
+        return short if float(short) == value else repr(value)
+
+    out = ["# " + title]
+    for act in env.activities.values():
+        obj = env.objects[act.object_id]
+        fields = [act.id, obj.title, env.tasks[act.task_id].verb, obj.locator, "ref" if act.is_reference else "",
+                  minutes(act.expected_duration_minutes)]
+        out.append("NODE " + "|".join(field(f) for f in fields))
+    for edge in env.edges:
+        out.append("EDGE " + "|".join(field(f) for f in (edge.from_id, edge.to_id, edge.tag.value, edge.label)))
+    return "".join(line + "\n" for line in out)
+
+
+def naive_dot(env, reference_edges: bool = False, visited: list[str] | None = None, numbered: bool = False) -> str:
+    """DOT text of a course, one statement at a time: nodes by id, edges by (from, to, label, tag, id).
+
+    ``visited`` fills the nodes of a walk; ``numbered`` also labels each with its first-visit ordinal.
+    """
+
+    def quote(text: str) -> str:
+        return '"' + "".join("\\" + ch if ch in '\\"' else ch for ch in text) + '"'
+
+    ordinals = first_visit_ordinals(visited or [])
+    out = ["digraph course {"]
+    for aid in sorted(env.activities):
+        label = f"{aid} ({ordinals[aid]})" if numbered and aid in ordinals else aid
+        filled = ", style=filled" if aid in ordinals else ""
+        out.append(f"  {quote(aid)} [label={quote(label)}{filled}];")
+    for edge in sorted(env.edges, key=lambda e: (e.from_id, e.to_id, e.label, e.tag.value, e.edge_id)):
+        label = f" [label={quote(edge.label)}]" if edge.label else ""
+        out.append(f"  {quote(edge.from_id)} -> {quote(edge.to_id)}{label};")
+    if reference_edges:
+        for ref in sorted(a.id for a in env.activities.values() if a.is_reference):
+            for other in sorted(env.activities):
+                if other != ref:
+                    out.append(f"  {quote(ref)} -> {quote(other)} [style=dashed];")
+                    out.append(f"  {quote(other)} -> {quote(ref)} [style=dashed];")
+    out.append("}")
+    return "".join(line + "\n" for line in out)

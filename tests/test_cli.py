@@ -639,6 +639,25 @@ def test_store_message_pointing_at_a_missing_note_is_a_data_error(course, tmp_pa
     assert store.read_bytes() == before
 
 
+REPEATED_IDS = {
+    "note": (NOTE + NOTE, "error: duplicate note id: 'n1' (line 2)\n"),
+    "message": (NOTE + 2 * ('{"kind":"message","message_id":"m1","note_refs":["n1"],"recipients":["u1"],'
+                            '"sender_id":"u2","sent_at":0}\n'), "error: duplicate message id: 'm1' (line 3)\n"),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(NOTE_COMMANDS))
+@pytest.mark.parametrize("repeated", list(REPEATED_IDS))
+def test_a_store_that_repeats_an_id_names_the_line(course, tmp_path, subcommand, repeated, capsys):
+    store = tmp_path / "notes.jsonl"
+    store.write_text(REPEATED_IDS[repeated][0], encoding="utf-8")
+    before = store.read_bytes()
+    argv = ["notes", subcommand, "--store", str(store), "--course", course, *NOTE_COMMANDS[subcommand]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == REPEATED_IDS[repeated][1]
+    assert store.read_bytes() == before
+
+
 @pytest.mark.parametrize("stored_body", [None, "\\udcff"], ids=["from-the-flag", "json-escape-in-the-store"])
 def test_text_that_is_not_utf8_is_a_data_error_that_leaves_the_store(course, tmp_path, stored_body, capsys):
     # A shell passes the byte 0xff of `--body $'\xff'` to Python as the lone surrogate U+DCFF.

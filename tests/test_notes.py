@@ -309,6 +309,15 @@ def test_loads_applies_the_attach_rules(error, text):
         loads(text, ENV)
 
 
+def test_a_repeated_id_on_load_names_its_line_and_attach_names_none():
+    with pytest.raises(DuplicateId) as err:
+        loads(_store_line() + "\n" + _store_line(), ENV)
+    assert (str(err.value), err.value.line_no) == ("duplicate note id: 'n1' (line 3)", 3)
+    with pytest.raises(DuplicateId) as err:
+        attach_note(store_with(note("n1", NoteAccess.ALL)), note("n1", NoteAccess.ALL))
+    assert (str(err.value), err.value.line_no) == ("duplicate note id: 'n1'", None)
+
+
 def test_attach_rejects_negative_timestamp():
     with pytest.raises(ValueError):
         store_with(note("n1", NoteAccess.ALL, ts=-1))
