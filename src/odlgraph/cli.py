@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 # Every command reads a course; the other modules load inside the commands that run them.
 from . import course_format
-from .errors import GraphTooLarge, NonAdjacentStep, OdlError
-from .model import LearningEnvironment, is_adjacent, next_id_number
+from .errors import GraphTooLarge, OdlError
+from .model import LearningEnvironment, next_id_number, teleports
 from .options import DEFAULT_MIN_COOCCURRENCE, DEFAULT_SESSION_TIMEOUT, NoteAccess, Overlay
 from .text import iter_lines, read_text, write_text
 
@@ -159,10 +159,8 @@ def _cmd_cycles(args) -> int:
 
     def detours(learner: str, ids: list[str]) -> str:
         """The learner's rows as one text: a string per detour would cost an object each in a batch."""
-        if args.strict:  # the first step between unconnected activities fails the command, by the model's rule
-            for position in range(1, len(ids)):
-                if not is_adjacent(env, ids[position - 1], ids[position]):
-                    raise NonAdjacentStep(position, ids[position - 1], ids[position])
+        if args.strict:  # the first step between unconnected activities fails the command
+            teleports(env, ids, strict=True)
         return "".join(
             f"{learner}\t{cycle.anchor_activity}\t{cycle.start_index}"
             f"\t{cycle.end_index}\t{classify_cycle(cycle, env).value}\t{','.join(cycle.interior)}\n"

@@ -109,7 +109,7 @@ def export_dot(
         for ref in sorted(env.reference_ids):
             at = bisect_left(ids, ref)
             others = node_quotes[:at] + node_quotes[at + 1:] if at < len(ids) and ids[at] == ref else node_quotes
-            q = _quote(ref)
+            q = quoted[ref]
             lines += [f"  {q} -> {other} [style=dashed];\n  {other} -> {q} [style=dashed];" for other in others]
 
     lines.append("}")

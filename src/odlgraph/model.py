@@ -23,14 +23,14 @@ value, is not hashable (its fields are dicts) and refuses assignment.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter, is_, is_not, lt
 from typing import NamedTuple
 
-from .errors import DanglingRef, DuplicateId
+from .errors import DanglingRef, DuplicateId, NonAdjacentStep
 
 
 class ObjectKind(str, Enum):
@@ -226,13 +226,29 @@ def add_edge(
 
 
 def is_adjacent(env: LearningEnvironment, u_id: str, v_id: str) -> bool:
-    """True when an edge u->v is stored, or either endpoint is a reference node."""
-    if u_id not in env.activities:
-        raise DanglingRef(u_id)
-    if v_id not in env.activities:
-        raise DanglingRef(v_id)
-    references = env.reference_ids
-    return u_id in references or v_id in references or (u_id, v_id) in env.edge_endpoints
+    """True when an edge u->v is stored, or either endpoint is a reference node: the rule of :func:`teleports`."""
+    return not teleports(env, (u_id, v_id))[0]
+
+
+def teleports(env: LearningEnvironment, ids: Sequence[str], strict: bool = False) -> list[bool]:
+    """One flag per step of the walk ``ids``: True where no edge u->v is stored and neither end is a reference node.
+
+    The one step rule.  An activity the course lacks raises :class:`DanglingRef` once a step leaves or reaches
+    it, the one left before the one reached, so a walk of one unknown id does not raise.  With ``strict``, the
+    first unconnected step raises :class:`NonAdjacentStep` with the index of the activity it reaches.
+    """
+    activities, references, endpoints = env.activities, env.reference_ids, env.edge_endpoints
+    if len(ids) > 1 and ids[0] not in activities:  # every later origin is checked as the step before's arrival
+        raise DanglingRef(ids[0])
+    flags: list[bool] = []
+    for u, v in zip(ids, islice(ids, 1, None)):
+        if v not in activities:
+            raise DanglingRef(v)
+        teleport = not (u in references or v in references or (u, v) in endpoints)
+        if teleport and strict:
+            raise NonAdjacentStep(len(flags) + 1, u, v)
+        flags.append(teleport)
+    return flags
 
 
 def validate(env: LearningEnvironment) -> list[Violation]:

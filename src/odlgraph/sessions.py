@@ -27,12 +27,12 @@ compares by value and refuses assignment, and it hashes by value too.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DanglingRef, LearnerMismatch, NonAdjacentStep, ParseError
-from .model import FrozenValue, LearningEnvironment
+from .errors import DanglingRef, LearnerMismatch, ParseError
+from .model import FrozenValue, LearningEnvironment, teleports
 from .options import DEFAULT_SESSION_TIMEOUT
 
 
@@ -232,8 +232,8 @@ def build_experience(
     ``teleport=True``; in strict mode it raises :class:`NonAdjacentStep` with
     the index of the arriving visit.  A step whose activity the course lacks
     raises :class:`DanglingRef`, naming the activity it leaves before the one
-    it reaches, as :func:`~odlgraph.model.is_adjacent` does; so an unknown
-    first activity raises only once a step leaves it.
+    it reaches; so an unknown first activity raises only once a step leaves it.
+    Each step is judged by :func:`~odlgraph.model.teleports`, the one step rule.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
@@ -244,28 +244,11 @@ def build_experience(
     if len(learners) > 1:
         raise LearnerMismatch(f"sessions belong to several learners: {sorted(learners)}")
 
-    # The rule of model.is_adjacent, inlined as one membership test per step
-    # against the same cached sets: the activities, the reference nodes, the edges.
-    activities, references, endpoints = env.activities, env.reference_ids, env.edge_endpoints
-    strict = mode == "strict"
     blocks = [block for session in ordered for block in session.blocks]
-    visits: list[Visit] = []
-    if blocks:
-        previous = blocks[0].activity_id
-        # is_adjacent names an unknown origin before an unknown arrival; every
-        # later origin was already checked as the arrival of the step before.
-        if len(blocks) > 1 and previous not in activities:
-            raise DanglingRef(previous)
-        visits.append(Visit(previous, blocks[0].timestamp))
-        for block in islice(blocks, 1, None):
-            aid = block.activity_id
-            if aid not in activities:
-                raise DanglingRef(aid)
-            teleport = not (previous in references or aid in references or (previous, aid) in endpoints)
-            if teleport and strict:
-                raise NonAdjacentStep(len(visits), previous, aid)
-            visits.append(Visit(aid, block.timestamp, teleport))
-            previous = aid
+    ids = [block.activity_id for block in blocks]
+    flags = teleports(env, ids, mode == "strict")
+    # Each visit's fields in one tuple, without the named tuple's ``__new__``; the first visit is no teleport.
+    visits = map(tuple.__new__, repeat(Visit), zip(ids, [block.timestamp for block in blocks], [False, *flags]))
     return LearningExperience(
         ordered[0].learner_id,
         tuple(visits),

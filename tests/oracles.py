@@ -210,6 +210,20 @@ def gap_sessions(timestamps: list[int], timeout: int) -> list[list[int]]:
     return runs
 
 
+def step_judge(env):
+    """``adjacent(u, v)`` read off the course's records: an edge record u -> v, or either end flagged ``is_reference``.
+
+    An id the course lacks raises ``KeyError`` with that id, ``u`` before ``v``.
+    """
+    stored = {(edge.from_id, edge.to_id) for edge in env.edges}
+
+    def adjacent(u: str, v: str) -> bool:
+        ends = env.activities[u], env.activities[v]
+        return ends[0].is_reference or ends[1].is_reference or (u, v) in stored
+
+    return adjacent
+
+
 def pairwise_experience(ids: list[str], adjacent, strict: bool) -> tuple:
     """A walk judged one step at a time by ``adjacent(u, v)``, which may raise for an unknown id.
 

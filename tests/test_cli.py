@@ -1032,7 +1032,7 @@ def test_notes_workflow(course, tmp_path, capsys):
     inbox_line = capsys.readouterr().out.strip()
     assert inbox_line == "m1\t120\tu1\t*\tn1"
 
-    records = [json.loads(l) for l in open(store, encoding="utf-8")]
+    records = [json.loads(l) for l in Path(store).read_text(encoding="utf-8").splitlines()]
     assert [r["kind"] for r in records] == ["note", "message"]
 
 

@@ -29,9 +29,10 @@ from odlgraph.clusters import (
 from odlgraph.course_format import parse_course
 from odlgraph.dot_export import ExportStyle, Overlay, export_dot
 from odlgraph.errors import NonAdjacentStep, OdlError
-from odlgraph.model import is_adjacent
 from odlgraph.paths import classify_cycle, coverage, detect_cycles, erase_cycles
 from odlgraph.sessions import build_experience, parse_log, sessionize
+
+import oracles
 
 COURSE = """\
 NODE LA1|Intro|read|ch1||5
@@ -45,6 +46,7 @@ EDGE LA3|LA4|sequence|
 EDGE LA2|LA1|failure|if the exercises were too hard
 """
 ENV, _ = parse_course(COURSE, "course.odlg")
+ADJACENT = oracles.step_judge(ENV)
 
 # "u1" also appears with spaces around it, which the reader strips to the same learner.
 LEARNERS = ["u1", " u1", "u1 ", "u2", "u10"]
@@ -111,7 +113,7 @@ def _expected_out(argv: list[str], found, timeout: int) -> str:
         for learner, ids in _walks(found).items():
             if "--strict" in argv:
                 for position in range(1, len(ids)):
-                    if not is_adjacent(ENV, ids[position - 1], ids[position]):
+                    if not ADJACENT(ids[position - 1], ids[position]):
                         raise NonAdjacentStep(position, ids[position - 1], ids[position])
             out += [
                 f"{learner}\t{cycle.anchor_activity}\t{cycle.start_index}"

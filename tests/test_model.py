@@ -6,9 +6,9 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from odlgraph.errors import DanglingRef, DuplicateId
+from odlgraph.errors import DanglingRef, DuplicateId, NonAdjacentStep
 from odlgraph.model import (
     EdgeTag,
     LearningActivity,
@@ -26,11 +26,13 @@ from odlgraph.model import (
     is_adjacent,
     isomorphic,
     next_id_number,
+    teleports,
     validate,
 )
 from odlgraph.course_format import parse_graph_file
 from odlgraph.sessions import LearningExperience, Visit
 
+import oracles
 from conftest import assert_record_contract, quick_env
 
 
@@ -109,6 +111,59 @@ def test_is_adjacent_rejects_unknown_nodes():
     env = quick_env(["LA1"])
     with pytest.raises(DanglingRef):
         is_adjacent(env, "LA1", "LA9")
+
+
+WALK_ENV = quick_env(["LA1", "LA2", "LA3", "Dict"], [("LA1", "LA2"), ("LA2", "LA3"), ("LA2", "LA1")], reference={"Dict"})
+
+
+def teleports_outcome(walk: list[str], strict: bool) -> tuple:
+    try:
+        return ("ok", teleports(WALK_ENV, walk, strict))
+    except DanglingRef as err:
+        return ("dangling", err.missing_id)
+    except NonAdjacentStep as err:
+        return ("non_adjacent", err.position, err.from_id, err.to_id)
+
+
+def judged_outcome(walk: list[str], strict: bool) -> tuple:
+    """The walk judged a step at a time by the tests' own rule; the first visit's flag is no step's."""
+    try:
+        outcome = oracles.pairwise_experience(walk, oracles.step_judge(WALK_ENV), strict)
+    except KeyError as err:
+        return ("dangling", err.args[0])
+    return ("ok", outcome[1][1:]) if outcome[0] == "ok" else outcome
+
+
+@st.composite
+def planted_walks(draw) -> list[str]:
+    """A short walk on the small course, with unknown ids planted at any of its first, middle and last visits."""
+    walk = draw(st.lists(st.sampled_from(sorted(WALK_ENV.activities)), max_size=8))
+    for where in draw(st.sets(st.sampled_from(["first", "middle", "last"]))) if walk else ():
+        walk[{"first": 0, "middle": len(walk) // 2, "last": len(walk) - 1}[where]] = f"GHOST-{where}"
+    return walk
+
+
+@given(planted_walks())
+@example(["LA3", "LA1", "GHOST"])  # a teleport before the first unknown id
+@example(["LA1", "GHOST", "LA3", "LA1"])  # a teleport after it
+@example(["GHOST"])  # a lone unknown id is no step
+def test_teleports_matches_a_step_judge_of_the_tests_own(walk):
+    for strict in (False, True):
+        assert teleports_outcome(walk, strict) == judged_outcome(walk, strict)
+
+
+@pytest.mark.parametrize("walk, lenient, strict", [
+    (["LA3", "LA1", "GHOST"], ("dangling", "GHOST"), ("non_adjacent", 1, "LA3", "LA1")),
+    (["LA1", "GHOST", "LA3", "LA1"], ("dangling", "GHOST"), ("dangling", "GHOST")),
+    (["LA3", "GHOST"], ("dangling", "GHOST"), ("dangling", "GHOST")),
+    (["GHOST"], ("ok", []), ("ok", [])),
+    ([], ("ok", []), ("ok", [])),
+    (["LA1", "LA2", "LA3", "LA1", "Dict", "LA3"], ("ok", [False, False, True, False, False]),
+     ("non_adjacent", 3, "LA3", "LA1")),
+])
+def test_teleports_flags_each_step_and_raises_in_walk_order(walk, lenient, strict):
+    assert teleports_outcome(walk, False) == lenient
+    assert teleports_outcome(walk, True) == strict
 
 
 def test_validate_clean_env():

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
 import random
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from odlgraph.errors import DanglingRef, LearnerMismatch, NonAdjacentStep, OdlError, ParseError
-from odlgraph.model import is_adjacent
 from odlgraph.paths import CoverageReport, Cycle
 from odlgraph.sessions import (
     ControlBlock,
@@ -28,6 +26,7 @@ ENV = quick_env(
     [("LA5", "LA15"), ("LA15", "LA5")],
     reference={"Dictionary"},
 )
+ADJACENT = oracles.step_judge(ENV)
 
 
 def blocks_of(*rows: tuple[str, int, str]) -> list[ControlBlock]:
@@ -221,10 +220,8 @@ def test_lenient_experience_flags_exactly_the_non_adjacent_pairs(blocks, timeout
         mine = [s for s in sessions if s.learner_id == learner]
         exp = build_experience(mine, ENV, "lenient")
         ids = [v.activity_id for v in exp.visits]
-        from odlgraph.model import is_adjacent
-
         for i, visit in enumerate(exp.visits):
-            expected = i > 0 and not is_adjacent(ENV, ids[i - 1], ids[i])
+            expected = i > 0 and not ADJACENT(ids[i - 1], ids[i])
             assert visit.teleport == expected
 
 
@@ -339,7 +336,7 @@ def test_parse_log_raises_only_odl_errors(lines, skip_unknown):
     assert library_parse(lines, skip_unknown) == oracles.naive_parse_log(lines, COURSE_IDS, skip_unknown)
 
 
-# --- build_experience against the pairwise is_adjacent walk -------------------
+# --- build_experience against the pairwise step-judge walk ---------------------
 
 
 def random_course(rng: random.Random, size: int = 240):
@@ -393,9 +390,9 @@ def experience_outcome(sessions: list[Session], env, mode: str) -> tuple:
 
 def oracle_outcome(walk: list[str], env, mode: str) -> tuple:
     try:
-        return oracles.pairwise_experience(walk, partial(is_adjacent, env), mode == "strict")
-    except DanglingRef as err:
-        return ("dangling", err.missing_id)
+        return oracles.pairwise_experience(walk, oracles.step_judge(env), mode == "strict")
+    except KeyError as err:
+        return ("dangling", err.args[0])
 
 
 PLANTS = {
@@ -422,7 +419,7 @@ def test_experience_matches_the_pairwise_is_adjacent_walk_at_scale(seed, jump_sh
     if jump_share == 0.0 and plant == "none":
         # One unconnected step, late in an otherwise connected walk.
         late = next(j for j in range(900, len(walk)) if walk[j - 1] not in reference)
-        walk[late] = next(a for a in env.activities if not is_adjacent(env, walk[late - 1], a))
+        walk[late] = next(a for a in env.activities if not oracles.step_judge(env)(walk[late - 1], a))
     sessions = as_sessions(rng, walk)
     for mode in ("lenient", "strict"):
         outcome = experience_outcome(sessions, env, mode)
