@@ -26,7 +26,6 @@ if TYPE_CHECKING:
     from .notes import NoteStore
     from .sessions import Row
 
-TIMEOUT_ENV_VAR = "ODL_TIMEOUT"
 # A batch is held twice while it is written, as text and encoded; a piece can be a learner's whole detour list.
 _PIECES_PER_WRITE = 1024
 
@@ -39,15 +38,16 @@ def _load_course(path: str) -> tuple[LearningEnvironment, str]:
     return course_format.parse_course(read_text(path), path)
 
 
-def _course_and_learners(args, learner: str | None = None) -> tuple[LearningEnvironment, int, Iterator[list[Row]]]:
-    """The pipeline every log subcommand shares: the course, the session timeout and the log's rows per learner.
+def _course_and_learners(args, learner: str | None = None) -> tuple[LearningEnvironment, Iterator[list[Row]]]:
+    """The pipeline every log subcommand shares: the course and the log's rows per learner.
 
-    The timeout is resolved before any file is read.  The log's rows are read and grouped, each learner's
-    in timestamp order (see :func:`~odlgraph.sessions.group_by_learner`); with ``learner``, only that
-    learner's rows are kept, and every line is still checked.  Each skipped line is warned about once the
+    A command with ``--timeout`` has it checked before any file is read.  The log's rows are read and grouped,
+    each learner's in timestamp order (see :func:`~odlgraph.sessions.group_by_learner`); with ``learner``, only
+    that learner's rows are kept, and every line is still checked.  Each skipped line is warned about once the
     whole log has been read, so a bad line later in the log prints its error alone.
     """
-    timeout = _timeout(args)
+    if "timeout" in args and args.timeout <= 0:  # export has none: a drawn walk spans all of its sessions
+        raise _UsageError("--timeout must be positive")
     env, _ = _load_course(args.course)
     from .sessions import group_by_learner, iter_rows
 
@@ -58,25 +58,7 @@ def _course_and_learners(args, learner: str | None = None) -> tuple[LearningEnvi
     learners = group_by_learner(rows)
     for line_no, activity_id in skipped:
         print(f"warning: line {line_no}: unknown activity {activity_id!r} skipped", file=sys.stderr)
-    return env, timeout, learners
-
-
-def _timeout(args) -> int:
-    """The session timeout from ``--timeout``, else ``ODL_TIMEOUT``, else the default."""
-    if args.timeout is not None:
-        if args.timeout <= 0:
-            raise _UsageError("--timeout must be positive")
-        return args.timeout
-    from_env = os.environ.get(TIMEOUT_ENV_VAR)
-    if from_env is not None:
-        try:
-            value = int(from_env)
-        except ValueError:
-            raise _UsageError(f"{TIMEOUT_ENV_VAR} must be an integer, got {from_env!r}") from None
-        if value <= 0:
-            raise _UsageError(f"{TIMEOUT_ENV_VAR} must be positive")
-        return value
-    return DEFAULT_SESSION_TIMEOUT
+    return env, learners
 
 
 def _walks(learners: Iterator[list[Row]]) -> Iterator[tuple[str, list[str]]]:
@@ -138,14 +120,13 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_sessions(args) -> int:
-    from .sessions import split_sessions
+    from .sessions import iter_sessions
 
-    _, timeout, learners = _course_and_learners(args)
+    _, learners = _course_and_learners(args)
     activity = itemgetter(2)
     _emit(args, [
-        f"{rows[0][0]}\t{index}\t{session[0][1]}\t{session[-1][1]}"
-        f"\t{len(session)}\t{','.join(map(activity, session))}\n"
-        for rows in learners for index, session in enumerate(split_sessions(rows, timeout), 1)
+        f"{learner}\t{index}\t{rows[0][1]}\t{rows[-1][1]}\t{len(rows)}\t{','.join(map(activity, rows))}\n"
+        for learner, rows, index in iter_sessions(learners, args.timeout)
     ])
     return 0
 
@@ -155,7 +136,7 @@ def _cmd_cycles(args) -> int:
         raise _UsageError("--min-interior must be non-negative")
     from .paths import classify_cycle, detect_cycles
 
-    env, _, learners = _course_and_learners(args)
+    env, learners = _course_and_learners(args)
 
     def detours(learner: str, ids: list[str]) -> str:
         """The learner's rows as one text: a string per detour would cost an object each in a batch."""
@@ -175,7 +156,7 @@ def _cmd_cycles(args) -> int:
 def _cmd_erase(args) -> int:
     from .paths import erase_cycles
 
-    _, _, learners = _course_and_learners(args)
+    _, learners = _course_and_learners(args)
     _emit(args, [f"{learner}\t{','.join(erase_cycles(ids))}\n" for learner, ids in _walks(learners)])
     return 0
 
@@ -183,7 +164,7 @@ def _cmd_erase(args) -> int:
 def _cmd_coverage(args) -> int:
     from .paths import coverage
 
-    env, _, learners = _course_and_learners(args)
+    env, learners = _course_and_learners(args)
     rows, visited = [], set()
     for learner, ids in _walks(learners):
         report = coverage([ids], env)
@@ -199,14 +180,11 @@ def _cmd_mine(args) -> int:
     if args.min_count < 1:
         raise _UsageError("--min-count must be at least 1")
     from . import clusters as cl
-    from .sessions import split_sessions
+    from .sessions import iter_sessions
 
-    _, timeout, learners = _course_and_learners(args)
+    _, learners = _course_and_learners(args)
     activity = itemgetter(2)
-    walks = (
-        ((rows[0][0], index), map(activity, session))
-        for rows in learners for index, session in enumerate(split_sessions(rows, timeout), 1)
-    )
+    walks = (((learner, index), map(activity, rows)) for learner, rows, index in iter_sessions(learners, args.timeout))
     visit_sets = cl.visit_sets(walks, strategy_paths=args.on_strategy_paths)
     graph = cl.threshold(cl.cooccurrence(visit_sets), args.min_count)
     if args.cliques:
@@ -226,7 +204,7 @@ def _cmd_export(args) -> int:
     if walked and not (args.log and args.experience):
         raise _UsageError(f"--overlay {overlay.value} needs --log and --experience")
     for flag, given in (("--log", args.log is not None), ("--experience", args.experience is not None),
-                        ("--skip-unknown", args.skip_unknown), ("--timeout", args.timeout is not None)):
+                        ("--skip-unknown", args.skip_unknown)):
         if given and not walked:
             raise _UsageError(f"{flag} needs --overlay visit_order or coverage")
     if overlay is Overlay.CLUSTERS and not args.clusters:
@@ -238,7 +216,7 @@ def _cmd_export(args) -> int:
     ids = found = None
     if walked:
         # Only the drawn learner's rows are kept and grouped.
-        env, _, mine = _course_and_learners(args, args.experience)
+        env, mine = _course_and_learners(args, args.experience)
         walks = list(_walks(mine))
         if not walks:
             raise OdlError(f"no sessions for learner {args.experience!r}")
@@ -268,10 +246,12 @@ def _load_store(args) -> NoteStore:
 def _cmd_notes_add(args) -> int:
     if args.timestamp < 0:
         raise _UsageError("--timestamp must be non-negative")
+    if args.note_id == "":
+        raise _UsageError("--note-id needs an id")
     from .notes import LearnerNote, attach_note, flush
 
     store = _load_store(args)
-    note_id = args.note_id or f"n{next_id_number(store.notes, 'n')}"
+    note_id = f"n{next_id_number(store.notes, 'n')}" if args.note_id is None else args.note_id
     note = LearnerNote(
         note_id,
         args.node,
@@ -305,8 +285,10 @@ def _cmd_notes_send(args) -> int:
     recipients = BROADCAST if args.to == BROADCAST else tuple(r for r in args.to.split(",") if r)
     if args.to != BROADCAST and BROADCAST in recipients:
         raise _UsageError(f"--to is {BROADCAST!r} alone or learner ids, none of them {BROADCAST!r}")
+    if args.message_id == "":
+        raise _UsageError("--message-id needs an id")
     store = _load_store(args)
-    message_id = args.message_id or f"m{next_id_number(store.messages, 'm')}"
+    message_id = f"m{next_id_number(store.messages, 'm')}" if args.message_id is None else args.message_id
     message = Message(
         message_id,
         args.sender,
@@ -335,10 +317,11 @@ def _cmd_notes_inbox(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_log_options(sub, log_required: bool = True) -> None:
-    sub.add_argument("--log", required=log_required, help="CSV access log")
+def _add_log_options(sub, export: bool = False) -> None:
+    sub.add_argument("--log", required=not export, help="CSV access log")
     sub.add_argument("--course", required=True, help="course file (.odlc or .odlg)")
-    sub.add_argument("--timeout", type=int, default=None, help="session timeout in seconds")
+    if not export:  # export draws a learner's whole walk, which no session gap changes
+        sub.add_argument("--timeout", type=int, default=DEFAULT_SESSION_TIMEOUT, help="session timeout in seconds")
     sub.add_argument("--skip-unknown", action="store_true", help="drop log lines naming unknown activities")
     sub.add_argument("-o", "--output", default=None, help="write output to a file instead of stdout")
 
@@ -383,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mine)
 
     p = commands.add_parser("export", help="render a course to DOT")
-    _add_log_options(p, log_required=False)
+    _add_log_options(p, export=True)
     p.add_argument("--experience", default=None, metavar="LEARNER_ID")
     p.add_argument("--overlay", default="none", choices=[o.value for o in Overlay])
     p.add_argument("--clusters", default=None, help="cluster file for the clusters overlay")

@@ -4,12 +4,13 @@ Logs are CSV lines ``learner_id,timestamp,activity_id[,note_id]`` with
 integer epoch-second timestamps (header line optional).  :func:`iter_rows`
 is the one reader of those lines: it gives each kept line's fields as one
 plain tuple, a row.  :func:`group_by_learner` gathers the rows per learner
-in time order, and :func:`split_sessions` cuts one learner's rows into
-sessions at gaps over an inactivity timeout.  The command line works on
-the rows alone; :func:`iter_blocks`, :func:`parse_log` and
-:func:`sessionize` build their records over the same three functions, so a
-record is made only for a caller that asks for one (late materialization,
-as in column stores: Abadi, Madden and Hachem, SIGMOD 2008).
+in time order, and :func:`iter_sessions`, the one session rule, cuts each
+learner's rows into numbered sessions at gaps over an inactivity timeout.
+The command line works on the rows alone; :func:`iter_blocks`,
+:func:`parse_log` and :func:`sessionize` build their records over the
+same three functions, so a record is made only for a caller that asks for
+one (late materialization, as in column stores: Abadi, Madden and Hachem,
+SIGMOD 2008).
 
 Sessions concatenate into one learning experience: a timestamped walk over
 the course graph.  Learners resume after breaks wherever they like, so the
@@ -189,17 +190,20 @@ def _drained(per_learner: dict[str, list[Row]]) -> Iterator[list[Row]]:
         yield rows
 
 
-def split_sessions(rows: Sequence[Row], timeout_seconds: int) -> list[Sequence[Row]]:
-    """One learner's time-ordered rows cut at each gap over the timeout: each session's rows, as slices, in order."""
-    parts: list[Sequence[Row]] = []
-    start, last = 0, rows[0][1]
-    for end, row in enumerate(rows):
-        if row[1] - last > timeout_seconds:
-            parts.append(rows[start:end])
-            start = end
-        last = row[1]
-    parts.append(rows[start:])
-    return parts
+def iter_sessions(learners: Iterable[Sequence[Row]], timeout_seconds: int) -> Iterator[tuple[str, Sequence[Row], int]]:
+    """Each learner's time-ordered rows cut at each gap over the timeout, as ``(learner_id, rows, index)``.
+
+    The fields are a :class:`Session`'s, in its order: each session's rows are a slice of its learner's, and
+    the index counts the learner's sessions from 1.  Sessions come in their learners' order, then in time order.
+    """
+    for rows in learners:
+        learner, start, last, index = rows[0][0], 0, rows[0][1], 1
+        for end, row in enumerate(rows):
+            if row[1] - last > timeout_seconds:
+                yield learner, rows[start:end], index
+                start, index = end, index + 1
+            last = row[1]
+        yield learner, rows[start:], index
 
 
 def sessionize(blocks: Iterable[ControlBlock], timeout_seconds: int = DEFAULT_SESSION_TIMEOUT) -> list[Session]:
@@ -211,14 +215,9 @@ def sessionize(blocks: Iterable[ControlBlock], timeout_seconds: int = DEFAULT_SE
     """
     if timeout_seconds <= 0:
         raise ValueError("timeout_seconds must be positive")
-    new = tuple.__new__
-    sessions: list[Session] = []
-    append = sessions.append
-    for mine in group_by_learner(blocks):
-        learner = mine[0][0]
-        for index, part in enumerate(split_sessions(tuple(mine), timeout_seconds), 1):
-            append(new(Session, (learner, part, index)))
-    return sessions
+    # Each session's fields in one tuple, without the named tuple's ``__new__``; its blocks are a tuple's slice.
+    parts = iter_sessions(map(tuple, group_by_learner(blocks)), timeout_seconds)
+    return list(map(tuple.__new__, repeat(Session), parts))
 
 
 def build_experience(

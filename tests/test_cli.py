@@ -26,6 +26,7 @@ from odlgraph.cli import _build_parser, main
 from odlgraph.clusters import DEFAULT_MIN_COOCCURRENCE
 from odlgraph.dot_export import Overlay
 from odlgraph.notes import NoteAccess
+from odlgraph.options import DEFAULT_SESSION_TIMEOUT
 
 from conftest import MERGESORT_COURSE
 from dotread import parse_dot
@@ -310,10 +311,7 @@ def test_cycles_writes_a_batch_before_the_last_learner_is_walked_unless_strict(
 CONNECTED_LOG = "u3,0,LA2\nu3,5000,LA3\nu3,5001,Dict\nu3,9000,LA1\nu1,0,LA1\nu1,30,LA2\n"
 
 
-@pytest.mark.parametrize("command", [
-    ["cycles"], ["cycles", "--strict"], ["erase"], ["coverage"],
-    ["export", "--overlay", "visit_order", "--experience", "u1"],
-], ids=" ".join)
+@pytest.mark.parametrize("command", [["cycles"], ["cycles", "--strict"], ["erase"], ["coverage"]], ids=" ".join)
 @pytest.mark.parametrize("rows", [LOG, CONNECTED_LOG], ids=["teleport", "connected"])
 def test_walk_commands_print_the_same_bytes_whatever_the_timeout(course, tmp_path, command, rows, capsys):
     # A walk is the learner's activity ids in visit order, which no session split changes.
@@ -520,10 +518,9 @@ def test_export_needs_experience_inputs(course, capsys):
         (["--overlay", "visit_order", "--log", "{log}", "--experience", "u1", "--clusters", "{missing}"],
          "--clusters needs --overlay clusters"),
         (["--overlay", "clusters"], "--overlay clusters needs --clusters FILE"),
-        (["--timeout", "60"], "--timeout needs --overlay visit_order or coverage"),
     ],
     ids=["log", "log-experience", "experience", "skip-unknown", "clusters-overlay-experience", "clusters",
-         "visit-order-clusters", "clusters-overlay-no-clusters", "timeout"],
+         "visit-order-clusters", "clusters-overlay-no-clusters"],
 )
 def test_export_refuses_flags_its_overlay_does_not_read(tmp_path, log, flags, message, capsys):
     # Refused before any file is read: the course and the cluster file do not exist.
@@ -545,17 +542,24 @@ def test_export_clusters_overlay(course, log, tmp_path, capsys):
     assert nodes["LA1"].get("fillcolor") == nodes["LA3"].get("fillcolor") is not None
 
 
-def test_timeout_env_var_and_flag_priority(course, log, capsys, monkeypatch):
-    monkeypatch.setenv("ODL_TIMEOUT", "50")
-    assert main(["sessions", "--log", log, "--course", course]) == 0
-    with_env = capsys.readouterr().out.splitlines()
-    assert len([l for l in with_env if l.startswith("u1")]) == 5  # every u1 gap is 60 > 50
-    assert main(["sessions", "--log", log, "--course", course, "--timeout", "1800"]) == 0
-    with_flag = capsys.readouterr().out.splitlines()
-    assert len([l for l in with_flag if l.startswith("u1")]) == 1
+@pytest.mark.parametrize("argv", [["sessions"], ["mine", "--min-count", "1"]], ids=" ".join)
+def test_the_environment_sets_no_timeout(course, log, argv, capsys, monkeypatch):
+    # --timeout is the one source of the session gap: no environment variable sets it.
+    def run() -> tuple[int, str, str]:
+        return (main([*argv, "--log", log, "--course", course]), *capsys.readouterr())
 
-    monkeypatch.setenv("ODL_TIMEOUT", "soon")
-    assert main(["sessions", "--log", log, "--course", course]) == 2
+    plain = run()
+    assert plain[0] == 0
+    for value in ("50", "soon"):
+        monkeypatch.setenv("ODL_TIMEOUT", value)
+        assert run() == plain
+
+
+def test_export_has_no_timeout(course, capsys):
+    # A drawn walk spans all of its learner's sessions, so export takes no session gap at all.
+    assert main(["export", "--course", course, "--timeout", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --timeout 60" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -567,9 +571,6 @@ def test_timeout_env_var_and_flag_priority(course, log, capsys, monkeypatch):
         ["erase", "--timeout", "0"],
         ["coverage", "--timeout", "0"],
         ["mine", "--timeout", "0"],
-        ["export", "--overlay", "visit_order", "--experience", "u1", "--timeout", "0"],
-        pytest.param(["export", "--timeout", "0"], id="export-without-overlay--timeout=0"),
-        pytest.param(["export", "--timeout", "-5"], id="export-without-overlay--timeout=-5"),
         pytest.param(["sessions", "--timeout", "-1"], id="sessions--timeout=-1"),
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
@@ -580,15 +581,10 @@ def test_bad_flag_values_are_one_line_usage_errors(course, log, argv, capsys):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["sessions", "cycles", "erase", "coverage", "mine", "export"])
-@pytest.mark.parametrize(
-    "timeout_flag,env_value", [(["--timeout", "0"], None), ([], "soon"), ([], "0")], ids=["flag", "env", "env-zero"]
-)
-def test_timeout_is_checked_before_any_file_is_read(tmp_path, command, timeout_flag, env_value, capsys, monkeypatch):
-    if env_value is not None:
-        monkeypatch.setenv("ODL_TIMEOUT", env_value)
+@pytest.mark.parametrize("command", ["sessions", "cycles", "erase", "coverage", "mine"])
+def test_timeout_is_checked_before_any_file_is_read(tmp_path, command, capsys):
     missing = str(tmp_path / "missing")
-    assert main([command, "--course", missing + ".odlg", "--log", missing + ".csv", *timeout_flag]) == 2
+    assert main([command, "--course", missing + ".odlg", "--log", missing + ".csv", "--timeout", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
@@ -887,7 +883,7 @@ def test_export_takes_the_shared_log_options(course, tmp_path, capsys):
     noisy.write_text("u1,0,LA1\nu1,5,GHOST\nu1,9,LA2\n", encoding="utf-8")
     out = tmp_path / "walk.dot"
     argv = ["export", "--course", course, "--log", str(noisy), "--experience", "u1", "--overlay", "coverage"]
-    assert main([*argv, "--timeout", "3", "--skip-unknown", "-o", str(out)]) == 0
+    assert main([*argv, "--skip-unknown", "-o", str(out)]) == 0
     assert "GHOST" in capsys.readouterr().err
     nodes, _ = parse_dot(out.read_text(encoding="utf-8"))
     assert nodes["LA1"].get("style") == nodes["LA2"].get("style") == "filled" and "style" not in nodes["LA3"]
@@ -922,7 +918,7 @@ def test_export_sessionizes_only_the_drawn_learner_and_draws_what_the_whole_log_
     for learner in sorted({s.learner_id for s in every_session}):
         experience = sessions.build_experience([s for s in every_session if s.learner_id == learner], env)
         argv = ["export", "--course", course, "--log", str(log_path), "--experience", learner,
-                "--overlay", overlay, "--timeout", "600", "--skip-unknown"]
+                "--overlay", overlay, "--skip-unknown"]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.out == export_dot(env, ExportStyle(Overlay(overlay)), experience)
@@ -1034,6 +1030,31 @@ def test_notes_workflow(course, tmp_path, capsys):
 
     records = [json.loads(l) for l in Path(store).read_text(encoding="utf-8").splitlines()]
     assert [r["kind"] for r in records] == ["note", "message"]
+
+
+@pytest.mark.parametrize("kind,flag,argv", [
+    ("note", "--note-id", ["add", "--node", "LA1", "--learner", "u1", "--access", "all"]),
+    ("message", "--message-id", ["send", "--sender", "u1", "--to", "u2", "--refs", "n1"]),
+], ids=["note", "message"])
+def test_notes_store_a_given_id_once_and_refuse_an_empty_one(course, tmp_path, kind, flag, argv, capsys):
+    store = tmp_path / "notes.jsonl"
+    shared = ["--store", str(store), "--course", course]
+    assert main(["notes", "add", *shared, "--node", "LA1", "--learner", "u1", "--access", "all"]) == 0
+    capsys.readouterr()
+    command = ["notes", argv[0], *shared, *argv[1:]]
+    assert main([*command, flag, "x7"]) == 0
+    assert capsys.readouterr() == ("x7\n", "")
+    records = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
+    assert [r[f"{kind}_id"] for r in records if r["kind"] == kind] == (["x7"] if kind == "message" else ["n1", "x7"])
+
+    before = store.read_bytes()
+    assert main([*command, flag, "x7"]) == 1
+    assert capsys.readouterr() == ("", f"error: duplicate {kind} id: 'x7'\n")
+    assert store.read_bytes() == before
+    # An empty id is refused before the course or the store is read: neither exists here.
+    missing = str(tmp_path / "missing")
+    assert main(["notes", argv[0], "--store", missing + ".jsonl", "--course", missing + ".odlg", *argv[1:], flag, ""]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {flag} needs an id\n")
 
 
 def test_notes_send_stores_explicit_recipients_sorted_once_each(course, tmp_path, capsys):
@@ -1353,6 +1374,43 @@ def test_parser_choices_and_defaults_are_the_librarys():
     assert _option(_command(parser, "export"), "--overlay").choices == [o.value for o in Overlay]
     assert _option(_command(parser, "notes", "add"), "--access").choices == [a.value for a in NoteAccess]
     assert _option(_command(parser, "mine"), "--min-count").default == DEFAULT_MIN_COOCCURRENCE
+    for command in ("sessions", "cycles", "erase", "coverage", "mine"):
+        assert _option(_command(parser, command), "--timeout").default == DEFAULT_SESSION_TIMEOUT
+
+
+LOG_OPTIONS = ("--log", "--course", "--timeout", "--skip-unknown", "-o", "--output")
+STORE_OPTIONS = ("--store", "--course")
+CLI_OPTIONS = {
+    "validate": (),
+    "parse": ("--to", "-o", "--output"),
+    "sessions": LOG_OPTIONS,
+    "cycles": (*LOG_OPTIONS, "--strict", "--min-interior"),
+    "erase": LOG_OPTIONS,
+    "coverage": LOG_OPTIONS,
+    "mine": (*LOG_OPTIONS, "--min-count", "--cliques", "--on-strategy-paths"),
+    "export": ("--log", "--course", "--skip-unknown", "-o", "--output", "--experience", "--overlay", "--clusters",
+               "--include-reference-edges"),
+    "notes add": (*STORE_OPTIONS, "--node", "--learner", "--timestamp", "--access", "--body", "--attach", "--note-id"),
+    "notes list": (*STORE_OPTIONS, "--node", "--requester", "--role"),
+    "notes send": (*STORE_OPTIONS, "--sender", "--role", "--to", "--refs", "--message-id", "--sent-at"),
+    "notes inbox": (*STORE_OPTIONS, "--user"),
+}
+
+
+def test_every_command_takes_the_options_of_its_table():
+    # The flags each command accepts, on every Python version, where the help text below is pinned on some only.
+    def options(parser: argparse.ArgumentParser, prefix: str = "") -> dict[str, tuple[str, ...]]:
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        found = {}
+        for name, command in commands.choices.items():
+            if any(isinstance(a, argparse._SubParsersAction) for a in command._actions):
+                found.update(options(command, f"{prefix}{name} "))
+            else:
+                flags = (flag for a in command._actions for flag in a.option_strings)
+                found[prefix + name] = tuple(flag for flag in flags if flag not in ("-h", "--help"))
+        return found
+
+    assert options(_build_parser()) == CLI_OPTIONS
 
 
 HELP_COMMANDS = [[], ["validate"], ["parse"], ["sessions"], ["cycles"], ["erase"], ["coverage"], ["mine"],
