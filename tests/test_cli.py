@@ -542,7 +542,10 @@ def test_export_clusters_overlay(course, log, tmp_path, capsys):
     assert nodes["LA1"].get("fillcolor") == nodes["LA3"].get("fillcolor") is not None
 
 
-@pytest.mark.parametrize("argv", [["sessions"], ["mine", "--min-count", "1"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [
+    ["sessions"], ["mine", "--min-count", "1"], ["cycles"], ["erase"], ["coverage"],
+    ["export", "--overlay", "visit_order", "--experience", "u1"],
+], ids=" ".join)
 def test_the_environment_sets_no_timeout(course, log, argv, capsys, monkeypatch):
     # --timeout is the one source of the session gap: no environment variable sets it.
     def run() -> tuple[int, str, str]:
@@ -555,9 +558,11 @@ def test_the_environment_sets_no_timeout(course, log, argv, capsys, monkeypatch)
         assert run() == plain
 
 
-def test_export_has_no_timeout(course, capsys):
+@pytest.mark.parametrize("overlay", [[], ["--overlay", "visit_order", "--experience", "u1"]],
+                         ids=["without-overlay", "visit-order"])
+def test_export_has_no_timeout(course, overlay, capsys):
     # A drawn walk spans all of its learner's sessions, so export takes no session gap at all.
-    assert main(["export", "--course", course, "--timeout", "60"]) == 2
+    assert main(["export", "--course", course, *overlay, "--timeout", "60"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --timeout 60" in captured.err
 
@@ -582,11 +587,19 @@ def test_bad_flag_values_are_one_line_usage_errors(course, log, argv, capsys):
 
 
 @pytest.mark.parametrize("command", ["sessions", "cycles", "erase", "coverage", "mine"])
-def test_timeout_is_checked_before_any_file_is_read(tmp_path, command, capsys):
+@pytest.mark.parametrize(
+    "timeout_flag,env_value", [(["--timeout", "0"], None), ([], "soon"), ([], "0")], ids=["flag", "env", "env-zero"]
+)
+def test_timeout_is_checked_before_any_file_is_read(tmp_path, command, timeout_flag, env_value, capsys, monkeypatch):
+    # A bad --timeout is refused before the missing course is opened; a bad ODL_TIMEOUT is
+    # not a timeout at all, so the command goes on to fail on the missing course.
+    if env_value is not None:
+        monkeypatch.setenv("ODL_TIMEOUT", env_value)
     missing = str(tmp_path / "missing")
-    assert main([command, "--course", missing + ".odlg", "--log", missing + ".csv", "--timeout", "0"]) == 2
+    code = main([command, "--course", missing + ".odlg", "--log", missing + ".csv", *timeout_flag])
     err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert (code, err.split(": ")[0]) == ((2, "usage error") if timeout_flag else (1, "error"))
+    assert err.count("\n") == 1
 
 
 NOTE = '{"access":"all","attachments":[],"body":"","kind":"note","learner_id":"u1","node_id":"LA1","note_id":"n1","timestamp":0}\n'
