@@ -186,7 +186,7 @@ def _cmd_mine(args) -> int:
     activity = itemgetter(2)
     walks = (((learner, index), map(activity, rows)) for learner, rows, index in iter_sessions(learners, args.timeout))
     visit_sets = cl.visit_sets(walks, strategy_paths=args.on_strategy_paths)
-    graph = cl.threshold(cl.cooccurrence(visit_sets), args.min_count)
+    graph = cl.cut_cooccurrence(visit_sets, args.min_count)
     if args.cliques:
         try:
             rows = cl.clique_rows(graph)  # searched, sorted and checked here; each row is made as it is written
@@ -238,16 +238,20 @@ def _load_store(args) -> NoteStore:
     from .notes import new_store, reload
 
     env, _ = _load_course(args.course)
-    if Path(args.store).exists():
-        return reload(args.store, env)
-    return new_store(env)
+    return reload(args.store, env) if Path(args.store).exists() else new_store(env)
+
+
+def _check_id(flag: str, given: str | None, refused: str) -> None:
+    """Refuse an empty id, or one holding a character of ``refused``, at which the command's own rows split."""
+    held = [char for char in refused if char in (given or "")]
+    if given == "" or held:
+        raise _UsageError(f"{flag} cannot hold {held[0]!r}" if held else f"{flag} needs an id")
 
 
 def _cmd_notes_add(args) -> int:
     if args.timestamp < 0:
         raise _UsageError("--timestamp must be non-negative")
-    if args.note_id == "":
-        raise _UsageError("--note-id needs an id")
+    _check_id("--note-id", args.note_id, ",\t\r\n")  # notes send --refs splits at commas, notes list at tabs
     from .notes import LearnerNote, attach_note, flush
 
     store = _load_store(args)
@@ -285,8 +289,7 @@ def _cmd_notes_send(args) -> int:
     recipients = BROADCAST if args.to == BROADCAST else tuple(r for r in args.to.split(",") if r)
     if args.to != BROADCAST and BROADCAST in recipients:
         raise _UsageError(f"--to is {BROADCAST!r} alone or learner ids, none of them {BROADCAST!r}")
-    if args.message_id == "":
-        raise _UsageError("--message-id needs an id")
+    _check_id("--message-id", args.message_id, "\t\r\n")  # notes inbox rows are tab-separated lines
     store = _load_store(args)
     message_id = f"m{next_id_number(store.messages, 'm')}" if args.message_id is None else args.message_id
     message = Message(
@@ -326,52 +329,51 @@ def _add_log_options(sub, export: bool = False) -> None:
     sub.add_argument("-o", "--output", default=None, help="write output to a file instead of stdout")
 
 
+def _command(subcommands, name: str, func: Callable[..., int], **options) -> argparse.ArgumentParser:
+    """The parser of a subcommand that runs ``func``; :func:`main` has it name the flags it does not know."""
+    sub = subcommands.add_parser(name, **options)
+    sub.set_defaults(func=func, parser=sub)
+    return sub
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="odlgraph", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("validate", help="check a course file")
+    p = _command(commands, "validate", _cmd_validate, help="check a course file")
     p.add_argument("course")
-    p.set_defaults(func=_cmd_validate)
 
-    p = commands.add_parser("parse", help="convert a course file")
+    p = _command(commands, "parse", _cmd_parse, help="convert a course file")
     p.add_argument("input")
     p.add_argument("--to", required=True, choices=["odlc", "odlg", "dot"])
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_parse)
 
-    p = commands.add_parser("sessions", help="split a log into sessions")
+    p = _command(commands, "sessions", _cmd_sessions, help="split a log into sessions")
     _add_log_options(p)
-    p.set_defaults(func=_cmd_sessions)
 
-    p = commands.add_parser("cycles", help="list detours per learner")
+    p = _command(commands, "cycles", _cmd_cycles, help="list detours per learner")
     _add_log_options(p)
     p.add_argument("--strict", action="store_true", help="fail on steps between unconnected activities")
     p.add_argument("--min-interior", type=int, default=0, help="hide detours with fewer interior visits")
-    p.set_defaults(func=_cmd_cycles)
 
-    p = commands.add_parser("erase", help="loop-erased strategy path per learner")
+    p = _command(commands, "erase", _cmd_erase, help="loop-erased strategy path per learner")
     _add_log_options(p)
-    p.set_defaults(func=_cmd_erase)
 
-    p = commands.add_parser("coverage", help="course coverage per learner")
+    p = _command(commands, "coverage", _cmd_coverage, help="course coverage per learner")
     _add_log_options(p)
-    p.set_defaults(func=_cmd_coverage)
 
-    p = commands.add_parser("mine", help="cluster activities by session co-occurrence")
+    p = _command(commands, "mine", _cmd_mine, help="cluster activities by session co-occurrence")
     _add_log_options(p)
     p.add_argument("--min-count", type=int, default=DEFAULT_MIN_COOCCURRENCE)
     p.add_argument("--cliques", action="store_true", help="report maximal cliques instead of connected components")
     p.add_argument("--on-strategy-paths", action="store_true", help="cluster loop-erased sessions")
-    p.set_defaults(func=_cmd_mine)
 
-    p = commands.add_parser("export", help="render a course to DOT")
+    p = _command(commands, "export", _cmd_export, help="render a course to DOT")
     _add_log_options(p, export=True)
     p.add_argument("--experience", default=None, metavar="LEARNER_ID")
     p.add_argument("--overlay", default="none", choices=[o.value for o in Overlay])
     p.add_argument("--clusters", default=None, help="cluster file for the clusters overlay")
     p.add_argument("--include-reference-edges", action="store_true")
-    p.set_defaults(func=_cmd_export)
 
     p = commands.add_parser("notes", help="note store operations")
     note_commands = p.add_subparsers(dest="notes_command", required=True)
@@ -380,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     store_options.add_argument("--store", required=True)
     store_options.add_argument("--course", required=True)
 
-    q = note_commands.add_parser("add", parents=[store_options])
+    q = _command(note_commands, "add", _cmd_notes_add, parents=[store_options])
     q.add_argument("--node", required=True)
     q.add_argument("--learner", required=True)
     q.add_argument("--timestamp", type=int, default=0)
@@ -388,26 +390,22 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--body", default="")
     q.add_argument("--attach", action="append")
     q.add_argument("--note-id", default=None)
-    q.set_defaults(func=_cmd_notes_add)
 
-    q = note_commands.add_parser("list", parents=[store_options])
+    q = _command(note_commands, "list", _cmd_notes_list, parents=[store_options])
     q.add_argument("--node", required=True)
     q.add_argument("--requester", required=True)
     q.add_argument("--role", default="learner", choices=["learner", "tutor"])
-    q.set_defaults(func=_cmd_notes_list)
 
-    q = note_commands.add_parser("send", parents=[store_options])
+    q = _command(note_commands, "send", _cmd_notes_send, parents=[store_options])
     q.add_argument("--sender", required=True)
     q.add_argument("--role", default="learner", choices=["learner", "tutor"])
     q.add_argument("--to", required=True, help="comma-separated learner ids, or * for broadcast")
     q.add_argument("--refs", required=True, help="comma-separated note ids")
     q.add_argument("--message-id", default=None)
     q.add_argument("--sent-at", type=int, default=0)
-    q.set_defaults(func=_cmd_notes_send)
 
-    q = note_commands.add_parser("inbox", parents=[store_options])
+    q = _command(note_commands, "inbox", _cmd_notes_inbox, parents=[store_options])
     q.add_argument("--user", required=True)
-    q.set_defaults(func=_cmd_notes_inbox)
 
     return parser
 
@@ -415,7 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # under the usage of the command given, not the top-level one
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -2,9 +2,9 @@
 
 Sessions enter as sets of visited activities.  Counting how many sessions
 contain each pair yields a weighted undirected graph.  Pairs are counted in
-the vertical layout of Eclat (Zaki, 2000): each activity's sessions form one
-bitset, and a pair's weight is the popcount of the AND of its two bitsets,
-taken once for each pair that co-occurs at all.  After a frequency cut,
+lane sums (Lamport, 1975): each activity's total packs one counter per
+activity side by side in one integer, and a session adds one vector to the
+totals of the activities it visited.  After a frequency cut,
 activity clusters fall out either as connected components (fast) or as
 maximal cliques (coherent, enumerated behind a size guard by an iterative
 Bron-Kerbosch search with Tomita pivoting that carries each clique's
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from struct import calcsize, pack, unpack
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
@@ -37,9 +37,6 @@ if TYPE_CHECKING:
     from .sessions import Session
 
 MAX_REPORTED_CLIQUES = 1_000_000
-
-# Maps the digits of ``bin(mask)`` to the bytes 0 and 1, so ``compress`` reads a mask bit by bit.
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class SessionVisitSet(NamedTuple):
@@ -91,40 +88,50 @@ def visit_sets(
     return [SessionVisitSet(key, frozenset(ids)) for key, ids in walks]
 
 
+def _counted(session_sets: Iterable[SessionVisitSet], min_count: int) -> CoOccurrenceGraph:
+    """Every visited activity, and the pairs of weight ``min_count`` or more in sorted order, from lane sums."""
+    visit_sets = [svs.visited for svs in session_sets]
+    order = sorted(frozenset().union(*visit_sets))
+    code = next(code for code in "BHIQ" if len(visit_sets) < 1 << 8 * calcsize(f"<{code}"))  # the largest weight fits
+    lane, row = calcsize(f"<{code}"), f"<{len(order)}{code}"
+    offset = {node: i * lane for i, node in enumerate(order)}
+    totals = dict.fromkeys(order, 0)
+    for visited in visit_sets:
+        vector = bytearray(len(order) * lane)
+        for node in visited:
+            vector[offset[node]] = 1
+        vector = int.from_bytes(vector, "little")
+        for node in visited:
+            totals[node] += vector
+    weights: dict[tuple[str, str], int] = {}
+    for i, a in enumerate(order, 1):
+        counts = unpack(row, totals.pop(a).to_bytes(len(order) * lane, "little"))[i:]  # the lanes after a's own
+        kept = list(map(min_count.__le__, counts)) if min_count > 1 else counts  # a lane of 0 is no pair
+        weights.update(zip(zip(repeat(a), compress(islice(order, i, None), kept)), compress(counts, kept)))
+    return CoOccurrenceGraph(frozenset(order), weights)
+
+
 def cooccurrence(session_sets: Iterable[SessionVisitSet]) -> CoOccurrenceGraph:
     """weight(a, b) = number of sessions whose visit set contains both.
 
-    One pass over the sessions sets, for session *s*, bit *s* in the session
-    bitset of each activity it visited (built in one ``bytearray`` per
-    activity, so building stays linear) and ORs the session's node mask into
-    those activities' partner masks.  Then, for each activity ``a`` in sorted
-    order and each partner ``b > a``,
-    ``weight(a, b) = (bitset[a] & bitset[b]).bit_count()``.  The cost is
-    O(sum of visit set sizes + co-occurring pairs * sessions / 64), where
-    counting pair by pair in each session of k visits costs k(k-1)/2.
-
+    Each visited activity keeps a total with one counter lane per activity,
+    8, 16, 32 or 64 bits wide, the narrowest that holds the session count.
+    A session adds its vector, a 1 in each of its activities' lanes, to each
+    of their totals, so lane *b* of *a*'s total ends as weight(a, b).  Each
+    total is read once, as little-endian lanes, and let go as it is read.
+    The cost is O(visits * activities * lane bytes / 8) time plus
+    O(co-occurring pairs), and O(activities² * lane bytes) memory.
     ``weights`` lists the pairs in sorted order.
     """
-    visit_sets = [svs.visited for svs in session_sets]
-    width = (len(visit_sets) + 7) >> 3
-    order = sorted(frozenset().union(*visit_sets))
-    node_bit = {node: 1 << i for i, node in enumerate(order)}
-    rows = {node: bytearray(width) for node in order}
-    partners = dict.fromkeys(order, 0)
-    for s, visited in enumerate(visit_sets):
-        byte, bit = s >> 3, 1 << (s & 7)
-        mask = sum(map(node_bit.__getitem__, visited))  # distinct bits, so the sum is their OR
-        for node in visited:
-            rows[node][byte] |= bit
-            partners[node] |= mask
-    bitsets = [int.from_bytes(row, "little") for row in rows.values()]
-    weights: dict[tuple[str, str], int] = {}
-    for i, (a, bitset, near) in enumerate(zip(order, bitsets, partners.values())):
-        later = bin(near >> (i + 1))[:1:-1].encode().translate(_BIT_FLAGS)  # partners after a, lowest first
-        pairs = zip(repeat(a), compress(islice(order, i + 1, None), later))
-        counts = map(int.bit_count, map(bitset.__and__, compress(islice(bitsets, i + 1, None), later)))
-        weights.update(zip(pairs, counts))
-    return CoOccurrenceGraph(frozenset(order), weights)
+    return _counted(session_sets, 1)
+
+
+def cut_cooccurrence(session_sets: Iterable[SessionVisitSet], min_count: int) -> CoOccurrenceGraph:
+    """``threshold(cooccurrence(session_sets), min_count)``, without making the pairs the cut drops."""
+    if min_count < 1:
+        raise ValueError("min_count must be at least 1")
+    weights = _counted(session_sets, min_count).weights
+    return CoOccurrenceGraph(frozenset(chain.from_iterable(weights)), weights)
 
 
 def threshold(graph: CoOccurrenceGraph, min_count: int) -> CoOccurrenceGraph:
@@ -132,8 +139,7 @@ def threshold(graph: CoOccurrenceGraph, min_count: int) -> CoOccurrenceGraph:
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
     weights = {pair: w for pair, w in graph.weights.items() if w >= min_count}
-    nodes = {n for pair in weights for n in pair}
-    return CoOccurrenceGraph(frozenset(nodes), weights)
+    return CoOccurrenceGraph(frozenset(chain.from_iterable(weights)), weights)
 
 
 def _indexed(graph: CoOccurrenceGraph) -> tuple[list[str], list[int], list[dict[int, int]]]:
@@ -155,14 +161,6 @@ def _indexed(graph: CoOccurrenceGraph) -> tuple[list[str], list[int], list[dict[
     return order, adj, weight
 
 
-def _positions(mask: int) -> Iterator[int]:
-    """Set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def connected_components(graph: CoOccurrenceGraph) -> list[Cluster]:
     """Components over the surviving edges; singletons excluded.
 
@@ -173,17 +171,18 @@ def connected_components(graph: CoOccurrenceGraph) -> list[Cluster]:
     unseen = sum(1 << i for i, neighbours in enumerate(adj) if neighbours)
     while unseen:
         component = frontier = unseen & -unseen
-        support = math.inf
-        while frontier:
+        support, members = math.inf, []
+        while frontier:  # each member passes through the frontier once
             low = frontier & -frontier
             frontier ^= low
             node = low.bit_length() - 1
+            members.append(order[node])
             support = min(support, min(weight[node].values()))
             new = adj[node] & ~component
             component |= new
             frontier |= new
         unseen &= ~component
-        clusters.append(Cluster(frozenset(order[i] for i in _positions(component)), ClusterKind.COMPONENT, support))
+        clusters.append(Cluster(frozenset(members), ClusterKind.COMPONENT, support))
     return clusters
 
 

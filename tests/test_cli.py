@@ -1070,6 +1070,59 @@ def test_notes_store_a_given_id_once_and_refuse_an_empty_one(course, tmp_path, k
     assert capsys.readouterr() == ("", f"usage error: {flag} needs an id\n")
 
 
+@pytest.mark.parametrize("flag,argv,given,held", [
+    *(("--note-id", ["add", "--node", "LA1", "--learner", "u1", "--access", "all"], f"x{c}y", c) for c in ",\t\r\n"),
+    *(("--message-id", ["send", "--sender", "u1", "--to", "u2", "--refs", "n1"], f"m{c}", c) for c in "\t\r\n"),
+])
+def test_notes_refuse_an_id_their_own_rows_would_split(course, tmp_path, flag, argv, given, held, capsys):
+    # notes send --refs splits note ids at commas; notes list and notes inbox write tab-separated lines.
+    store = tmp_path / "notes.jsonl"
+    shared = ["--store", str(store), "--course", course]
+    assert main(["notes", "add", *shared, "--node", "LA1", "--learner", "u1", "--access", "all"]) == 0
+    capsys.readouterr()
+    before = store.read_bytes()
+    assert main(["notes", argv[0], *shared, *argv[1:], flag, given]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {flag} cannot hold {held!r}\n")
+    assert store.read_bytes() == before
+    # Refused before the course or the store is read: neither exists here.
+    missing = str(tmp_path / "missing")
+    assert main(["notes", argv[0], "--store", missing + ".jsonl", "--course", missing + ".odlg", *argv[1:],
+                 flag, given]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {flag} cannot hold {held!r}\n")
+
+
+def test_notes_send_keeps_a_message_id_holding_a_comma(course, tmp_path, capsys):
+    # An inbox row splits at tabs only, so a comma in a message id reads back whole.
+    shared = ["--store", str(tmp_path / "notes.jsonl"), "--course", course]
+    assert main(["notes", "add", *shared, "--node", "LA1", "--learner", "u1", "--access", "all"]) == 0
+    assert main(["notes", "send", *shared, "--sender", "u1", "--to", "u2", "--refs", "n1", "--message-id", "m,1"]) == 0
+    capsys.readouterr()
+    assert main(["notes", "inbox", *shared, "--user", "u2"]) == 0
+    assert capsys.readouterr().out == "m,1\t0\tu1\tu2\tn1\n"
+
+
+REQUIRED_ARGS = {
+    "validate": ["c.odlg"],
+    "parse": ["c.odlg", "--to", "odlg"],
+    **{command: ["--log", "l.csv", "--course", "c.odlg"] for command in ("sessions", "cycles", "erase", "coverage",
+                                                                         "mine")},
+    "export": ["--course", "c.odlg"],
+    "notes add": ["--store", "s.jsonl", "--course", "c.odlg", "--node", "LA1", "--learner", "u1"],
+    "notes list": ["--store", "s.jsonl", "--course", "c.odlg", "--node", "LA1", "--requester", "u1"],
+    "notes send": ["--store", "s.jsonl", "--course", "c.odlg", "--sender", "u1", "--to", "u2", "--refs", "n1"],
+    "notes inbox": ["--store", "s.jsonl", "--course", "c.odlg", "--user", "u1"],
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED_ARGS)
+def test_an_unknown_flag_is_named_under_its_commands_usage(command, capsys):
+    assert set(REQUIRED_ARGS) == set(CLI_OPTIONS)
+    assert main([*command.split(), *REQUIRED_ARGS[command], "--timeout-typo", "60"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: odlgraph {command} [-h]")
+    assert err.endswith(f"\nodlgraph {command}: error: unrecognized arguments: --timeout-typo 60\n")
+
+
 def test_notes_send_stores_explicit_recipients_sorted_once_each(course, tmp_path, capsys):
     store = tmp_path / "notes.jsonl"
     shared = ["--store", str(store), "--course", course]

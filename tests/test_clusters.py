@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+import struct
 import sys
 import time
+import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -16,6 +19,7 @@ from odlgraph.clusters import (
     clique_rows,
     connected_components,
     cooccurrence,
+    cut_cooccurrence,
     format_clusters,
     maximal_cliques,
     read_clusters,
@@ -316,7 +320,7 @@ AT_SCALE = {
 
 @pytest.mark.parametrize("graph", AT_SCALE.values(), ids=AT_SCALE.keys())
 def test_clusters_match_networkx_at_scale(graph):
-    nx = pytest.importorskip("networkx")
+    import networkx as nx  # a test extra (pyproject.toml), so a missing one fails here rather than skips
     reference = nx.Graph()
     reference.add_nodes_from(graph.nodes)
     reference.add_edges_from(graph.weights)
@@ -341,7 +345,7 @@ def test_mine_cliques_writes_the_text_the_library_formats(name, tmp_path, capsys
     course.write_text("NODE LA1|A|read|a||\nNODE LA2|B|read|b||\n", encoding="utf-8")
     log = tmp_path / "log.csv"
     log.write_text("u1,0,LA1\nu1,60,LA2\n", encoding="utf-8")
-    monkeypatch.setattr(clusters, "threshold", lambda graph, min_count: cut)  # the command mines this cut
+    monkeypatch.setattr(clusters, "cut_cooccurrence", lambda sets, min_count: cut)  # the command mines this cut
     monkeypatch.setattr(cli, "_PIECES_PER_WRITE", 7)  # many batches, the last one short
     argv = ["mine", "--log", str(log), "--course", str(course), "--cliques"]
     assert cli.main(argv) == 0
@@ -372,7 +376,7 @@ VISITED_IDS = ["LA9", "z", "LA10", "b", "LA1", "B", "a10", "a2", "Z0", "m"]
 
 @st.composite
 def random_session_sets(draw) -> list[SessionVisitSet]:
-    # Up to 40 sessions, so the per-activity session bitsets span several bytes.
+    # Up to 40 sessions over ten ids, so many pairs weigh more than one; wider lanes are tested below.
     k = draw(st.integers(min_value=0, max_value=40))
     out = []
     for i in range(k):
@@ -443,3 +447,64 @@ def test_dense_overlap_counts_each_pair_once():
     assert graph.nodes == every
     assert len(graph.weights) == 4_950 and set(graph.weights.values()) == {8_000}
     assert list(graph.weights) == sorted(combinations(sorted(every), 2))
+
+
+@given(random_session_sets())
+@settings(max_examples=100)
+def test_cut_while_counting_is_the_threshold_of_the_count(session_sets):
+    graph = cooccurrence(session_sets)
+    for k in range(1, max(graph.weights.values(), default=0) + 2):
+        cut, expected = cut_cooccurrence(session_sets, k), threshold(graph, k)
+        assert cut == expected and list(cut.weights) == list(expected.weights)
+        assert cut_cooccurrence(iter(session_sets), k) == expected
+
+
+def test_cut_while_counting_rejects_non_positive_cut():
+    with pytest.raises(ValueError):
+        cut_cooccurrence(sets_of({"a", "b"}), 0)
+
+
+@pytest.mark.parametrize("sessions", [255, 256, 65_535, 65_536])
+def test_a_lane_holds_a_pair_found_in_every_session(sessions):
+    # a and b sit in every session, so weight(a, b) is the session count: the largest value a lane must hold.
+    # A lane too narrow for it carries into c's lane, next to b's.
+    session_sets = [SessionVisitSet(("u1", s), frozenset("abc" if s % 2 else "ab")) for s in range(sessions)]
+    expected = {("a", "b"): sessions, ("a", "c"): sessions // 2, ("b", "c"): sessions // 2}
+    assert cooccurrence(session_sets) == CoOccurrenceGraph(frozenset("abc"), expected)
+    assert cut_cooccurrence(session_sets, sessions) == CoOccurrenceGraph(frozenset("ab"), {("a", "b"): sessions})
+
+
+def test_lanes_read_in_little_endian_order_whatever_the_host(monkeypatch):
+    import odlgraph.clusters as module
+
+    # 300 sessions take 16-bit lanes, and weight(a, b) = 300 = 0x012c fills both of a lane's bytes.
+    session_sets = [SessionVisitSet(("u1", s), frozenset("abc" if s < 7 else "ab")) for s in range(300)]
+    expected = {("a", "b"): 300, ("a", "c"): 7, ("b", "c"): 7}
+    assert cooccurrence(session_sets).weights == expected
+
+    def on_a_big_endian_host(fmt: str, buffer: bytes) -> tuple[int, ...]:
+        """``struct.unpack`` as a big-endian host runs it: formats without a byte order read big-endian."""
+        return struct.unpack(fmt if fmt[:1] in "<>!" else ">" + fmt.lstrip("@="), buffer)
+
+    monkeypatch.setattr(module, "unpack", on_a_big_endian_host)
+    assert cooccurrence(session_sets).weights == expected
+
+
+def test_sparse_sessions_count_in_lanes_without_a_pass_per_pair():
+    # 20,000 sessions of 10 over 2,000 activities: 724,450 pairs, most of them in one session or two.
+    rng = random.Random(5)
+    activities = [f"a{i}" for i in range(2_000)]
+    session_sets = [SessionVisitSet((f"u{s % 97}", s), frozenset(rng.sample(activities, 10))) for s in range(20_000)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        graph = cooccurrence(session_sets)
+        elapsed = time.perf_counter() - start
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 15.0
+    assert graph.weights == Counter(pair for s in session_sets for pair in combinations(sorted(s.visited), 2))
+    # The lane totals take activities² * 2 bytes (16-bit lanes: 8 MB); each goes as its lanes are read, so they
+    # never stack in full on the weights dict's last resize (about 21 MB), which the rest of the bound is for.
+    assert peak - held < 3 * len(activities) ** 2 * 2

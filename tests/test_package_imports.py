@@ -367,3 +367,35 @@ def test_the_cli_walks_activity_ids_only():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert names & {"build_experience", "LearningExperience"} == set()
+
+
+ROOT = PACKAGE.parent.parent
+TEST_AND_BENCH_FILES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")])
+
+
+def _outside_imports(path: Path) -> set[str]:
+    """The top-level names of the modules a test or bench file imports, ``pytest.importorskip`` included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.importorskip"
+              and isinstance(node.args[0], ast.Constant)):
+            found.add(node.args[0].value.split(".")[0])
+    local = {PACKAGE.name, *(file.stem for file in TEST_AND_BENCH_FILES)}
+    return found - local - set(sys.stdlib_module_names)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_every_outside_import_of_the_tests_and_bench_is_in_the_test_extra():
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    extra = {re.match(r"[\w.-]+", requirement)[0].lower().replace("-", "_")
+             for requirement in project["optional-dependencies"]["test"]}
+    imported = {name: path.relative_to(ROOT).as_posix() for path in TEST_AND_BENCH_FILES
+                for name in _outside_imports(path)}
+    assert {"pytest", "hypothesis", "networkx"} <= imported.keys()  # the check finds what the files import
+    assert {name: path for name, path in imported.items() if name.lower() not in extra} == {}
