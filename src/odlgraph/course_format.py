@@ -36,8 +36,9 @@ Each reader checks a course once, line by line, as it reads it: every
 course it returns already passes :func:`odlgraph.model.validate`.
 :func:`serialize` writes either format and refuses, with
 :class:`UnsupportedFormat`, any value its reader would not give back.  The
-graph writer checks each field as it writes it; the tabular writer keeps
-no rule of its own and re-reads its text with the tabular reader.
+graph writer states each of its rules once, as a pass over a column of
+fields; the tabular writer keeps no rule of its own and re-reads its text
+with the tabular reader.
 
 :class:`TabularLine` and :class:`CourseDocument` are immutable named tuples:
 each equals the plain tuple of its values and sorts like it, and a changed
@@ -48,10 +49,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import repeat
-from operator import attrgetter, is_
+from functools import partial
+from itertools import compress, filterfalse
+from operator import attrgetter, is_not, ne
 from pathlib import PurePath
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DanglingRef, ParseError, UnsupportedFormat
 from .model import (
@@ -62,6 +64,8 @@ from .model import (
     LearningTask,
     ObjectKind,
     PrecedentEdge,
+    columns,
+    holding,
     isomorphic,
     validate,
 )
@@ -69,7 +73,6 @@ from .text import holds_line_end, lines
 
 DETOUR_LABEL = "optional detour"
 IMPLICIT_VERB = "read"
-_STR = frozenset((str,))
 
 
 class TabularLine(NamedTuple):
@@ -298,25 +301,21 @@ def parse_graph_file(text: str) -> LearningEnvironment:
         if not obj_text:
             raise ParseError(line_no, "empty object reference")
 
-        ref = False
-        if len(fields) >= 5:
-            flag = fields[4].strip()
-            if flag == "ref":
-                ref = True
-            elif flag:
-                raise ParseError(line_no, f"fifth NODE field must be 'ref' or empty, got {flag!r}")
+        flag = fields[4].strip() if len(fields) >= 5 else ""
+        if flag not in ("", "ref"):
+            raise ParseError(line_no, f"fifth NODE field must be 'ref' or empty, got {flag!r}")
         duration: float | None = None
         if len(fields) == 6 and fields[5].strip():
             try:
                 duration = float(fields[5])
             except ValueError:
-                raise ParseError(line_no, f"bad duration {fields[5]!r}") from None
+                duration = math.nan  # no number, refused as a number that is not finite is
             if not math.isfinite(duration):
                 raise ParseError(line_no, f"bad duration {fields[5]!r}")
             if duration < 0:
                 raise ParseError(line_no, "negative duration")
         ids.add(aid)
-        nodes.append((aid, title, verb, obj_text, ref, duration))
+        nodes.append((aid, title, verb, obj_text, flag == "ref", duration))
 
     edges: list[tuple[str, str, str, EdgeTag]] = []
     for line_no, body in edge_lines:
@@ -364,90 +363,67 @@ def serialize(env: LearningEnvironment, format: str, title: str = "Course") -> s
     raise UnsupportedFormat(f"unknown format {format!r}")
 
 
-def _check_field(what: str, text: str, strip: Callable[[str], str] | None = str.strip) -> None:
-    """Refuse a field its reader would not give back: one with a line end, or one ``strip`` changes."""
-    if holds_line_end(text) or (strip is not None and strip(text) != text):
-        raise UnsupportedFormat(f"{what} {text!r} does not read back")
-
-
 def _format_duration(minutes: float) -> str:
     """The short ``:g`` text when it reads back equal, else the exact ``repr``."""
-    if not math.isfinite(minutes):
-        raise UnsupportedFormat(f"duration {minutes!r} does not read back")
     short = f"{minutes:g}"
     return short if float(short) == minutes else repr(minutes)
 
 
 def _serialize_graph(env: LearningEnvironment, title: str) -> str:
-    _check_field("title", title, strip=None)
-    records = _graph_columns(env)
-    if records is None:
-        records = _graph_records(env)
-    return f"# {title}\n{records}"
+    """The ``.odlg`` text of ``env``, which has activities and passes :func:`validate`.
 
-
-def _text_column(column: tuple, strip: Callable[[str], str] = str.strip) -> tuple | list | None:
-    """``column`` escaped for a record, or None when a field is not text its reader gives back.
-
-    The tests run on the whole column: every field a ``str``, no line end in the joined text, and no field
-    that ``strip`` changes.  Only a column holding a ``\\`` or a ``|`` is escaped.
+    One pass per rule reads a column and gives the positions of the records it refuses; the first record
+    refused, by the first rule that refuses it, raises (each NODE record, then each EDGE record).  The records
+    are written with ``\\r``, which no field holds, between their fields, escaped as one text, and the ``\\r``
+    made ``|``.
     """
-    if not _STR.issuperset(map(type, column)):
-        return None
-    joined = "".join(column)
-    if holds_line_end(joined) or tuple(map(strip, column)) != column:
-        return None
-    return list(map(_escape, column)) if "\\" in joined or "|" in joined else column
-
-
-def _graph_columns(env: LearningEnvironment) -> str | None:
-    """The NODE and EDGE lines of ``env``, tested and written a column at a time.
-
-    None when a column test refuses a field: :func:`_graph_records` then names the first record it refuses.
-    ``env`` has activities and passes :func:`validate`, so each activity's object and task exist and each
-    edge's tag is an :class:`EdgeTag`, which is the ``str`` of its value.
-    """
-    ids, object_ids, task_ids, is_reference, durations = zip(*env.activities.values())
-    _, titles, kinds, locators, _ = zip(*map(env.objects.__getitem__, object_ids))
+    if holds_line_end(title):  # the title line is written as it is, so only a line end is refused
+        raise UnsupportedFormat(f"title {title!r} does not read back")
+    ids, object_ids, task_ids, is_reference, durations = columns(env.activities.values())
+    oids, titles, kinds, locators, _ = columns(map(env.objects.__getitem__, object_ids))
     verbs = tuple(map(attrgetter("verb"), map(env.tasks.__getitem__, task_ids)))
-    _, from_ids, to_ids, labels, tags = tuple(zip(*env.edges)) or ((),) * 5
-    if not all(ids) or not all(map(is_, kinds, repeat(ObjectKind.ATOMIC))):
-        return None
-    # The fields :func:`_graph_records` checks, and the edges' endpoints: activity ids, which pass the same tests.
-    columns = [*map(_text_column, (ids, titles, verbs, locators, from_ids, to_ids)), _text_column(labels, str.rstrip)]
-    if None in columns:
-        return None
-    ids, titles, verbs, locators, from_ids, to_ids, labels = columns
+    _, from_ids, to_ids, labels, tags = columns(env.edges)
+    timed = list(filter(partial(is_not, None), durations))
+    at = range(len(ids))
+    # Each rule in the order a record is checked: the positions it refuses, and the error refusing one.
+    node_rules = [
+        (holding(at, ids, set(filterfalse(None, ids))),
+         lambda i: UnsupportedFormat("empty activity id does not read back")),
+        (holding(at, kinds, set(kinds) - {ObjectKind.ATOMIC}),
+         lambda i: UnsupportedFormat(f"object {oids[i]!r} is not atomic")),
+        *[_text_rule(what, column)
+          for what, column in (("activity id", ids), ("object title", titles), ("verb", verbs), ("locator", locators))],
+        (holding(at, durations, set(filterfalse(math.isfinite, timed))),
+         lambda i: UnsupportedFormat(f"duration {durations[i]!r} does not read back")),
+    ]
+    # The label ends the record line, so only its trailing whitespace is stripped.
+    for rules in (node_rules, [_text_rule("edge label", labels, str.rstrip)]):  # the NODE records, then the EDGE
+        for i, rank in sorted((refused[0], rank) for rank, (refused, _) in enumerate(rules) if refused)[:1]:
+            raise rules[rank][1](i)
     flags = map(("", "ref").__getitem__, map(bool, is_reference))
     minutes = ["" if m is None else _format_duration(m) for m in durations]
-    out = ["NODE " + "\nNODE ".join(map("|".join, zip(ids, titles, verbs, locators, flags, minutes)))]
+    records = ["NODE " + "\nNODE ".join(map("\r".join, zip(ids, titles, verbs, locators, flags, minutes)))]
     if labels:
-        out.append("EDGE " + "\nEDGE ".join(map("|".join, zip(from_ids, to_ids, tags, labels))))
-    return "\n".join(out) + "\n"
+        records.append("EDGE " + "\nEDGE ".join(map("\r".join, zip(from_ids, to_ids, tags, labels))))
+    return f"# {title}\n" + _escape("\n".join(records) + "\n").replace("\r", "|")
 
 
-def _graph_records(env: LearningEnvironment) -> str:
-    """The NODE and EDGE lines of ``env`` a record at a time, naming the first field its reader would not give back."""
-    out = []
-    for act in env.activities.values():
-        obj = env.objects[act.object_id]
-        verb = env.tasks[act.task_id].verb
-        if not act.id:
-            raise UnsupportedFormat("empty activity id does not read back")
-        if obj.kind is not ObjectKind.ATOMIC:
-            raise UnsupportedFormat(f"object {obj.id!r} is not atomic")
-        for what, text in (("activity id", act.id), ("object title", obj.title), ("verb", verb),
-                           ("locator", obj.locator)):
-            _check_field(what, text)
-        duration = "" if act.expected_duration_minutes is None else _format_duration(act.expected_duration_minutes)
-        fields = [act.id, obj.title, verb, obj.locator, "ref" if act.is_reference else "", duration]
-        out.append("NODE " + "|".join(_escape(f) for f in fields))
-    for edge in env.edges:
-        # The label ends the record line, so only its trailing whitespace is stripped.
-        _check_field("edge label", edge.label, strip=str.rstrip)
-        fields = [edge.from_id, edge.to_id, edge.tag.value, edge.label]
-        out.append("EDGE " + "|".join(_escape(f) for f in fields))
-    return "\n".join(out) + "\n"
+def _text_rule(what: str, column: Sequence, strip: Callable[[str], str] = str.strip) -> tuple[list[int], Callable]:
+    """The rule that the reader gives back each field of ``column``: the positions, in order, of the fields that
+    break it (a value that is no text, text holding a line end, or text that ``strip`` changes), and the error
+    refusing one, where a value that is no text raises the ``TypeError`` of the first test it cannot take."""
+    at = range(len(column))
+    no_text = [i for i in holding(at, map(type, column), set(map(type, column)) - {str})
+               if not isinstance(column[i], str)]
+    texts = column if not no_text else tuple("" if i in no_text else text for i, text in enumerate(column))
+    ends = list(compress(at, map(holds_line_end, texts))) if holds_line_end("".join(texts)) else []
+    stripped = tuple(map(strip, texts))
+    changed = list(compress(at, map(ne, stripped, texts))) if stripped != texts else []
+
+    def refusal(i: int) -> Exception:
+        holds_line_end(column[i]) or strip(column[i])
+        return UnsupportedFormat(f"{what} {column[i]!r} does not read back")
+    return sorted({*no_text, *ends, *changed}), refusal
 
 
 def _serialize_tabular(env: LearningEnvironment, title: str) -> str:

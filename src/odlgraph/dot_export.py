@@ -11,11 +11,10 @@ with ``include_reference_edges`` to get one dashed edge each way per
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import StyleMismatch
-from .model import EdgeTag
+from .model import EdgeTag, holding
 from .options import Overlay
 
 if TYPE_CHECKING:
@@ -24,8 +23,6 @@ if TYPE_CHECKING:
     from .sessions import LearningExperience
 
 _STR = frozenset((str,))
-_EDGE_TAG = frozenset((EdgeTag,))
-
 CLUSTER_PALETTE = ("lightblue", "lightgreen", "lightyellow", "lightpink", "lightgray", "lightcyan")
 
 
@@ -36,6 +33,14 @@ class ExportStyle(NamedTuple):
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _escaped(texts: Sequence) -> list[int]:
+    """The positions of the texts that :func:`_quote` does more to than put between quotes: those holding a ``\\``
+    or a ``"``, and values that are no ``str``.  Clean texts cost one scan of their joined text."""
+    if _STR.issuperset(map(type, texts)) and not ("\\" in (joined := "".join(texts)) or '"' in joined):
+        return []
+    return [at for at, text in enumerate(texts) if type(text) is not str or "\\" in text or '"' in text]
 
 
 def export_dot(
@@ -74,34 +79,29 @@ def export_dot(
                 color_of.setdefault(member, color)
 
     ids = sorted(env.activities)
-    node_quotes = [f'"{aid}"' for aid in ids] if _plain(ids) else list(map(_quote, ids))
+    node_quotes = [f'"{aid}"' for aid in ids]
+    for at in _escaped(ids):
+        node_quotes[at] = _quote(ids[at])
     quoted = _Quoted(zip(ids, node_quotes))  # each id quoted once, for its node and every edge line
     lines = ["digraph course {", *[f"  {q} [label={q}];" for q in node_quotes]]
     if ordinals or color_of:
         line_of = dict(zip(ids, range(1, len(ids) + 1)))
         for aid in line_of.keys() & (ordinals.keys() | color_of.keys()):  # the nodes the overlay marks
-            label = aid
-            attrs = []
-            if overlay is Overlay.VISIT_ORDER and aid in ordinals:
-                label = f"{aid} ({ordinals[aid]})"
-            attrs.append(f"label={_quote(label)}")
-            if aid in ordinals:
-                attrs.append("style=filled")
+            label = f"{aid} ({ordinals[aid]})" if overlay is Overlay.VISIT_ORDER and aid in ordinals else aid
+            attrs = [f"label={_quote(label)}", *["style=filled"] * (aid in ordinals)]
             if aid in color_of:
-                attrs.append("style=filled")
-                attrs.append(f"fillcolor={_quote(color_of[aid])}")
+                attrs += ["style=filled", f"fillcolor={_quote(color_of[aid])}"]
             lines[line_of[aid]] = f"  {quoted[aid]} [{', '.join(attrs)}];"
 
     if env.edges:
         _, from_ids, to_ids, labels, tags = zip(*env.edges)
-        if not _EDGE_TAG.issuperset(map(type, tags)):
-            list(map(attrgetter("value"), tags))  # the tag text a sort key once read: a tag without one raises
+        for tag in holding(tags, map(type, tags), set(map(type, tags)) - {EdgeTag}):
+            tag.value  # an old sort key read each tag's text, so a tag without one still fails
         # Edges that tie on these keys write the same line, so the tag and the edge id need not order them.
         from_ids, to_ids, labels = zip(*sorted(zip(from_ids, to_ids, labels)))
-        if _plain(labels):
-            label_attrs = [f' [label="{label}"]' if label else "" for label in labels]
-        else:
-            label_attrs = [f" [label={_quote(label)}]" if label else "" for label in labels]
+        label_attrs = [f' [label="{label}"]' if label else "" for label in labels]
+        for at in _escaped(labels):
+            label_attrs[at] = f" [label={_quote(labels[at])}]" if labels[at] else ""
         lines += [f"  {quoted[from_id]} -> {quoted[to_id]}{attr};"
                   for from_id, to_id, attr in zip(from_ids, to_ids, label_attrs)]
 
@@ -121,11 +121,3 @@ class _Quoted(dict):
 
     def __missing__(self, text: str) -> str:
         return _quote(text)
-
-
-def _plain(texts) -> bool:
-    """Whether every text is a ``str`` with no ``\\`` or ``"``, so that :func:`_quote` only wraps it in quotes."""
-    if not _STR.issuperset(map(type, texts)):
-        return False
-    joined = "".join(texts)
-    return "\\" not in joined and '"' not in joined

@@ -23,11 +23,11 @@ value, is not hashable (its fields are dicts) and refuses assignment.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from functools import cached_property, partial
-from itertools import islice, repeat
-from operator import attrgetter, is_, is_not, lt
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import attrgetter, is_not, lt, not_
 from typing import NamedTuple
 
 from .errors import DanglingRef, DuplicateId, NonAdjacentStep
@@ -254,116 +254,100 @@ def teleports(env: LearningEnvironment, ids: Sequence[str], strict: bool = False
 def validate(env: LearningEnvironment) -> list[Violation]:
     """Check every structural invariant; returns violations instead of raising.
 
-    The invariants are tested a column at a time first; only an environment that fails a column test, or
-    holds a composite object, is walked a record at a time, to list its violations in order.
+    One pass per rule reads a column of records and gives the keys of the records that break it, so a clean
+    environment leaves every pass empty.  The violations are listed record by record (tasks, objects and
+    activities by id, containment cycles after the objects, edges in bag order), rule by rule within one.
     """
-    if _passes(env):
+    tasks, objects, activities, edges = env.tasks, env.objects, env.activities, env.edges
+    _, _, kinds, locators, children = columns(objects.values())
+    _, object_ids, task_ids, _, durations = columns(activities.values())
+    edge_ids, from_ids, to_ids, _, tags = columns(edges)
+    if not _STR.issuperset(map(type, chain(tasks, objects, activities))):  # ids that may not sort raise first
+        sorted(tasks), sorted(objects), sorted(activities)
+    other = set(compress(objects, map(is_not, kinds, repeat(ObjectKind.ATOMIC))))
+    composite = {oid for oid in other if objects[oid].kind is ObjectKind.COMPOSITE}
+    parents = set(compress(objects, children))
+    timed = list(filter(partial(is_not, None), durations))
+    missing = {*from_ids, *to_ids} - activities.keys()
+    at = range(len(edges))
+    # For each kind of record, each rule in the order a record is checked: its pass, and what it reports.
+    task_rules, object_rules, activity_rules, edge_rules = [
+        [(list(compress(tasks, map(not_, map(attrgetter("verb"), tasks.values())))),
+          _says("empty_verb", tasks, "task {k!r} has an empty verb"))],
+        [(set(compress(objects, map(not_, locators))) - other if not all(locators) else (),
+          _says("bad_object", objects, "atomic object {k!r} has no locator")),
+         (parents - other, _says("bad_object", objects, "atomic object {k!r} has children")),
+         (composite - parents, _says("bad_object", objects, "composite object {k!r} has no children")),
+         ([oid for oid in composite if not objects.keys() >= set(objects[oid].children)],
+          lambda oid: [Violation("dangling_ref", oid, f"object {oid!r} contains missing object {child!r}")
+                       for child in objects[oid].children if child not in objects]),
+         (other - composite, _says("bad_object", objects, "object {k!r} has unknown kind {r.kind!r}"))],
+        [(holding(activities, object_ids, set(filterfalse(objects.__contains__, object_ids))),
+          _says("dangling_ref", activities, "activity {k!r} references missing object {r.object_id!r}")),
+         (holding(activities, task_ids, set(filterfalse(tasks.__contains__, task_ids))),
+          _says("dangling_ref", activities, "activity {k!r} references missing task {r.task_id!r}")),
+         (holding(activities, durations, set(compress(timed, map(lt, timed, repeat(0))))),
+          _says("bad_duration", activities, "activity {k!r} has negative expected duration"))],
+        [(repeats(edge_ids), _says("duplicate_edge_id", edges, "edge id {r.edge_id!r} used twice", "edge_id")),
+         (holding(at, from_ids, missing),
+          _says("dangling_ref", edges, "edge {r.edge_id!r} touches missing activity {r.from_id!r}", "edge_id")),
+         (holding(at, to_ids, missing),
+          _says("dangling_ref", edges, "edge {r.edge_id!r} touches missing activity {r.to_id!r}", "edge_id")),
+         (holding(at, map(type, tags), set(map(type, tags)) - {EdgeTag}),  # an enum with members has no subclass
+          _says("bad_tag", edges, "edge {r.edge_id!r} has unknown tag {r.tag!r}", "edge_id"))],
+    ]
+    return [*_listed(tasks, task_rules), *_listed(objects, object_rules),
+            *(_containment_cycles(env) if parents else ()),  # only an object with children can be in a cycle
+            *_listed(activities, activity_rules), *_listed(at, edge_rules)]
+
+
+def _says(code: str, records, message: str, subject: str | None = None) -> Callable[[object], list[Violation]]:
+    """A rule's report on the record at a key: its code, the key (or the record's ``subject`` field) and its
+    message, formatted with the key ``k`` and the record ``r``."""
+    return lambda key: [Violation(code, key if subject is None else getattr(records[key], subject),
+                                  message.format(k=key, r=records[key]))]
+
+
+def holding(keys: Iterable, column: Iterable, values: set) -> list:
+    """The keys, in order, whose entry in ``column`` is one of ``values``; no scan when there is none."""
+    return list(compress(keys, map(values.__contains__, column))) if values else []
+
+
+def repeats(column: Sequence, held: dict | None = None) -> list[int]:
+    """The positions in ``column`` of each value that an earlier position, or a key of ``held``, holds; no scan
+    when all differ."""
+    if len(set(column)) == len(column) and not (held and held.keys() & set(column)):
         return []
-    report: list[Violation] = []
+    first = dict.fromkeys(held or (), -1)
+    return [at for at, value in enumerate(column) if first.setdefault(value, at) != at]
 
-    for tid in sorted(env.tasks):
-        if not env.tasks[tid].verb:
-            report.append(Violation("empty_verb", tid, f"task {tid!r} has an empty verb"))
 
-    for oid in sorted(env.objects):
-        obj = env.objects[oid]
-        if obj.kind is ObjectKind.ATOMIC:
-            if not obj.locator:
-                report.append(Violation("bad_object", oid, f"atomic object {oid!r} has no locator"))
-            if obj.children:
-                report.append(Violation("bad_object", oid, f"atomic object {oid!r} has children"))
-        elif obj.kind is ObjectKind.COMPOSITE:
-            if not obj.children:
-                report.append(Violation("bad_object", oid, f"composite object {oid!r} has no children"))
-            for child in obj.children:
-                if child not in env.objects:
-                    report.append(
-                        Violation("dangling_ref", oid, f"object {oid!r} contains missing object {child!r}")
-                    )
-        else:
-            report.append(Violation("bad_object", oid, f"object {oid!r} has unknown kind {obj.kind!r}"))
+def _listed(keys: Iterable, rules: list[tuple[Iterable, Callable]]) -> list[Violation]:
+    """The violations of ``rules``, record by record in the sorted order of ``keys``, rule by rule within one."""
+    found: dict = {}
+    for refused, report in rules:
+        for key in refused:
+            found.setdefault(key, []).extend(report(key))
+    return [violation for key in sorted(keys) if key in found for violation in found[key]] if found else []
 
-    report.extend(_containment_cycles(env))
 
-    for aid in sorted(env.activities):
-        act = env.activities[aid]
-        if act.object_id not in env.objects:
-            report.append(
-                Violation("dangling_ref", aid, f"activity {aid!r} references missing object {act.object_id!r}")
-            )
-        if act.task_id not in env.tasks:
-            report.append(
-                Violation("dangling_ref", aid, f"activity {aid!r} references missing task {act.task_id!r}")
-            )
-        if act.expected_duration_minutes is not None and act.expected_duration_minutes < 0:
-            report.append(
-                Violation("bad_duration", aid, f"activity {aid!r} has negative expected duration")
-            )
-
-    seen_edge_ids: set[str] = set()
-    for edge in env.edges:
-        if edge.edge_id in seen_edge_ids:
-            report.append(
-                Violation("duplicate_edge_id", edge.edge_id, f"edge id {edge.edge_id!r} used twice")
-            )
-        seen_edge_ids.add(edge.edge_id)
-        for endpoint in (edge.from_id, edge.to_id):
-            if endpoint not in env.activities:
-                report.append(
-                    Violation(
-                        "dangling_ref",
-                        edge.edge_id,
-                        f"edge {edge.edge_id!r} touches missing activity {endpoint!r}",
-                    )
-                )
-        if not isinstance(edge.tag, EdgeTag):
-            report.append(Violation("bad_tag", edge.edge_id, f"edge {edge.edge_id!r} has unknown tag {edge.tag!r}"))
-
-    return report
+def columns(records: Iterable[tuple], width: int = 5) -> tuple[tuple, ...]:
+    """The fields of ``records`` as columns, in record order; ``width`` empty columns when there is no record."""
+    return tuple(zip(*records)) or ((),) * width
 
 
 _STR = frozenset((str,))
-_EDGE_TAG = frozenset((EdgeTag,))  # an enum with members has no subclass, so its type is the isinstance test
-
-
-def _passes(env: LearningEnvironment) -> bool:
-    """Whether :func:`validate` finds nothing, from tests that each read one column of records."""
-    objects, activities = env.objects, env.activities
-    # Every id a str, so that the record walk's sorts cannot fail; other ids are left to the walk.
-    if not all(_STR.issuperset(map(type, ids)) for ids in (env.tasks, objects, activities)):
-        return False
-    if not all(map(attrgetter("verb"), env.tasks.values())):
-        return False
-    if objects:  # a composite object, which no reader makes, is left to the record walk
-        _, _, kinds, locators, children = zip(*objects.values())
-        if not (all(map(is_, kinds, repeat(ObjectKind.ATOMIC))) and all(locators) and not any(children)):
-            return False
-    if activities:
-        _, object_ids, task_ids, _, durations = zip(*activities.values())
-        if not (objects.keys() >= set(object_ids) and env.tasks.keys() >= set(task_ids)):
-            return False
-        if any(map(lt, filter(partial(is_not, None), durations), repeat(0))):
-            return False
-    if env.edges:
-        edge_ids, from_ids, to_ids, _, tags = zip(*env.edges)
-        if len(set(edge_ids)) != len(edge_ids) or not activities.keys() >= {*from_ids, *to_ids}:
-            return False
-        if not _EDGE_TAG.issuperset(map(type, tags)):
-            return False
-    return True
 
 
 def _containment_cycles(env: LearningEnvironment) -> list[Violation]:
-    # Iterative DFS over the containment relation; each distinct cycle is
-    # reported once, keyed by its node set.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {oid: WHITE for oid in env.objects}
+    # Iterative DFS over the containment relation from each object in id order; each distinct cycle is
+    # reported once, keyed by its node set.  An object is GRAY while on the walk's path, BLACK once left.
+    GRAY, BLACK = 1, 2
+    color: dict[str, int] = {}
     found: list[Violation] = []
     reported: set[frozenset[str]] = set()
 
     for root in sorted(env.objects):
-        if color[root] != WHITE:
-            continue
         path: list[str] = []
         stack: list[tuple[str, bool]] = [(root, False)]
         while stack:
@@ -372,27 +356,19 @@ def _containment_cycles(env: LearningEnvironment) -> list[Violation]:
                 color[node] = BLACK
                 path.pop()
                 continue
-            if color[node] != WHITE:
+            if node in color:
                 continue
             color[node] = GRAY
             path.append(node)
             stack.append((node, True))
             for child in env.objects[node].children:
-                if child not in env.objects:
-                    continue
-                if color[child] == GRAY:
+                if color.get(child) == GRAY:
                     cycle = path[path.index(child):] + [child]
                     key = frozenset(cycle)
                     if key not in reported:
                         reported.add(key)
-                        found.append(
-                            Violation(
-                                "containment_cycle",
-                                child,
-                                "containment cycle: " + " -> ".join(cycle),
-                            )
-                        )
-                elif color[child] == WHITE:
+                        found.append(Violation("containment_cycle", child, "containment cycle: " + " -> ".join(cycle)))
+                elif child in env.objects and child not in color:
                     stack.append((child, False))
     return found
 

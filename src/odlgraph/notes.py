@@ -7,40 +7,35 @@ no body field.
 
 A store binds one course environment and is append-only; operations return
 a new store.  Persistence is one JSON object per line with a ``kind``
-discriminator.  Records map one to one onto the fields of the named tuples
-:class:`LearnerNote` and :class:`Message` (``_fields``), plus ``kind``.
+discriminator; its other keys are the ``_fields`` of :class:`LearnerNote` or
+:class:`Message`, each of the exact type one type table gives.
 
-One type table gives the exact type each field holds: a string, an integer
-that is not a bool, a :class:`NoteAccess` member, a tuple of strings (a JSON
-list of strings), or, for ``recipients``, :data:`BROADCAST` or a tuple of
-strings.  :func:`attach_note` and :func:`send_message` refuse a record the
-table refuses with :class:`TypeError`, as :func:`dumps` does for a store
-built by hand, so the store writes only what :func:`loads` reads back.
-:func:`dumps` checks the table a column at a time, then writes each record
-from one f-string per kind, keys in sorted order, as exactly
-``json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))``
-plus ``"\\n"``, so a flush/reload/flush cycle is byte-identical.  Loading
-re-checks every field against the same table, every note as
-:func:`attach_note` does, every message's id and ``sent_at`` as
-:func:`send_message` does, and that every message points at stored notes; a
-malformed record is a :class:`ParseError` naming its line.  A flush replaces
-the file atomically, and refuses with :class:`UnsupportedFormat`, before it
-changes the file, a store holding text UTF-8 cannot encode or an over-long
-integer.
+The codec states each rule once, as a pass over a column of records that
+gives the positions of the records breaking it.  :func:`attach_note`,
+:func:`send_message`, :func:`dumps` and :func:`loads` share the passes, so
+the store writes only what it reads back.  :func:`dumps` writes each record
+as exactly ``json.dumps(record, sort_keys=True, ensure_ascii=False,
+separators=(",", ":"))`` plus ``"\\n"``, so a flush/reload/flush cycle is
+byte-identical; :func:`loads` names the first line a rule refuses.  A flush
+replaces the file atomically, and refuses with :class:`UnsupportedFormat`,
+before it changes the file, a store holding text UTF-8 cannot encode or an
+over-long integer.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import chain, compress, repeat
+from bisect import bisect_left
+from functools import partial
+from itertools import chain, compress, filterfalse, repeat
 from json.encoder import encode_basestring
-from operator import eq, itemgetter
+from operator import eq, is_, itemgetter, lt, not_
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import AccessDenied, DanglingRef, DuplicateId, EmptyContent, ParseError, UnsupportedFormat
-from .model import LearningEnvironment
+from .model import LearningEnvironment, columns, holding, repeats
 from .options import NoteAccess
 from .text import lines, read_text, write_text
 
@@ -96,29 +91,38 @@ def new_store(env: LearningEnvironment) -> NoteStore:
     return NoteStore(env, {}, {})
 
 
-def _check_note(notes: dict[str, LearnerNote], env: LearningEnvironment, note: LearnerNote,
-                line_no: int | None = None) -> None:
-    """The rules every stored note keeps beyond its field types, whether attached or loaded."""
-    if note.note_id in notes:
-        raise DuplicateId(note.note_id, "note", line_no)
-    if note.node_id not in env.activities:
-        raise DanglingRef(note.node_id, line_no)
-    if note.timestamp < 0:
-        raise ValueError("note timestamp must be non-negative")
+def _refused_records(kind: str, fields: dict[str, list], stored: dict, env: LearningEnvironment,
+                     line_nos: Sequence[int | None]) -> list[tuple]:
+    """The first refusal ``(line number, rank, error)`` of each rule a record keeps beyond its field types, on
+    the columns ``fields`` of records added in order, from the lines ``line_nos``, to ``stored``: a repeated
+    id, a note on an unknown activity, or a negative time, which a line names as a :class:`ParseError`."""
+    ids, nodes = fields[f"{kind}_id"], fields.get("node_id", [])
+    time = "timestamp" if kind == "note" else "sent_at"
+    times = fields[time]
+    negative = f"{kind} {time} must be non-negative"
+    rules = [
+        (repeats(ids, stored), lambda at: DuplicateId(ids[at], kind, line_nos[at])),
+        (holding(range(len(nodes)), nodes, set(filterfalse(env.activities.__contains__, nodes))),
+         lambda at: DanglingRef(nodes[at], line_nos[at])),
+        (holding(range(len(times)), times, set(compress(times, map(lt, times, repeat(0))))),
+         lambda at: ValueError(negative) if line_nos[at] is None else ParseError(line_nos[at], negative)),
+    ]
+    return [(line_nos[refused[0]], rank, error(refused[0])) for rank, (refused, error) in enumerate(rules, 100)
+            if refused]
 
 
-def _check_message(messages: dict[str, Message], message: Message, line_no: int | None = None) -> None:
-    """The rules every stored message keeps on its own beyond its field types, whether sent or loaded."""
-    if message.message_id in messages:
-        raise DuplicateId(message.message_id, "message", line_no)
-    if message.sent_at < 0:
-        raise ValueError("message sent_at must be non-negative")
+def _add(store: NoteStore, kind: str, record: tuple) -> None:
+    """Refuse ``record`` as :func:`dumps` and :func:`loads` would refuse it in ``store``."""
+    _check_fields(kind, [record])
+    stored = store.notes if kind == "note" else store.messages
+    fields = dict(zip(_TYPES[kind][1], map(list, zip(record))))
+    for _, _, error in _refused_records(kind, fields, stored, store.env, [None])[:1]:
+        raise error
 
 
 def attach_note(store: NoteStore, note: LearnerNote) -> NoteStore:
     """Append one note; the target activity must exist in the store's course."""
-    _check_fields("note", [note])
-    _check_note(store.notes, store.env, note)
+    _add(store, "note", note)
     notes = dict(store.notes)
     notes[note.note_id] = note
     return NoteStore(store.env, notes, store.messages)
@@ -139,8 +143,7 @@ def list_notes(store: NoteStore, node_id: str, requester_id: str, requester_role
 
 def send_message(store: NoteStore, message: Message, sender_role: str = "learner") -> NoteStore:
     """Store a message with at least one recipient and one note reference, each note one the sender can see."""
-    _check_fields("message", [message])
-    _check_message(store.messages, message)
+    _add(store, "message", message)
     if not message.note_refs:
         raise EmptyContent("a message must reference at least one note")
     if not message.recipients:
@@ -169,53 +172,53 @@ _ENCODE = encode_basestring  # what JSONEncoder(ensure_ascii=False) writes a str
 _DECODER = json.JSONDecoder()
 _ACCESS = {access.value: access for access in NoteAccess}
 _STR = frozenset((str,))
-_DICT = frozenset((dict,))
-_PIECE_LINES = 256  # how many decoded store lines :func:`_store_columns` holds at once
+_PIECE_LINES = 256  # how many decoded store lines :func:`loads` holds at once
+_MISSING = object()  # the value of a field a store record lacks
 
 
-def _exactly(json_type: type, name: str):
-    def read(value):
-        if type(value) is not json_type:  # exact: a JSON true or false is a bool, not an int
-            raise ValueError(f"expected {name}")
-        return value
-    return read
+def _exact(kind: type, column: Sequence) -> list[int]:
+    """The positions in ``column`` of the values not of exactly type ``kind`` (a bool is no int)."""
+    return holding(range(len(column)), map(type, column), set(map(type, column)) - {kind})
 
 
-def _access(value) -> NoteAccess:
-    try:
-        return _ACCESS[value]
-    except (KeyError, TypeError):
-        return NoteAccess(value)  # raises the ValueError that names the bad value
+def _named(names: Iterable[str], column: Sequence) -> list[int]:
+    """The positions in ``column`` of the JSON values that are none of the texts ``names``, where a value that is
+    no text reads as its ``str``, which names none."""
+    texts = column if _STR.issuperset(map(type, column)) else list(map(str, column))
+    return holding(range(len(texts)), texts, set(texts) - set(names))
 
 
-def _str_tuple(value) -> tuple[str, ...]:
-    if type(value) is not list or not _STR.issuperset(map(type, value)):
-        raise ValueError("expected a list of strings")
-    return tuple(value)
+def _strings(container: type, alone: str | None, column: Sequence) -> list[int]:
+    """The positions in ``column`` of the values that are neither a ``container`` of strings nor the string
+    ``alone``."""
+    wrong = [at for at in _exact(container, column) if not (type(column[at]) is str and column[at] == alone)]
+    items = chain.from_iterable(compress(column, map(is_, map(type, column), repeat(container))) if wrong else column)
+    if not _STR.issuperset(map(type, items)):  # then name the containers holding an item that is no string
+        wrong += [at for at, value in enumerate(column)
+                  if type(value) is container and not _STR.issuperset(map(type, value))]
+    return sorted(wrong)
 
 
 class _Form(NamedTuple):
-    """How the codec handles one type of the type table."""
+    """How the codec tests and reads one type of the type table; each test is a pass over a column."""
 
-    name: str  # as an error names it
-    held: frozenset[type]  # the types a field of this form may hold
-    read: Callable  # checks a decoded value and returns the field value; a bad one raises ValueError
-    decoded: frozenset[type]  # the types a decoded value of a field of this form may have
-    column: Callable  # a list of decoded values of those types as a tuple of field values, for _holds to test
+    name: str  # as a refusal of a field value names it
+    refused: Callable[[Sequence], list[int]]  # the positions of values a field of this form may not hold
+    decoded: Callable[[Sequence], list[int]]  # the same for the JSON values of a store's lines
+    error: str  # the refusal of a JSON value, formatted with the value
+    read: Callable[[list], list]  # the field values of JSON values that ``decoded`` passes
 
 
-_INT = frozenset((int,))
-_LIST = frozenset((list,))
 _FORMS = {
-    str: _Form("a string", _STR, _exactly(str, "a string"), _STR, tuple),
-    int: _Form("an integer", _INT, _exactly(int, "an integer"), _INT, tuple),
-    NoteAccess: _Form("a NoteAccess member", frozenset((NoteAccess,)), _access, _STR,
-                      lambda column: tuple(map(_ACCESS.get, column))),  # unknown text: None, which _holds refuses
-    tuple: _Form("a tuple of strings", frozenset((tuple,)), _str_tuple, _LIST,
-                 lambda column: tuple(map(tuple, column))),
-    BROADCAST: _Form(f"{BROADCAST!r} or a tuple of strings", frozenset((str, tuple)),
-                     lambda value: value if value == BROADCAST else _str_tuple(value), _STR | _LIST,
-                     lambda column: tuple(value if type(value) is str else tuple(value) for value in column)),
+    str: _Form("a string", partial(_exact, str), partial(_exact, str), "expected a string", lambda column: column),
+    int: _Form("an integer", partial(_exact, int), partial(_exact, int), "expected an integer", lambda column: column),
+    NoteAccess: _Form("a NoteAccess member", partial(_exact, NoteAccess), partial(_named, _ACCESS),
+                      "{!r} is not a valid NoteAccess", lambda column: list(map(_ACCESS.__getitem__, column))),
+    tuple: _Form("a tuple of strings", partial(_strings, tuple, None), partial(_strings, list, None),
+                 "expected a list of strings", lambda column: list(map(tuple, column))),
+    BROADCAST: _Form(f"{BROADCAST!r} or a tuple of strings", partial(_strings, tuple, BROADCAST),
+                     partial(_strings, list, BROADCAST), "expected a list of strings",
+                     lambda column: [value if type(value) is str else tuple(value) for value in column]),
 }
 
 # The type table: for each record kind, its named tuple and, in ``_fields`` order, the exact type each
@@ -229,32 +232,17 @@ _TYPES = {
 }
 
 
-def _holds(form, column) -> bool:
-    """Whether a field the type table gives ``form`` may hold every value of ``column``."""
-    if not _FORMS[form].held.issuperset(map(type, column)):
-        return False
-    if form is tuple or form == BROADCAST:
-        # A string here is BROADCAST, and a tuple holds strings only (iterating "*" gives a string).
-        return ({value for value in column if type(value) is str} <= {BROADCAST}
-                and _STR.issuperset(map(type, chain.from_iterable(column))))
-    return True
-
-
 def _check_fields(kind: str, records: list) -> None:
-    """Raise :class:`TypeError` naming the first field of the first record that the type table refuses.
-
-    The table's test runs a column at a time, which is each record's test as every field is tested alone;
-    only a column that fails sends it looking for the record and field to name.
-    """
+    """Raise :class:`TypeError` naming the first field of the first record that the type table refuses."""
     types = _TYPES[kind][1]
-    if set(map(len, records)) <= {len(types)} and all(map(_holds, types.values(), zip(*records))):
-        return
-    for record in records:
-        if len(record) != len(types):
-            raise TypeError(f"a {kind} record has {len(types)} fields, not {len(record)}: {record!r}")
-        for (name, form), value in zip(types.items(), record):
-            if not _holds(form, (value,)):
-                raise TypeError(f"{kind} field {name!r} must be {_FORMS[form].name}, not {value!r}")
+    refusals = []
+    for at in holding(range(len(records)), map(len, records), set(map(len, records)) - {len(types)})[:1]:
+        refusals.append((at, 0, TypeError(f"a {kind} record has {len(types)} fields, not {len(records[at])}: "
+                                          f"{records[at]!r}")))
+        records = records[:at]
+    refusals += _refused_fields(kind, range(len(records)), columns(records, len(types)), decoded=False)
+    if refusals:
+        raise min(refusals, key=itemgetter(0, 1))[2]  # the first, by rank at a tie
 
 
 def dumps(store: NoteStore) -> str:
@@ -295,151 +283,99 @@ def dumps(store: NoteStore) -> str:
     return "".join(chain(note_lines, message_lines))
 
 
-# For each record kind, its named tuple and, in ``_fields`` order, each field's name and reader.
-_READERS = {kind: (cls, [(name, _FORMS[form].read) for name, form in types.items()])
-            for kind, (cls, types) in _TYPES.items()}
-
-
-def _from_record(record) -> LearnerNote | Message:
-    """The note or message a decoded line holds; a bad record raises ``ValueError`` or ``KeyError``.
-
-    Each field is read once, in ``_fields`` order, so the first field missing or refused is the one named.
-    """
-    if not isinstance(record, dict):
-        raise ValueError("a record must be a JSON object")
-    kind = record.get("kind")
-    reader = _READERS.get(kind) if type(kind) is str else None
-    if reader is None:
-        raise ValueError(f"unknown record kind {kind!r}")
-    cls, readers = reader
-    values = []
-    for name, read in readers:
-        try:
-            values.append(read(record[name]))
-        except ValueError as exc:
-            raise ValueError(f"field {name!r}: {exc}") from None
-    return cls(*values)
-
-
 def loads(text: str, env: LearningEnvironment) -> NoteStore:
-    """Read a store in one pass, re-checking each note against ``env``.
+    """Read a store, re-checking each note against ``env``.
 
-    The store is tested a column at a time; only a store that fails a column
-    test is read again a line at a time, to name the line it refuses.  Lines
-    of only whitespace are skipped.  A line that is not a JSON object,
-    names an unknown ``kind``, lacks a field, holds a field of a type the type
-    table refuses or a bad value raises :class:`ParseError` with its line
-    number, as does a note with a negative timestamp or a message with a
-    negative ``sent_at``.  A duplicate note or message id raises
-    :class:`DuplicateId`, and a note on an unknown activity or a message
-    pointing at a note the store does not hold raises :class:`DanglingRef`,
-    each naming the line.
+    One pass per rule reads a column of the store's records, beside a column of their line numbers, and
+    gives the first line it refuses; the store's error is that of the first line any rule refuses, by the
+    first rule to refuse it.  Lines of only whitespace are skipped.  A line that is not a JSON object (one
+    nested too deeply included), names an unknown ``kind``, lacks a field, holds a field of a type the type
+    table refuses or a bad value raises :class:`ParseError` with its line number, as does a note with a
+    negative timestamp or a message with a negative ``sent_at``.  A duplicate note or message id raises
+    :class:`DuplicateId`, and a note on an unknown activity or a message pointing at a note the store does
+    not hold raises :class:`DanglingRef`, each naming the line.
     """
-    store = _store_columns(text, env)
-    return _store_by_line(text, env) if store is None else store
+    fields = {kind: {name: [] for name in types} for kind, (_, types) in _TYPES.items()}
+    numbers: dict[str, list[int]] = {kind: [] for kind in _TYPES}  # each kind's line-number column
+    refusals: list[tuple] = []  # (line number, rank, error): ranks follow the rules' order within a record
+    scan, every_line = _DECODER.scan_once, lines(text)
 
+    def refuse(refused: list[int], rank: int, reason: Callable[[int], str]) -> None:
+        for at in refused[:1]:  # the records from the line refused on are not read
+            refusals.append((line_nos[at], rank, ParseError(line_nos[at], reason(at))))
+            del line_nos[at:], records[at:]
 
-def _store_columns(text: str, env: LearningEnvironment) -> NoteStore | None:
-    """The store ``text`` holds, with every rule of :func:`_store_by_line` tested on whole columns.
-
-    None when a test refuses a line, a record, a field or a store rule.  The records are built only once
-    every test has passed.
-    """
-    decoded = _decoded_columns(text)
-    if decoded is None:
-        return None
-    fields: dict[str, dict[str, tuple]] = {}  # kind -> field name -> column of field values
-    for kind, (_, types) in _TYPES.items():
-        fields[kind] = {}
-        for name, form in types.items():
-            spec, column = _FORMS[form], decoded[kind].pop(name)
-            if not spec.decoded.issuperset(map(type, column)):
-                return None
-            fields[kind][name] = column = spec.column(column)
-            if not _holds(form, column):
-                return None
-    notes, messages = fields["note"], fields["message"]
-    note_ids, message_ids = notes["note_id"], messages["message_id"]
-    known = set(note_ids)
-    if (len(known) < len(note_ids) or not env.activities.keys() >= set(notes["node_id"])
-            or min(notes["timestamp"], default=0) < 0 or len(set(message_ids)) < len(message_ids)
-            or min(messages["sent_at"], default=0) < 0 or not known >= set(chain.from_iterable(messages["note_refs"]))):
-        return None
-    return NoteStore(env, dict(zip(note_ids, map(tuple.__new__, repeat(LearnerNote), zip(*notes.values())))),
-                     dict(zip(message_ids, map(Message, *messages.values()))))
-
-
-def _decoded_columns(text: str) -> dict[str, dict[str, list]] | None:
-    """For each record kind, each field's column of decoded values, in line order.
-
-    None when a line is neither blank nor one bare JSON object, or a record's ``kind`` or one of its fields is
-    missing or unknown.  The lines are decoded a piece at a time, so that the dicts and keys of only one
-    piece are alive at once; the lines themselves are freed on return, before any record is built.
-    """
-    scan = _DECODER.scan_once
-    every_line = lines(text)
-    decoded = {kind: {name: [] for name in types} for kind, (_, types) in _TYPES.items()}
-    for start in range(0, len(every_line), _PIECE_LINES):
-        records = []
-        for line in every_line[start:start + _PIECE_LINES]:
+    # A piece of lines at a time, up to the first line a rule refuses, so that only one piece's JSON values are
+    # alive at once: each line's JSON value, the records that are objects, and their kinds.
+    for first_line in range(1, len(every_line) + 1, _PIECE_LINES):
+        records, blank = [], []  # blank: the numbers of the lines of only whitespace
+        for line in every_line[first_line - 1:first_line - 1 + _PIECE_LINES]:
             try:
                 record, end = scan(line, 0)
-            except (StopIteration, ValueError, RecursionError):  # the last so that an earlier line is named first
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
-            if end == len(line):
-                records.append(record)
-            elif line.strip():  # whitespace around a record, or no record
-                return None
-        if not _DICT.issuperset(map(type, records)):
-            return None
-        kinds = list(map(dict.get, records, repeat("kind")))
-        if not (_STR.issuperset(map(type, kinds)) and _TYPES.keys() >= set(kinds)):
-            return None
-        for kind, columns in decoded.items():
-            chosen = list(compress(records, map(eq, kinds, repeat(kind))))
-            try:
-                for name, column in columns.items():
-                    column += map(itemgetter(name), chosen)
-            except KeyError:
-                return None
-    return decoded
-
-
-def _store_by_line(text: str, env: LearningEnvironment) -> NoteStore:
-    """The store ``text`` holds, read a line at a time; the first line a rule refuses is named."""
-    notes: dict[str, LearnerNote] = {}
-    messages: dict[str, Message] = {}
-    message_lines: dict[str, int] = {}
-    scan = _DECODER.scan_once
-    for line_no, line in enumerate(lines(text), 1):
-        try:
-            try:
-                record, end = scan(line, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(line):  # whitespace around the record, or a line decode words the error for
+            if end != len(line):  # no value at the start, whitespace around it, or more after it
+                line_no = first_line + len(records) + len(blank)
                 if not line.strip():
+                    blank.append(line_no)
                     continue
-                record = _DECODER.decode(line)
-            item = _from_record(record)
-            if type(item) is LearnerNote:
-                _check_note(notes, env, item, line_no)
-                notes[item.note_id] = item
-            else:
-                _check_message(messages, item, line_no)
-                messages[item.message_id] = item
-                message_lines[item.message_id] = line_no
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg} at column {exc.colno}") from None
-        except KeyError as exc:
-            raise ParseError(line_no, f"missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParseError(line_no, str(exc)) from None
-    for message in messages.values():
-        for ref in message.note_refs:
-            if ref not in notes:
-                raise DanglingRef(ref, message_lines[message.message_id])
-    return NoteStore(env, notes, messages)
+                try:
+                    record = _DECODER.decode(line)
+                except (ValueError, RecursionError) as exc:  # a ValueError that is no JSONDecodeError: a long integer
+                    reason = (f"invalid JSON: {exc.msg} at column {exc.colno}" if isinstance(exc, json.JSONDecodeError)
+                              else "invalid JSON: nested too deeply" if isinstance(exc, RecursionError) else str(exc))
+                    refusals.append((line_no, 0, ParseError(line_no, reason)))
+                    break
+            records.append(record)
+        line_nos = list(filterfalse(set(blank).__contains__, range(first_line, first_line + len(records) + len(blank))))
+        refuse(holding(range(len(records)), map(type, records), set(map(type, records)) - {dict}), 1,
+               lambda at: "a record must be a JSON object")
+        kinds = list(map(dict.get, records, repeat("kind")))
+        refuse(_named(_TYPES, kinds), 2, lambda at: f"unknown record kind {kinds[at]!r}")
+        for kind, columns_of in fields.items():
+            mine = list(map(eq, kinds, repeat(kind)))  # compress stops at the records kept, which kinds may run past
+            numbers[kind] += compress(line_nos, mine)
+            chosen = list(compress(records, mine))
+            for name, column in columns_of.items():  # a field missing reads as _MISSING, which every form refuses
+                column += map(dict.get, chosen, repeat(name), repeat(_MISSING))
+        if refusals:
+            break
+    for kind, columns_of in fields.items():
+        refusals += _refused_fields(kind, numbers[kind], columns_of.values())
+    limit = min([len(every_line) + 1, *(line_no for line_no, _, _ in refusals)])
+    for kind, (_, types) in _TYPES.items():  # only the lines before the first refused, each field read
+        kept = bisect_left(numbers[kind], limit)
+        del numbers[kind][kept:]
+        for name, form in types.items():
+            fields[kind][name] = _FORMS[form].read(fields[kind][name][:kept])
+        refusals += _refused_records(kind, fields[kind], {}, env, numbers[kind])
+    if refusals:
+        raise min(refusals, key=itemgetter(0, 1))[2]  # the first, by rank at a tie
+    notes, messages = fields["note"], fields["message"]
+    refs = messages["note_refs"]
+    dangling = set(filterfalse(set(notes["note_id"]).__contains__, chain.from_iterable(refs)))
+    if dangling:
+        at = next(compress(range(len(refs)), map(not_, map(dangling.isdisjoint, refs))))
+        raise DanglingRef(next(filter(dangling.__contains__, refs[at])), numbers["message"][at])
+    return NoteStore(env, dict(zip(notes["note_id"], map(tuple.__new__, repeat(LearnerNote), zip(*notes.values())))),
+                     dict(zip(messages["message_id"], map(Message, *messages.values()))))
+
+
+def _refused_fields(kind: str, line_nos: Sequence[int], field_columns: Iterable[Sequence],
+                    decoded: bool = True) -> list[tuple]:
+    """The first refusal ``(line number, rank, error)`` of each field whose column holds a value the type table
+    refuses: the JSON values of store lines, where a field missing is ``_MISSING``, or, unless ``decoded``,
+    field values, at positions ``line_nos``."""
+    refusals = []
+    for number, ((name, form), column) in enumerate(zip(_TYPES[kind][1].items(), field_columns)):
+        spec = _FORMS[form]
+        for at in (spec.decoded if decoded else spec.refused)(column)[:1]:
+            value, line_no = column[at], line_nos[at]
+            error = (TypeError(f"{kind} field {name!r} must be {spec.name}, not {value!r}") if not decoded
+                     else ParseError(line_no, f"missing field {name!r}") if value is _MISSING
+                     else ParseError(line_no, f"field {name!r}: {spec.error.format(value)}"))
+            refusals.append((line_no, 3 + number, error))
+    return refusals
 
 
 def flush(store: NoteStore, path: str | Path) -> None:

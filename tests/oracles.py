@@ -6,6 +6,7 @@ matrix squaring) and shares no code with the package.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Collection
 from itertools import combinations
 
@@ -323,3 +324,148 @@ def naive_dot(env, reference_edges: bool = False, visited: list[str] | None = No
                     out.append(f"  {quote(other)} -> {quote(ref)} [style=dashed];")
     out.append("}")
     return "".join(line + "\n" for line in out)
+
+
+def _no_field(text, strip=str.strip) -> bool:
+    """Whether ``.odlg`` text would not give back the field ``text``: a line end in it, or whitespace ``strip``
+    takes.  A value that is no text raises the ``TypeError`` of the first test it cannot take."""
+    return "\r" in text or "\n" in text or (strip is not None and strip(text) != text)
+
+
+def naive_violations(env) -> list[tuple]:
+    """``validate``'s report as ``(code, subject, message)``, one record and one rule at a time: tasks, objects
+    and activities in id order, then edges in bag order.  The objects may not contain one another in a cycle."""
+    out = []
+    for tid in sorted(env.tasks):
+        if not env.tasks[tid].verb:
+            out.append(("empty_verb", tid, f"task {tid!r} has an empty verb"))
+    for oid in sorted(env.objects):
+        obj = env.objects[oid]
+        kind = obj.kind.value if type(obj.kind).__name__ == "ObjectKind" else None
+        if kind == "atomic":
+            if not obj.locator:
+                out.append(("bad_object", oid, f"atomic object {oid!r} has no locator"))
+            if obj.children:
+                out.append(("bad_object", oid, f"atomic object {oid!r} has children"))
+        elif kind == "composite":
+            if not obj.children:
+                out.append(("bad_object", oid, f"composite object {oid!r} has no children"))
+            out += [("dangling_ref", oid, f"object {oid!r} contains missing object {child!r}")
+                    for child in obj.children if child not in env.objects]
+        else:
+            out.append(("bad_object", oid, f"object {oid!r} has unknown kind {obj.kind!r}"))
+    for aid in sorted(env.activities):
+        act = env.activities[aid]
+        if act.object_id not in env.objects:
+            out.append(("dangling_ref", aid, f"activity {aid!r} references missing object {act.object_id!r}"))
+        if act.task_id not in env.tasks:
+            out.append(("dangling_ref", aid, f"activity {aid!r} references missing task {act.task_id!r}"))
+        if act.expected_duration_minutes is not None and act.expected_duration_minutes < 0:
+            out.append(("bad_duration", aid, f"activity {aid!r} has negative expected duration"))
+    seen = set()
+    for edge in env.edges:
+        if edge.edge_id in seen:
+            out.append(("duplicate_edge_id", edge.edge_id, f"edge id {edge.edge_id!r} used twice"))
+        seen.add(edge.edge_id)
+        for end in (edge.from_id, edge.to_id):
+            if end not in env.activities:
+                out.append(("dangling_ref", edge.edge_id, f"edge {edge.edge_id!r} touches missing activity {end!r}"))
+        if type(edge.tag).__name__ != "EdgeTag":
+            out.append(("bad_tag", edge.edge_id, f"edge {edge.edge_id!r} has unknown tag {edge.tag!r}"))
+    return out
+
+
+def naive_graph_refusal(env, title: str) -> str | None:
+    """Why the ``.odlg`` text of a valid course would not read back, for the first field in record order that
+    would not (NODE records, then EDGE records); None when every field would."""
+    if _no_field(title, None):
+        return f"title {title!r} does not read back"
+    for act in env.activities.values():
+        obj, verb = env.objects[act.object_id], env.tasks[act.task_id].verb
+        if not act.id:
+            return "empty activity id does not read back"
+        if obj.kind.value != "atomic":
+            return f"object {obj.id!r} is not atomic"
+        for what, text in (("activity id", act.id), ("object title", obj.title), ("verb", verb),
+                           ("locator", obj.locator)):
+            if _no_field(text):
+                return f"{what} {text!r} does not read back"
+        minutes = act.expected_duration_minutes
+        if minutes is not None and (minutes != minutes or abs(minutes) == float("inf")):
+            return f"duration {minutes!r} does not read back"
+    for edge in env.edges:
+        if _no_field(edge.label, str.rstrip):  # the label ends its line: only its trailing whitespace goes
+            return f"edge label {edge.label!r} does not read back"
+    return None
+
+
+_STORE_FIELDS = {
+    "note": ("note_id", "node_id", "learner_id", "timestamp", "access", "body", "attachments"),
+    "message": ("message_id", "sender_id", "recipients", "note_refs", "sent_at"),
+}
+
+
+def _store_field(name: str, value):
+    """``(field value, None)`` for a JSON value a store field may hold, else ``(None, why it may not)``."""
+    strings = type(value) is list and all(type(item) is str for item in value)
+    if name in ("timestamp", "sent_at"):
+        return (value, None) if type(value) is int else (None, "expected an integer")
+    if name == "access":
+        return (value, None) if value in ("private", "tutors", "all") else (None, f"{value!r} is not a valid NoteAccess")
+    if name == "recipients" and value == "*":
+        return value, None
+    if name in ("attachments", "note_refs", "recipients"):
+        if not strings:
+            return None, "expected a list of strings"
+        return (tuple(sorted(set(value))) if name == "recipients" else tuple(value)), None
+    return (value, None) if type(value) is str else (None, "expected a string")
+
+
+def naive_store(text: str, activities: Collection[str]) -> tuple:
+    """A note store's text read one line and one field at a time against the course's ``activities`` ids.
+
+    Returns ``("ok", notes, messages)`` with each record as the tuple of its field values (explicit recipients
+    sorted and without repeats), or ``(error type name, message)`` for the first line refused.
+    """
+    notes, messages, message_lines = {}, {}, {}
+    split = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for number, line in enumerate(split[:-1] if split[-1] == "" else split, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return "ParseError", f"line {number}: invalid JSON: {exc.msg} at column {exc.colno}"
+        except RecursionError:
+            return "ParseError", f"line {number}: invalid JSON: nested too deeply"
+        except ValueError as exc:
+            return "ParseError", f"line {number}: {exc}"
+        if type(record) is not dict:
+            return "ParseError", f"line {number}: a record must be a JSON object"
+        kind = record.get("kind")
+        if type(kind) is not str or kind not in _STORE_FIELDS:
+            return "ParseError", f"line {number}: unknown record kind {kind!r}"
+        values = []
+        for name in _STORE_FIELDS[kind]:
+            if name not in record:
+                return "ParseError", f"line {number}: missing field {name!r}"
+            value, why = _store_field(name, record[name])
+            if why is not None:
+                return "ParseError", f"line {number}: field {name!r}: {why}"
+            values.append(value)
+        stored = notes if kind == "note" else messages
+        if values[0] in stored:
+            return "DuplicateId", f"duplicate {kind} id: {values[0]!r} (line {number})"
+        if kind == "note" and values[1] not in activities:
+            return "DanglingRef", f"unresolved reference: {values[1]!r} (line {number})"
+        if values[3 if kind == "note" else 4] < 0:
+            time = "timestamp" if kind == "note" else "sent_at"
+            return "ParseError", f"line {number}: {kind} {time} must be non-negative"
+        stored[values[0]] = tuple(values)
+        if kind == "message":
+            message_lines[values[0]] = number
+    for message_id, message in messages.items():
+        for ref in message[3]:
+            if ref not in notes:
+                return "DanglingRef", f"unresolved reference: {ref!r} (line {message_lines[message_id]})"
+    return "ok", list(notes.values()), list(messages.values())

@@ -634,6 +634,24 @@ def test_bad_stores_are_one_line_errors(course, tmp_path, subcommand, store_name
     assert store.read_bytes() == before
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # past the depth the interpreter's recursion limit lets JSON decode
+DEEP_LINES = {"whole line": DEEP, "field value": NOTE[:-1].replace('"body":""', f'"body":{DEEP}').replace("n1", "n2")}
+
+
+@pytest.mark.parametrize("subcommand", list(NOTE_COMMANDS))
+@pytest.mark.parametrize("deep", list(DEEP_LINES))
+@pytest.mark.parametrize("good_lines", [0, 1])
+def test_a_store_line_nested_too_deeply_is_one_error_line_naming_it(course, tmp_path, subcommand, deep, good_lines,
+                                                                    capsys):
+    store = tmp_path / "notes.jsonl"
+    store.write_text(NOTE * good_lines + DEEP_LINES[deep] + "\n", encoding="utf-8")
+    before = store.read_bytes()
+    argv = ["notes", subcommand, "--store", str(store), "--course", course, *NOTE_COMMANDS[subcommand]]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: line {good_lines + 1}: invalid JSON: nested too deeply\n")
+    assert store.read_bytes() == before
+
+
 @pytest.mark.parametrize("subcommand", list(NOTE_COMMANDS))
 def test_store_message_pointing_at_a_missing_note_is_a_data_error(course, tmp_path, subcommand, capsys):
     store = tmp_path / "notes.jsonl"

@@ -133,3 +133,27 @@ def test_a_command_on_edited_bytes_exits_0_1_or_2_with_one_error_line_on_failure
         assert out == ""
         assert problems == [problems[0]] and problems[0].startswith("error: " if code == 1 else "usage error: ")
         assert err.endswith(problems[0] + "\n")  # no warning after the error
+
+
+# Store lines at the note-store reader's limits, put before the store's records, with the exit code that every
+# notes command ends in on them.
+_NOTE = ('{{"access":"all","attachments":[],"body":{body},"kind":"note","learner_id":"u1","node_id":"LA1",'
+         '"note_id":"n2","timestamp":{timestamp}}}')
+STORE_LIMITS = {
+    "a field nested too deeply": (_NOTE.format(body="[" * 100_000 + "]" * 100_000, timestamp=5), 1),
+    "an integer longer than the interpreter reads": (_NOTE.format(body='""', timestamp="9" * 5000), 1),
+    "a record padded with whitespace": (" \t" + _NOTE.format(body='""', timestamp=5) + " ", 0),
+}
+
+
+@pytest.mark.parametrize("command", [command for command in COMMANDS if command.startswith("notes-")])
+@pytest.mark.parametrize("limit", list(STORE_LIMITS))
+def test_a_store_line_at_the_readers_limits_ends_in_its_exit_code_with_at_most_one_error_line(tmp_path, command,
+                                                                                            limit):
+    line, exit_code = STORE_LIMITS[limit]
+    code, out, err = _run(tmp_path, COMMANDS[command], {"notes.jsonl": (line + "\n" + INPUTS["notes.jsonl"]).encode()})
+    assert code == exit_code
+    if exit_code:
+        assert out == "" and err.startswith("error: line 1: ") and err.count("\n") == 1
+    else:
+        assert err == ""

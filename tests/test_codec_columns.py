@@ -1,21 +1,21 @@
-"""The column-at-a-time codecs against naive writers, and against their own record-at-a-time rules.
+"""The column-at-a-time codecs against naive writers and readers that go one record at a time.
 
 Clean courses must give the naive writers' bytes (``oracles.naive_graph_text`` and ``oracles.naive_dot``).
 A course or a store with one planted fault must be refused with the exception type and message of the
-per-record rules, which the codecs keep only to name what a column test refuses.
+naive per-record rules (``oracles.naive_violations``, ``oracles.naive_graph_refusal`` and
+``oracles.naive_store``), and a clean store must load the records ``oracles.naive_store`` reads.
 """
 
 from __future__ import annotations
 
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import quick_env
-from odlgraph import course_format, model, notes
+from odlgraph import course_format, notes
 from odlgraph.dot_export import ExportStyle, export_dot
 from odlgraph.model import (
     EdgeTag,
@@ -25,6 +25,7 @@ from odlgraph.model import (
     LearningTask,
     ObjectKind,
     PrecedentEdge,
+    Violation,
     isomorphic,
     validate,
 )
@@ -47,12 +48,22 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _by_record(call):
-    """The outcome of ``call`` with every column test refusing, so that only the per-record rules run."""
-    with mock.patch.object(course_format, "_graph_columns", lambda env: None), \
-            mock.patch.object(model, "_passes", lambda env: False), \
-            mock.patch.object(notes, "_store_columns", lambda text, env: None):
-        return _outcome(call)
+def _named(call):
+    """:func:`_outcome` of ``call`` with the type of what it raises by its name."""
+    outcome = _outcome(call)
+    return (outcome[0].__name__, outcome[1]) if isinstance(outcome, tuple) else outcome
+
+
+def _naive_serialize(env: LearningEnvironment, title: str):
+    """The outcome ``serialize(env, "odlg", title)`` has by the naive rules, as :func:`_named` gives one."""
+    try:
+        violations = oracles.naive_violations(env)
+        refusal = None if violations else oracles.naive_graph_refusal(env, title)
+    except TypeError as exc:  # a value the rules cannot compare or read
+        return "TypeError", str(exc)
+    if violations:
+        return "ValueError", f"cannot serialize an invalid environment: {violations[0][2]}"
+    return repr(oracles.naive_graph_text(env, title)) if refusal is None else ("UnsupportedFormat", refusal)
 
 
 @st.composite
@@ -75,7 +86,7 @@ def courses(draw) -> LearningEnvironment:
 @given(courses(), TITLES)
 @settings(max_examples=150, deadline=None)
 def test_the_graph_writer_gives_the_naive_writers_text(env, title):
-    assert model._passes(env) and course_format._graph_columns(env) is not None  # the column path writes it
+    assert validate(env) == [] and oracles.naive_graph_refusal(env, title) is None
     assert course_format.serialize(env, "odlg", title=title) == oracles.naive_graph_text(env, title)
 
 
@@ -94,7 +105,7 @@ def test_the_dot_writer_gives_the_naive_writers_text(env, reference_edges, overl
 
 
 class _Text(str):
-    """Text that is no exact ``str``: every column test refuses it, so the writers take their per-record paths."""
+    """Text that is no exact ``str``, which the writers must write as the ``str`` of the same text."""
 
 
 def _as_text_subclass(env: LearningEnvironment) -> LearningEnvironment:
@@ -111,7 +122,6 @@ def _as_text_subclass(env: LearningEnvironment) -> LearningEnvironment:
 @settings(max_examples=50, deadline=None)
 def test_text_that_is_no_exact_str_is_written_as_the_same_bytes(env, title):
     subclassed = _as_text_subclass(env)
-    assert course_format._graph_columns(subclassed) is None  # the record-at-a-time writer runs
     text = course_format.serialize(subclassed, "odlg", title=title)
     assert text == course_format.serialize(env, "odlg", title=title)
     assert isomorphic(course_format.parse_graph_file(text), env)
@@ -198,10 +208,10 @@ def faulty_courses(draw, fault: str) -> tuple[LearningEnvironment, str]:
 @settings(max_examples=30, deadline=None)
 def test_a_course_with_one_fault_is_refused_as_the_record_rules_refuse_it(fault, data):
     env, title = data.draw(faulty_courses(fault))
-    refused = _by_record(lambda: course_format.serialize(env, "odlg", title=title))
+    refused = _naive_serialize(env, title)
     assert isinstance(refused, tuple), refused  # the planted fault is refused
-    assert _outcome(lambda: course_format.serialize(env, "odlg", title=title)) == refused
-    assert _outcome(lambda: validate(env)) == _by_record(lambda: validate(env))
+    assert _named(lambda: course_format.serialize(env, "odlg", title=title)) == refused
+    assert _named(lambda: validate(env)) == _named(lambda: [Violation(*found) for found in oracles.naive_violations(env)])
 
 
 STORE_ENV = quick_env(["LA1", "LA2", "LA3"])
@@ -263,11 +273,10 @@ def _writer(draw):
 def test_a_clean_store_loads_as_the_record_rules_load_it(data):
     records = data.draw(store_records())
     text, padded = _store_text(data.draw, list(map(_writer(data.draw), records)))
-    loaded = _outcome(lambda: notes.loads(text, STORE_ENV))
-    assert not isinstance(loaded, tuple), loaded
-    assert loaded == _by_record(lambda: notes.loads(text, STORE_ENV))
-    if not padded:  # a padded record is read again a line at a time
-        assert notes._store_columns(text, STORE_ENV) is not None
+    store = notes.loads(text, STORE_ENV)
+    loaded = ("ok", list(map(tuple, store.notes.values())), list(map(tuple, store.messages.values())))
+    assert loaded == oracles.naive_store(text, STORE_ENV.activities)
+    assert len(store.notes) + len(store.messages) == len(records)
 
 
 @pytest.mark.parametrize("fault", STORE_FAULTS)
@@ -311,6 +320,6 @@ def test_a_store_with_one_fault_is_refused_as_the_record_rules_refuse_it(fault, 
     if line is not None:
         lines[index] = line
     text, _ = _store_text(data.draw, lines)
-    refused = _by_record(lambda: notes.loads(text, STORE_ENV))
-    assert isinstance(refused, tuple), refused  # the planted fault is refused
-    assert _outcome(lambda: notes.loads(text, STORE_ENV)) == refused
+    refused = oracles.naive_store(text, STORE_ENV.activities)
+    assert refused[0] != "ok", refused  # the planted fault is refused
+    assert _named(lambda: notes.loads(text, STORE_ENV)) == refused

@@ -660,3 +660,19 @@ def test_the_type_table_gives_every_field_in_field_order():
 
     assert {kind: (cls, list(types)) for kind, (cls, types) in _TYPES.items()} == {
         "note": (LearnerNote, list(LearnerNote._fields)), "message": (Message, list(Message._fields))}
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # past the depth the interpreter's recursion limit lets JSON decode
+
+
+@pytest.mark.parametrize("deep_line", [DEEP, '{"kind":"note","note_id":"n9","body":' + DEEP + "}"])
+@pytest.mark.parametrize("good_lines", [0, 2])
+def test_a_line_nested_too_deeply_is_a_parse_error_naming_it(tmp_path, deep_line, good_lines):
+    good = dumps(store_with(note("n1", NoteAccess.ALL), note("n2", NoteAccess.PRIVATE))).splitlines(keepends=True)
+    text = "".join(good[:good_lines]) + deep_line + "\n" + "".join(good[good_lines:])
+    path = tmp_path / "notes.jsonl"
+    path.write_text(text, encoding="utf-8")
+    for read in (lambda: loads(text, ENV), lambda: reload(path, ENV)):
+        with pytest.raises(ParseError) as err:
+            read()
+        assert (err.value.line_no, err.value.reason) == (good_lines + 1, "invalid JSON: nested too deeply")
